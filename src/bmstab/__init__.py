@@ -1,6 +1,15 @@
 """Numerical verification of Brunn-Minkowski type inequalities for small
 perturbations of Euclidean balls under rotation-invariant log-concave
-measures."""
+measures.  BM_STABILITY_THREADS=N caps the linear-algebra thread pools
+(applied here, before numpy is imported)."""
+
+import os
+
+_threads = os.environ.get("BM_STABILITY_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
 
 __version__ = "0.1.0"
 

@@ -21,7 +21,8 @@ import numpy as np
 from . import measures as _measures
 from .sphere import (CurvatureField, PolynomialSF, SphereGrid,
                      SphericalFunction, ball_volume, batch_det,
-                     curvature_matrix, sf_product_powers, sf_sum, sphere_area)
+                     curvature_matrix, frame_hessian, sf_product_powers,
+                     sf_sum, sphere_area)
 
 
 class NonPositiveSupport(ValueError):
@@ -49,7 +50,6 @@ class Body:
     grad0: np.ndarray = field(repr=False)
     curvature: CurvatureField = field(repr=False)
     D: np.ndarray = field(repr=False)
-    is_symmetric: bool = False
 
     @property
     def n(self):
@@ -78,8 +78,7 @@ def body_from_support(h, grid):
             f"(min eigenvalue {cf.min_eig[i]:.6g} at node {i})",
             node=grid.nodes[i], min_eig=float(cf.min_eig[i]))
     D = np.sqrt(d.val ** 2 + np.sum(d.grad ** 2, axis=1))
-    return Body(h=h, grid=grid, hvals=d.val, grad0=d.grad, curvature=cf,
-                D=D, is_symmetric=h.parity() == "even")
+    return Body(h=h, grid=grid, hvals=d.val, grad0=d.grad, curvature=cf, D=D)
 
 
 def ball_body(radius, grid):
@@ -165,7 +164,6 @@ def boundary_inverse_height(body):
 # ---------------------------------------------------------------------------
 
 VALIDITY_EIG_FLOOR = 0.05
-_VALIDITY_GRID = 17
 _BISECTION_STEPS = 40
 
 
@@ -176,10 +174,18 @@ class PerturbationFamily:
     additive:        h_s = h + s psi
     multiplicative:  h_s = h * phi^s   (phi strictly positive)
 
-    `a` is the validity radius: every |s| <= a keeps h_s strictly positive
-    with curvature eigenvalues at least VALIDITY_EIG_FLOOR times the base
-    body's minimum, checked on a 17-point s-grid during the bisection
-    search."""
+    At each grid node Q(h_s) = w(s) (C0 + s C1 + s^2 C2), with coefficients
+    computed once.  Additive: w = 1, C0 = Q(h), C1 = Q(psi), C2 = 0.
+    Multiplicative: w = h_s and, with frames E and w_f = grad f / f,
+    C0 = I + E (hess h / h) E^T, C2 = (E w_phi)(E w_phi)^T and
+    C1 = E (hess phi / phi - w_phi w_phi^T + w_h w_phi^T + w_phi w_h^T) E^T.
+
+    `a` is the validity radius: at every node and every |s| <= a, h_s > 0 and
+    w(s) lambda_min(C0 + s C1) >= VALIDITY_EIG_FLOOR * (base body's minimum
+    eigenvalue).  That value is concave (additive) or log-concave
+    (multiplicative) in s, so checking s = +-a covers the whole interval.  It
+    is the exact smallest eigenvalue for additive families and, as C2 >= 0, a
+    lower bound for multiplicative ones.  Nothing between nodes is checked."""
 
     kind: str
     base: SphericalFunction
@@ -209,52 +215,51 @@ class PerturbationFamily:
 
     # -- batched node fields ------------------------------------------------
 
-    def _node_data(self):
-        if "base" not in self._cache:
-            self._cache["base"] = self.base.d2_ext0(self.grid.nodes)
-            self._cache["dir"] = self.direction.d2_ext0(self.grid.nodes)
-        return self._cache["base"], self._cache["dir"]
+    def _coefficients(self):
+        """Node data of h_s (values v0, v1 and gradient terms g0, g1) and the
+        coefficients C0, C1, C2 of Q(h_s), computed on first use."""
+        c, g = self._cache, self.grid
+        if "C0" not in c:
+            db = self.base.d2_ext0(g.nodes)
+            dd = self.direction.d2_ext0(g.nodes)
+            c["v0"], c["v1"] = db.val, dd.val
+            if self.kind == "additive":
+                c["g0"], c["g1"] = db.grad, dd.grad
+                c["C0"] = curvature_matrix(self.base, g).Q
+                c["C1"] = curvature_matrix(self.direction, g).Q
+                c["C2"] = 0.0
+            else:
+                c["g0"] = db.grad / db.val[:, None]
+                c["g1"] = dd.grad / dd.val[:, None]
+                Eh, Ed = (np.einsum("map,mp->ma", g.frames, c[k])
+                          for k in ("g0", "g1"))
+                cross = np.einsum("ma,mb->mab", Eh, Ed)
+                c["C2"] = np.einsum("ma,mb->mab", Ed, Ed)
+                c["C0"] = (np.eye(g.n - 1)
+                           + frame_hessian(db.hess / db.val[:, None, None], g))
+                c["C1"] = (frame_hessian(dd.hess / dd.val[:, None, None], g)
+                           + cross + cross.transpose(0, 2, 1) - c["C2"])
+        return c
 
-    def support_fields(self, s_values):
-        """Values, spherical gradients and ambient 1-homogeneous Hessians of
-        h_s at the grid nodes for a batch of parameters, shapes
-        (S, m), (S, m, n), (S, m, n, n)."""
-        db, dd = self._node_data()
-        U = self.grid.nodes
-        m, n = U.shape
-        s = np.asarray(s_values, dtype=float).reshape(-1, 1)
+    def _values(self, s):
+        # h_s at the nodes, (S, m), for parameters s shaped (S, 1, 1, 1)
+        c = self._coefficients()
         if self.kind == "additive":
-            vals = db.val[None, :] + s * dd.val[None, :]
-            grads = db.grad[None, :, :] + s[:, :, None] * dd.grad[None, :, :]
-            hes0 = (db.hess[None, :, :, :]
-                    + s[:, :, None, None] * dd.hess[None, :, :, :])
-        else:
-            wb = db.grad / db.val[:, None]
-            wd = dd.grad / dd.val[:, None]
-            mb = (db.hess / db.val[:, None, None]
-                  - np.einsum("mi,mj->mij", wb, wb))
-            md = (dd.hess / dd.val[:, None, None]
-                  - np.einsum("mi,mj->mij", wd, wd))
-            vals = db.val[None, :] * dd.val[None, :] ** s
-            W = wb[None, :, :] + s[:, :, None] * wd[None, :, :]
-            grads = vals[:, :, None] * W
-            hes0 = vals[:, :, None, None] * (
-                np.einsum("smi,smj->smij", W, W)
-                + mb[None] + s[:, :, None, None] * md[None])
-        eye = np.eye(n)
-        proj = eye[None, :, :] - np.einsum("mi,mj->mij", U, U)
-        hes1 = (proj[None] * vals[:, :, None, None]
-                + np.einsum("mi,smj->smij", U, grads)
-                + np.einsum("smi,mj->smij", grads, U)
-                + hes0)
-        return vals, grads, hes1
+            return c["v0"] + s[..., 0, 0] * c["v1"]
+        return c["v0"] * c["v1"] ** s[..., 0, 0]
 
     def curvature_batch(self, s_values):
-        """Frame-restricted curvature matrices for a batch of parameters,
-        along with support values and gradients."""
-        vals, grads, hes1 = self.support_fields(s_values)
-        E = self.grid.frames
-        Q = np.einsum("map,smpq,mbq->smab", E, hes1, E)
+        """Support values, spherical gradients and frame curvature matrices
+        of h_s at the grid nodes for a batch of parameters, shapes (S, m),
+        (S, m, n), (S, m, n-1, n-1)."""
+        c = self._coefficients()
+        s = np.asarray(s_values, dtype=float).reshape(-1, 1, 1, 1)
+        vals = self._values(s)
+        grads = c["g0"] + s[..., 0] * c["g1"]
+        Q = c["C0"] + s * (c["C1"] + s * c["C2"])
+        if self.kind == "multiplicative":
+            grads = vals[..., None] * grads
+            Q = vals[..., None, None] * Q
         return vals, grads, Q
 
     def measures_along(self, measure, s_values, chunk=32):
@@ -277,19 +282,20 @@ class PerturbationFamily:
     # -- validity -----------------------------------------------------------
 
     def _valid_on(self, bound):
-        s_grid = np.linspace(-bound, bound, _VALIDITY_GRID)
-        vals, _, Q = self.curvature_batch(s_grid)
-        if np.any(vals <= 0.0):
-            return False
-        N = self.grid.n - 1
-        min_eig = np.linalg.eigvalsh(Q.reshape(-1, N, N))[:, 0]
-        return bool(np.all(min_eig >= self.delta * self._cache["base_min_eig"]))
+        # the predicate for |s| <= bound, evaluated at s = +-bound only
+        c = self._coefficients()
+        s = np.array([-bound, bound]).reshape(2, 1, 1, 1)
+        vals = self._values(s)
+        lam = np.linalg.eigvalsh(c["C0"] + s * c["C1"])[..., 0]
+        w = vals if self.kind == "multiplicative" else 1.0
+        return bool(np.all(vals > 0.0)
+                    and np.all(w * lam >= self.delta * c["base_min_eig"]))
 
 
 def make_family(kind, h, direction, grid, delta=VALIDITY_EIG_FLOOR,
                 max_radius=8.0):
     """Build a perturbation family and locate its validity radius by
-    bisection (40 steps against the 17-point s-grid predicate)."""
+    bisection (40 steps against the two-endpoint predicate)."""
     if kind not in ("additive", "multiplicative"):
         raise FamilyError(f"unknown family kind {kind!r}")
     base_body = body_from_support(h, grid)    # validates the base

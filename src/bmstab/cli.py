@@ -10,18 +10,7 @@ Subcommands:
   list-checks        enumerate registered check kinds
 
 Exit codes: 0 all checks passed (expected failures count as passes when the
-failure materializes), 1 configuration error, 2 at least one check failed.
-
-Set BM_STABILITY_THREADS to cap the linear-algebra thread pools before
-numpy is loaded (useful for reproducible timings)."""
-
-import os
-
-_threads = os.environ.get("BM_STABILITY_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+failure materializes), 1 configuration error, 2 at least one check failed."""
 
 import argparse
 import csv

@@ -86,23 +86,11 @@ def d2_power(a, p):
     return D2(val, grad, hess)
 
 
-def d2_exp(a):
-    val = np.exp(a.val)
-    grad = val[:, None] * a.grad
-    hess = val[:, None, None] * (a.hess + _outer(a.grad, a.grad))
-    return D2(val, grad, hess)
-
-
 def d2_log(a):
     val = np.log(a.val)
     g = a.grad / a.val[:, None]
     hess = a.hess / a.val[:, None, None] - _outer(g, g)
     return D2(val, g, hess)
-
-
-def d2_const(c, like):
-    m, n = like.shape
-    return D2(np.full(m, c), np.zeros((m, n)), np.zeros((m, n, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from bmstab.bodies import (FamilyError, NonPositiveSupport, NotConvex,
                            body_from_support, boundary_inverse_height,
                            log_combine, make_family, measure_of_body,
                            minkowski_combine, quermassintegrals)
-from bmstab.sphere import PolynomialSF, integrate, sf_sum, sphere_area
+from bmstab.funcspecs import sf_from_spec
+from bmstab.sphere import (PolynomialSF, integrate, sf_exp, sf_ratio, sf_sum,
+                           sphere_area)
 
 
 def perturbed_disk(eps, k=2):
@@ -176,29 +178,62 @@ def test_family_support_at_matches_closed_form(grid2):
 def test_multiplicative_family_fields(grid3):
     base = PolynomialSF(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.1})
     phi = PolynomialSF(3, {(0, 0, 0): 1.0, (0, 2, 0): 0.08})
-    from bmstab.sphere import sf_exp, sf_log
     fam = make_family("multiplicative", base, phi, grid3)
     s_values = np.array([-0.5, 0.0, 0.8]) * fam.a
-    vals, grads, hes = fam.support_fields(s_values)
+    vals, grads, Q = fam.curvature_batch(s_values)
     for i, s in enumerate(s_values):
         direct = fam.body_at(float(s))
         assert np.max(np.abs(vals[i] - direct.hvals)) < 1e-11
         assert np.max(np.abs(grads[i] - direct.grad0)) < 1e-10
+        # Q(s) = h_s (C0 + s C1 + s^2 C2) against the body's own curvature
+        assert np.max(np.abs(Q[i] - direct.curvature.Q)) < 1e-11
     # h_s = h * phi^s pointwise
     want = base.values(grid3.nodes)[None, :] \
         * phi.values(grid3.nodes)[None, :] ** s_values[:, None]
     assert np.max(np.abs(vals - want)) < 1e-11
 
 
-def test_measures_along_matches_per_s(grid2, gaussian):
-    base = perturbed_disk(0.05)
-    psi = PolynomialSF.cos_harmonic(2)
-    fam = make_family("additive", base, psi, grid2)
-    s_values = np.linspace(-0.6, 0.6, 7) * fam.a
-    gam = fam.measures_along(gaussian, s_values)
-    direct = np.array([measure_of_body(gaussian, fam.body_at(float(s)))
-                       for s in s_values])
-    assert np.max(np.abs(gam - direct) / direct) < 1e-13
+def _family_case(kind, n, name):
+    """A family through a perturbed ball along a named direction; the
+    multiplicative direction is exp(psi / h), as in the log scans."""
+    base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
+                   (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
+    spec = ({"type": "random_even", "seed": 20240817} if name == "random_even"
+            else {"type": name})
+    psi = sf_from_spec(spec, n)
+    if kind == "multiplicative":
+        return base, sf_exp(sf_ratio(psi, base))
+    return base, psi
+
+
+def test_measures_along_matches_per_s(grid2, grid3, gaussian):
+    for kind in ("additive", "multiplicative"):
+        for grid in (grid2, grid3):
+            base, direction = _family_case(kind, grid.n, "second_harmonic")
+            fam = make_family(kind, base, direction, grid)
+            s_values = np.linspace(-0.6, 0.6, 7) * fam.a
+            gam = fam.measures_along(gaussian, s_values)
+            direct = np.array([measure_of_body(gaussian, fam.body_at(float(s)))
+                               for s in s_values])
+            rel = np.max(np.abs(gam - direct) / direct)
+            assert rel < 1e-13, (kind, grid.n)
+
+
+@pytest.mark.parametrize("name", ["second_harmonic", "random_even"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_family_validity_holds_on_dense_s_grid(kind, n, name, grid2, grid3):
+    # the radius is checked at s = +-a only; at every node and every one of
+    # 401 parameters in [-a, a] the support stays positive and the exact
+    # curvature eigenvalue stays above the floor
+    grid = {2: grid2, 3: grid3}[n]
+    base, direction = _family_case(kind, n, name)
+    fam = make_family(kind, base, direction, grid)
+    floor = fam.delta * body_from_support(base, grid).min_curvature_eig
+    vals, _, Q = fam.curvature_batch(np.linspace(-fam.a, fam.a, 401))
+    assert np.all(vals > 0.0)
+    min_eig = np.linalg.eigvalsh(Q)[..., 0]
+    assert np.min(min_eig) >= floor * (1.0 - 1e-12)
 
 
 def test_family_rejects_out_of_range(grid2):

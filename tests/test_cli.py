@@ -6,9 +6,13 @@ import importlib
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bmstab
 import bmstab.cli as cli
 
 SMALL_CONFIG = {
@@ -258,11 +262,26 @@ def test_thread_cap_env(monkeypatch):
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("BM_STABILITY_THREADS", "3")
-    importlib.reload(cli)
+    importlib.reload(bmstab)
     try:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             assert os.environ[var] == "3"
     finally:
         monkeypatch.undo()
-        importlib.reload(cli)
+        importlib.reload(bmstab)
+
+
+def test_thread_cap_applies_on_package_import():
+    # the cap must be in place before numpy loads, i.e. by `import bmstab`
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["BM_STABILITY_THREADS"] = "1"
+    src = str(Path(bmstab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import bmstab, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert out == "1"
