@@ -303,10 +303,14 @@ def test_criterion_10_monte_carlo_agreement():
         {"type": "sum", "parts": [
             [1.0, {"type": "constant", "value": 1.0}],
             [0.15, {"type": "first_harmonic"}]]}, 3), g3)
+    # disk/lebesgue has every sample inside (stderr 0); bump/lebesgue
+    # (area 0.985 pi in closed form) tests the Lebesgue route with a
+    # nonzero error bar
     suite = [("disk/lebesgue", disk, bm.make_measure("lebesgue")),
              ("bump/gaussian", bump, bm.make_measure("gaussian")),
              ("ball3/exp1", ball3, bm.make_measure("exp_power", p=1)),
-             ("shift3/exp1", shift3, bm.make_measure("exp_power", p=1))]
+             ("shift3/exp1", shift3, bm.make_measure("exp_power", p=1)),
+             ("bump/lebesgue", bump, bm.make_measure("lebesgue"))]
     zs = []
     estimates = {}
     for name, body, meas in suite:
@@ -317,10 +321,13 @@ def test_criterion_10_monte_carlo_agreement():
                                                    est.stderr)
         zs.append(abs(est.value - ref) / est.stderr if est.stderr else 0.0)
         estimates[name] = est
+    bump_area = estimates["bump/lebesgue"]
+    assert bump_area.stderr > 0
+    assert bump_area.agrees_with(0.985 * math.pi, n_sigma=4.0)
     again = mc_measure(bm.make_measure("gaussian"), bump,
                        n_samples=1 << 20, seed=2024)
     prior = estimates["bump/gaussian"]
     assert again.value == prior.value and again.stderr == prior.stderr
-    report(10, True, "four suite estimates within 4 SE "
+    report(10, True, "five suite estimates within 4 SE "
                      f"(|z| = {', '.join(f'{z:.2f}' for z in zs)}); "
                      "identical seeds bitwise identical")

@@ -1,15 +1,22 @@
 """Independent oracles: Richardson finite differences, circumscribed
 polygons, and Monte Carlo measure estimates."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bmstab
 from bmstab.bodies import ball_body, body_from_support
 from bmstab.measures import make_measure
-from bmstab.oracles import (McEstimate, PlanarPolygon, central_derivative,
-                            mc_measure, wulff_polygon)
+from bmstab.oracles import (MC_BATCH, McEstimate, PlanarPolygon,
+                            _coarse_directions, _polish_support_max,
+                            central_derivative, mc_measure, wulff_polygon)
 from bmstab.sphere import PolynomialSF, build_grid, sf_sum
 
 
@@ -164,3 +171,90 @@ def test_mc_agrees_with_tolerance():
                      refined=0, seed=0)
     assert est.agrees_with(1.03, n_sigma=4.0)
     assert not est.agrees_with(1.05, n_sigma=4.0)
+
+
+def _dense_mc_batch(measure, body, seed):
+    """One batch of mc_measure classified with the full sample-by-direction
+    product and no shell skip (in 4,096-row slices to bound memory; gemm
+    rows do not depend on the slice)."""
+    h, n = body.h, body.grid.n
+    R_b = float(np.max(body.D)) * (1.0 + 1e-12)
+    dirs = _coarse_directions(n)
+    hdirs = h.values(dirs)
+    if n == 2:
+        net_gap = 2 * math.pi / len(dirs)
+    else:
+        net_gap = 2.0 * (len(dirs)) ** (-1.0 / (n - 1))
+    band = (float(np.max(np.abs(body.curvature.Q))) + R_b) * net_gap ** 2
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence([seed, 0])))
+    Z = rng.standard_normal((MC_BATCH, n))
+    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+    radii = R_b * rng.random(MC_BATCH) ** (1.0 / n)
+    X = Z * radii[:, None]
+    gmax = np.concatenate([np.max(X[a:a + 4096] @ dirs.T - hdirs, axis=1)
+                           for a in range(0, MC_BATCH, 4096)])
+    unsure = np.abs(gmax) <= band
+    i0 = np.argmax(X[unsure] @ dirs.T - hdirs[None, :], axis=1)
+    gmax[unsure] = _polish_support_max(h, X[unsure], dirs[i0], gmax[unsure])
+    inside = gmax <= 0.0
+    fv = np.zeros(MC_BATCH)
+    fv[inside] = measure.f(radii[inside])
+    vol_ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * R_b ** n
+    mean = float(np.sum(fv)) / MC_BATCH
+    var = max(float(np.sum(fv ** 2)) / MC_BATCH - mean ** 2, 0.0)
+    return (vol_ball * mean, vol_ball * math.sqrt(var / MC_BATCH),
+            int(np.sum(unsure)))
+
+
+def _near_ball(n, resolution, amplitude, harmonic):
+    h = bmstab.sf_from_spec({"type": "sum", "parts": [
+        [1.0, {"type": "constant", "value": 1.0}],
+        [amplitude, {"type": harmonic}]]}, n)
+    return body_from_support(h, build_grid(n, resolution))
+
+
+@pytest.mark.parametrize("case", ["ball3", "shift3", "bump"])
+def test_mc_shell_skip_and_row_blocks_match_dense(case, exp1, gaussian):
+    # the bodies of acceptance criterion 10
+    body, measure = {
+        "ball3": lambda: (ball_body(1.0, build_grid(3, 10)), exp1),
+        "shift3": lambda: (_near_ball(3, 10, 0.15, "first_harmonic"), exp1),
+        "bump": lambda: (_near_ball(2, 96, 0.1, "second_harmonic"), gaussian),
+    }[case]()
+    want = _dense_mc_batch(measure, body, seed=31)
+    est = mc_measure(measure, body, n_samples=MC_BATCH, seed=31)
+    assert want[2] > 0
+    assert (est.value, est.stderr, est.refined) == want
+
+
+_MEMORY_PROBE = """
+import json, resource
+import bmstab as bm
+from bmstab.oracles import MC_BATCH, mc_measure
+gau = bm.make_measure("gaussian")
+out = {}
+for n, res in ((3, 10), (4, 8)):
+    K = bm.ball_body(1.0, bm.build_grid(n, res))
+    est = mc_measure(gau, K, n_samples=MC_BATCH, seed=5)
+    out[n] = [est.value, est.stderr, bm.measure_of_body(gau, K)]
+out["maxrss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps(out))
+"""
+
+
+def test_mc_measure_memory_is_bounded_through_n4():
+    # one batch at n = 3 (4,096 directions) and n = 4 (8,192) in a fresh
+    # process: a dense batch product would need 2 and 4 GiB per temporary
+    env = dict(os.environ)
+    src = str(Path(bmstab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", _MEMORY_PROBE], env=env, check=True,
+        capture_output=True, text=True).stdout)
+    assert out["maxrss_kib"] < 1 << 20
+    for n in ("3", "4"):
+        value, stderr, quad = out[n]
+        assert stderr > 0
+        assert abs(value - quad) <= 4.0 * stderr
