@@ -63,6 +63,7 @@ class McEstimate:
     batches: int
     refined: int
     seed: int
+    radius: float | None = None     # of the sampled ball, from the net
 
     def agrees_with(self, reference, n_sigma=4.0):
         # the absolute floor covers the deterministic rounding bias of the
@@ -147,8 +148,9 @@ def _polish_support_max(h, X, u0, g0):
 def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     """Monte Carlo estimate of gamma(K) with a standard-error bar.
 
-    Uniform samples in the bounding ball of K are classified through the
-    support criterion max_u <x,u> - h(u) <= 0 (coarse direction net plus a
+    Uniform samples in a ball holding K (radius max h over the coarse
+    direction net plus its uncertainty band, so no quadrature data enters)
+    are classified through the support criterion max_u <x,u> - h(u) <= 0 (coarse direction net plus a
     Newton polish for points inside the coarse uncertainty band), then
     weighted by the density at |x|.  Counter-based streams keyed by
     (seed, batch) make the result independent of scheduling.
@@ -161,17 +163,19 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     h = body.h
     g = body.grid
     n = g.n
-    R_b = float(np.max(body.D)) * (1.0 + 1e-12)
     dirs = _coarse_directions(n)
     hdirs = h.values(dirs)
+    h_top = float(np.max(hdirs))
 
     # uncertainty of a max over the coarse net: second-order in the net gap
     if n == 2:
         net_gap = 2 * math.pi / len(dirs)
     else:
         net_gap = 2.0 * (len(dirs)) ** (-1.0 / (n - 1))
-    curv_scale = float(np.max(np.abs(body.curvature.Q))) + R_b
+    curv_scale = float(np.max(np.abs(body.curvature.Q))) + h_top
     band = curv_scale * net_gap ** 2
+    # max h exceeds the net's maximum by no more than the band
+    R_b = (h_top + band) * (1.0 + 1e-12)
     # |x| < r_in gives a net maximum <= |x| - min(hdirs) < -band: inside,
     # and never refined (the factor absorbs rounding in <x, u>)
     r_in = (float(np.min(hdirs)) - band) * (1.0 - 1e-9)
@@ -209,7 +213,8 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     value = vol_ball * mean
     stderr = vol_ball * math.sqrt(var / N)
     return McEstimate(value=value, stderr=stderr, samples=N,
-                      batches=batches, refined=refined, seed=seed)
+                      batches=batches, refined=refined, seed=seed,
+                      radius=R_b)
 
 
 # ---------------------------------------------------------------------------

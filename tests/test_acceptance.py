@@ -303,9 +303,10 @@ def test_criterion_10_monte_carlo_agreement():
         {"type": "sum", "parts": [
             [1.0, {"type": "constant", "value": 1.0}],
             [0.15, {"type": "first_harmonic"}]]}, 3), g3)
-    # disk/lebesgue has every sample inside (stderr 0); bump/lebesgue
-    # (area 0.985 pi in closed form) tests the Lebesgue route with a
-    # nonzero error bar
+    # disk/lebesgue puts all but a sliver of its samples inside, so it
+    # checks little beyond the disk-area constant; bump/lebesgue (area
+    # 0.985 pi in closed form) tests the Lebesgue route with a real
+    # error bar
     suite = [("disk/lebesgue", disk, bm.make_measure("lebesgue")),
              ("bump/gaussian", bump, bm.make_measure("gaussian")),
              ("ball3/exp1", ball3, bm.make_measure("exp_power", p=1)),

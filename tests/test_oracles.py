@@ -178,14 +178,15 @@ def _dense_mc_batch(measure, body, seed):
     product and no shell skip (in 4,096-row slices to bound memory; gemm
     rows do not depend on the slice)."""
     h, n = body.h, body.grid.n
-    R_b = float(np.max(body.D)) * (1.0 + 1e-12)
     dirs = _coarse_directions(n)
     hdirs = h.values(dirs)
     if n == 2:
         net_gap = 2 * math.pi / len(dirs)
     else:
         net_gap = 2.0 * (len(dirs)) ** (-1.0 / (n - 1))
-    band = (float(np.max(np.abs(body.curvature.Q))) + R_b) * net_gap ** 2
+    h_top = float(np.max(hdirs))
+    band = (float(np.max(np.abs(body.curvature.Q))) + h_top) * net_gap ** 2
+    R_b = (h_top + band) * (1.0 + 1e-12)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([seed, 0])))
     Z = rng.standard_normal((MC_BATCH, n))
@@ -226,6 +227,15 @@ def test_mc_shell_skip_and_row_blocks_match_dense(case, exp1, gaussian):
     est = mc_measure(measure, body, n_samples=MC_BATCH, seed=31)
     assert want[2] > 0
     assert (est.value, est.stderr, est.refined) == want
+
+
+def test_mc_bounding_radius_covers_the_body(exp1):
+    # shift3 of criterion 10: h = 1 + 0.15 x_3 has circumradius 1.15, more
+    # than max h on the quadrature nodes (1.14855 at resolution 10)
+    shift3 = _near_ball(3, 10, 0.15, "first_harmonic")
+    assert float(np.max(shift3.D)) < 1.15
+    est = mc_measure(exp1, shift3, n_samples=MC_BATCH, seed=3)
+    assert est.radius >= 1.15
 
 
 _MEMORY_PROBE = """
