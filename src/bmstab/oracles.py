@@ -148,12 +148,13 @@ def _polish_support_max(h, X, u0, g0):
 def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     """Monte Carlo estimate of gamma(K) with a standard-error bar.
 
-    Uniform samples in a ball holding K (radius max h over the coarse
-    direction net plus its uncertainty band, so no quadrature data enters)
-    are classified through the support criterion max_u <x,u> - h(u) <= 0 (coarse direction net plus a
-    Newton polish for points inside the coarse uncertainty band), then
-    weighted by the density at |x|.  Counter-based streams keyed by
-    (seed, batch) make the result independent of scheduling.
+    Uniform samples in a ball holding K (radius: max h over the coarse
+    direction net plus its uncertainty band, no quadrature data) are
+    classified through the support criterion max_u <x,u> - h(u) <= 0
+    (coarse direction net plus a Newton polish for points inside the
+    coarse uncertainty band), then weighted by the density at |x|.
+    Counter-based streams keyed by (seed, batch) make the result
+    independent of scheduling.
 
     Samples inside the inner shell |x| < min(hdirs) - band are certainly
     inside and skip the net; the rest meet the net _ROW_BLOCK rows at a
