@@ -21,8 +21,8 @@ import numpy as np
 from . import measures as _measures
 from .sphere import (CurvatureField, PolynomialSF, SphereGrid,
                      SphericalFunction, ball_volume, batch_det,
-                     curvature_matrix, frame_hessian, sf_product_powers,
-                     sf_sum, sphere_area)
+                     batch_min_eig, curvature_matrix, frame_hessian,
+                     sf_product_powers, sf_sum, sphere_area)
 
 
 class NonPositiveSupport(ValueError):
@@ -286,7 +286,7 @@ class PerturbationFamily:
         c = self._coefficients()
         s = np.array([-bound, bound]).reshape(2, 1, 1, 1)
         vals = self._values(s)
-        lam = np.linalg.eigvalsh(c["C0"] + s * c["C1"])[..., 0]
+        lam = batch_min_eig(c["C0"] + s * c["C1"])
         w = vals if self.kind == "multiplicative" else 1.0
         return bool(np.all(vals > 0.0)
                     and np.all(w * lam >= self.delta * c["base_min_eig"]))

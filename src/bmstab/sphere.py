@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 
 def sphere_area(n):
@@ -617,6 +616,7 @@ def _circle_nodes(count):
 def _sphere_nodes(n, resolution):
     if n == 2:
         return _circle_nodes(2 * resolution)
+    from scipy.special import roots_jacobi
     t, wt = roots_jacobi(resolution, (n - 3) / 2.0, (n - 3) / 2.0)
     sub_nodes, sub_w = _sphere_nodes(n - 1, resolution)
     s = np.sqrt(1.0 - t ** 2)
@@ -725,6 +725,20 @@ def batch_det(Q):
     return np.linalg.det(Q)
 
 
+def batch_min_eig(Q):
+    """Smallest eigenvalue of each symmetric matrix in a (..., N, N) stack.
+
+    N = 1 and N = 2 are closed forms; N = 2 reads the lower triangle, as
+    eigvalsh does.  N >= 3 calls eigvalsh."""
+    N = Q.shape[-1]
+    if N == 1:
+        return Q[..., 0, 0].copy()
+    if N == 2:
+        a, d = Q[..., 0, 0], Q[..., 1, 1]
+        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), Q[..., 1, 0])
+    return np.linalg.eigvalsh(Q)[..., 0]
+
+
 def frame_hessian(hess1_vals, grid):
     """Restrict ambient Hessians (m, n, n) to the tangent frames, giving
     (m, n-1, n-1) matrices."""
@@ -737,7 +751,7 @@ def curvature_matrix(h, grid):
         raise ValueError("function dimension does not match the grid")
     Q = frame_hessian(h.hess1(grid.nodes), grid)
     det = batch_det(Q)
-    min_eig = np.linalg.eigvalsh(Q)[:, 0]
+    min_eig = batch_min_eig(Q)
     return CurvatureField(Q=Q, det=det, min_eig=min_eig, grid=grid)
 
 

@@ -11,9 +11,9 @@ from bmstab.bodies import (FamilyError, NonPositiveSupport, NotConvex,
                            body_from_support, boundary_inverse_height,
                            log_combine, make_family, measure_of_body,
                            minkowski_combine, quermassintegrals)
-from bmstab.funcspecs import sf_from_spec
-from bmstab.sphere import (PolynomialSF, integrate, sf_exp, sf_ratio, sf_sum,
-                           sphere_area)
+from bmstab.funcspecs import direction_suite, sf_from_spec
+from bmstab.sphere import (PolynomialSF, curvature_matrix, integrate, sf_exp,
+                           sf_ratio, sf_sum, sphere_area)
 
 
 def perturbed_disk(eps, k=2):
@@ -234,6 +234,44 @@ def test_family_validity_holds_on_dense_s_grid(kind, n, name, grid2, grid3):
     assert np.all(vals > 0.0)
     min_eig = np.linalg.eigvalsh(Q)[..., 0]
     assert np.min(min_eig) >= floor * (1.0 - 1e-12)
+
+
+def _reference_radius(fam, max_radius=8.0):
+    # make_family's bisection with eigvalsh for every smallest eigenvalue
+    c = fam._coefficients()
+    base_Q = curvature_matrix(fam.base, fam.grid).Q
+    floor = fam.delta * np.min(np.linalg.eigvalsh(base_Q)[:, 0])
+
+    def valid(b):
+        s = np.array([-b, b]).reshape(2, 1, 1, 1)
+        vals = fam._values(s)
+        lam = np.linalg.eigvalsh(c["C0"] + s * c["C1"])[..., 0]
+        w = vals if fam.kind == "multiplicative" else 1.0
+        return bool(np.all(vals > 0.0) and np.all(w * lam >= floor))
+
+    if valid(max_radius):
+        return max_radius
+    lo, hi = 0.0, max_radius
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if valid(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 0.3])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_family_radius_equals_eigvalsh_bisection(kind, n, amplitude, grid2,
+                                                 grid3):
+    # the closed-form 1x1 and 2x2 eigenvalues must not move any radius
+    grid = {2: grid2, 3: grid3}[n]
+    base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
+                   (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
+    for name, _, psi in direction_suite(n, amplitude=amplitude):
+        direction = (sf_exp(sf_ratio(psi, base)) if kind == "multiplicative"
+                     else psi)
+        fam = make_family(kind, base, direction, grid)
+        assert fam.a == _reference_radius(fam), name
 
 
 def test_family_rejects_out_of_range(grid2):

@@ -1,12 +1,18 @@
 """Spherical grids, quadrature, and the support-function calculus."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bmstab import sphere
 from bmstab.sphere import (CallableSF, GridError, PolynomialSF, ball_volume,
-                           build_grid, curvature_matrix, harmonic_energies,
+                           batch_min_eig, build_grid, curvature_matrix,
+                           harmonic_energies,
                            integrate, laplace_beltrami, poincare_ratio,
                            sf_exp, sf_log, sf_mul, sf_ratio, sf_shift, sf_sum,
                            sphere_area, spherical_gradient, split_mean)
@@ -77,6 +83,25 @@ def test_quadrature_exact_on_monomials(n):
     assert abs(integrate(sf, g)) < 1e-13
 
 
+def test_circle_grids_need_no_scipy():
+    # scipy supplies Gauss-Jacobi nodes for n >= 3 only; importing the package
+    # and building a circle grid must work without it
+    env = dict(os.environ)
+    src = str(Path(sphere.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import bmstab\n"
+            "print(bmstab.build_grid(2, 16).count)\n"
+            "try:\n"
+            "    bmstab.build_grid(3, 4)\n"
+            "except ImportError:\n"
+            "    print('blocked')\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["16", "blocked"]
+
+
 def test_integrate_accepts_arrays(grid2):
     vals = np.ones(grid2.count)
     assert integrate(vals, grid2) == pytest.approx(2 * math.pi, rel=1e-14)
@@ -135,6 +160,55 @@ def test_hess1_symmetry_and_ball_curvature(grid2, grid3):
         assert np.max(np.abs(curv.Q - R * eye)) < 1e-12
         assert curv.det == pytest.approx(R ** (g.n - 1), rel=1e-12)
         assert np.allclose(curv.min_eig, R, atol=1e-12)
+
+
+def _min_eig_stacks(N, rng):
+    # symmetric stacks that stress a closed-form smallest eigenvalue
+    A = rng.standard_normal((400, N, N))
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, 400)[:, None, None]
+    v = (rng.standard_normal((200, N, 1))
+         * 10.0 ** rng.uniform(-8.0, 8.0, (200, 1, 1)))
+    B = rng.standard_normal((200, N, N))
+    c = np.concatenate([[0.0, 1.0, -1.0, 1e-8, 1e8],
+                        rng.uniform(-3.0, 3.0, 20)])
+    last_bit = 0.5 * (A + A.transpose(0, 2, 1))
+    if N > 1:
+        last_bit[:, 0, 1] = np.nextafter(last_bit[:, 1, 0], np.inf)
+    return {
+        "random": 0.5 * scale * (A + A.transpose(0, 2, 1)),
+        "multiple_of_identity": c[:, None, None] * np.eye(N),
+        "rank_one": v * v.transpose(0, 2, 1),
+        "negative_definite": -(B @ B.transpose(0, 2, 1) + 1e-3 * np.eye(N)),
+        "last_bit_off_diagonal": last_bit,
+    }
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_batch_min_eig_matches_eigvalsh(N):
+    rng = np.random.default_rng(20261018)
+    eps = np.finfo(float).eps
+    for name, Q in _min_eig_stacks(N, rng).items():
+        got = batch_min_eig(Q)
+        want = np.linalg.eigvalsh(Q)[..., 0]
+        assert got.shape == want.shape
+        if N != 2:
+            assert np.array_equal(got, want), name
+        else:
+            bound = 4.0 * eps * np.max(np.abs(Q), axis=(-2, -1))
+            assert np.all(np.abs(got - want) <= bound), name
+    # a (2, m, N, N) stack, as in the validity-radius search
+    Q = _min_eig_stacks(N, rng)["random"].reshape(2, 200, N, N)
+    assert batch_min_eig(Q).shape == (2, 200)
+    if N == 2:
+        # eigvalsh reads the lower triangle: an upper triangle that disagrees
+        # must not change the result
+        Q = _min_eig_stacks(N, rng)["random"]
+        garbled = Q.copy()
+        garbled[:, 0, 1] += 1.0 + np.abs(Q[:, 0, 1])
+        assert np.array_equal(batch_min_eig(garbled), batch_min_eig(Q))
+        want = np.linalg.eigvalsh(garbled)[:, 0]
+        bound = 4.0 * eps * np.max(np.abs(Q), axis=(-2, -1))
+        assert np.all(np.abs(batch_min_eig(garbled) - want) <= bound)
 
 
 def test_curvature_perturbed_disk(grid2):
