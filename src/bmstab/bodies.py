@@ -217,18 +217,24 @@ class PerturbationFamily:
 
     def _coefficients(self):
         """Node data of h_s (values v0, v1 and gradient terms g0, g1) and the
-        coefficients C0, C1, C2 of Q(h_s), computed on first use."""
+        coefficients C0, C1, C2 of Q(h_s), computed on first use.  An
+        additive family made by make_family has v0, g0 and C0 seeded from
+        its validated base body."""
         c, g = self._cache, self.grid
-        if "C0" not in c:
-            db = self.base.d2_ext0(g.nodes)
+        if "C1" not in c:
             dd = self.direction.d2_ext0(g.nodes)
-            c["v0"], c["v1"] = db.val, dd.val
+            c["v1"] = dd.val
             if self.kind == "additive":
-                c["g0"], c["g1"] = db.grad, dd.grad
-                c["C0"] = curvature_matrix(self.base, g).Q
+                if "C0" not in c:
+                    db = self.base.d2_ext0(g.nodes)
+                    c["v0"], c["g0"] = db.val, db.grad
+                    c["C0"] = curvature_matrix(self.base, g).Q
+                c["g1"] = dd.grad
                 c["C1"] = curvature_matrix(self.direction, g).Q
                 c["C2"] = 0.0
             else:
+                db = self.base.d2_ext0(g.nodes)
+                c["v0"] = db.val
                 c["g0"] = db.grad / db.val[:, None]
                 c["g1"] = dd.grad / dd.val[:, None]
                 Eh, Ed = (np.einsum("map,mp->ma", g.frames, c[k])
@@ -306,6 +312,9 @@ def make_family(kind, h, direction, grid, delta=VALIDITY_EIG_FLOOR,
     fam = PerturbationFamily(kind=kind, base=h, direction=direction,
                              grid=grid, delta=delta)
     fam._cache["base_min_eig"] = base_body.min_curvature_eig
+    if kind == "additive":
+        fam._cache.update(v0=base_body.hvals, g0=base_body.grad0,
+                          C0=base_body.curvature.Q)
     trace = []
     if fam._valid_on(max_radius):
         fam.a = max_radius

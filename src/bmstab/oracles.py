@@ -1,12 +1,16 @@
 """Independent cross-checks: Monte Carlo measure estimates, finite
 differences, and polygonal approximations.
 
-Nothing here reuses the spherical quadrature, curvature, or radial-moment
-machinery: the Monte Carlo route samples the ball uniformly and classifies
-points against the support function directly, the polygon route intersects
+The Monte Carlo route samples a ball uniformly and classifies points
+against the support function directly, the polygon route intersects
 half-planes exactly, and the finite-difference helpers only evaluate the
-callables they are given.  Agreement between these estimates and the main
-formulas is what the verification suite leans on."""
+callables they are given; none of them uses the spherical quadrature or the
+radial-moment machinery.  One datum is still borrowed from the route under
+test: mc_measure sizes its uncertainty band with max |Q| of the body's
+curvature matrices at the quadrature nodes (body.curvature.Q).  ROADMAP.md,
+item 1, takes that scale from the support function's own sup bound instead.
+Agreement between these estimates and the main formulas is what the
+verification suite leans on."""
 
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ from .sphere import _tangent_frame
 
 MC_BATCH = 1 << 16
 _ROW_BLOCK = 256            # sample rows per net product in mc_measure
+_COARSE = 64                # cells bounding the net maximum in mc_measure
 
 
 # ---------------------------------------------------------------------------
@@ -73,21 +78,81 @@ class McEstimate:
         return abs(self.value - reference) <= n_sigma * self.stderr + floor
 
 
+def _fibonacci_sphere(m):
+    # Fibonacci spiral: near-uniform covering of S^2 by m points
+    i = np.arange(m) + 0.5
+    z = 1.0 - 2.0 * i / m
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
 def _coarse_directions(n, seed=1234):
     if n == 2:
         t = np.linspace(0.0, 2 * math.pi, 1024, endpoint=False)
         return np.column_stack([np.cos(t), np.sin(t)])
     if n == 3:
-        # Fibonacci spiral: near-uniform covering of S^2
-        m = 4096
-        i = np.arange(m) + 0.5
-        z = 1.0 - 2.0 * i / m
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+        return _fibonacci_sphere(4096)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     u = rng.standard_normal((8192, n))
     return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def _net_cells(h, dirs, hdirs):
+    """Split the net into cells around _COARSE of its own directions c_k.
+
+    Per cell: c_k, h(c_k) (the net's value), g_k = grad1 h(c_k), <g_k, c_k>,
+    the chord radius t_k >= |u_j - c_k| and the slack
+    e_k >= h(c_k) + <g_k, u_j - c_k> - h_j over the cell's directions u_j,
+    read from the net's own values (nothing is assumed between them)."""
+    m, n = dirs.shape
+    if n == 2:
+        idx = np.arange(0, m, m // _COARSE)
+    elif n == 3:
+        idx = np.unique(np.argmax(_fibonacci_sphere(_COARSE) @ dirs.T, axis=1))
+    else:
+        idx = np.arange(_COARSE)
+    C, hC = dirs[idx], hdirs[idx]
+    G = h.grad1(C)
+    cell = np.argmax(dirs @ C.T, axis=1)
+    d = dirs - C[cell]
+    # zeros are safe starts: each centre lies in its own cell and gives 0
+    t = np.zeros(len(idx))
+    np.maximum.at(t, cell, np.linalg.norm(d, axis=1))
+    e = np.zeros(len(idx))
+    np.maximum.at(e, cell, hC[cell] + np.sum(G[cell] * d, axis=1) - hdirs)
+    return C, hC, G, np.sum(G * C, axis=1), t * (1.0 + 1e-9), e
+
+
+def _net_bounds(X, cells):
+    """Row-wise lo <= max_j <x, u_j> - h_j <= hi from the cells alone,
+    _ROW_BLOCK rows at a time.
+
+    lo is the maximum over the centres, which are net directions.  For u_j in
+    cell k write u_j - c_k = a c_k + w with -t_k^2/2 <= a <= 0, |w| <= t_k;
+    with v = x - g_k,
+        <x, u_j> - h_j <= <x, c_k> - h(c_k) + <v, u_j - c_k> + e_k
+                       <= <x, c_k> - h(c_k) + t_k |v_perp|
+                          + t_k^2/2 max(0, -<v, c_k>) + e_k,
+    whose maximum over k is hi."""
+    C, hC, G, gc, t, e = cells
+    CG = np.concatenate([C, G]).T
+    g2 = np.sum(G * G, axis=1)
+    k = len(C)
+    lo = np.empty(len(X))
+    hi = np.empty(len(X))
+    for a in range(0, len(X), _ROW_BLOCK):
+        rows = X[a:a + _ROW_BLOCK]
+        P = rows @ CG
+        xc, xg = P[:, :k], P[:, k:]
+        vc = xc - gc
+        v2 = np.sum(rows * rows, axis=1)[:, None] - 2.0 * xg + g2
+        vperp = np.sqrt(np.maximum(v2 - vc * vc, 0.0))
+        xc -= hC
+        lo[a:a + _ROW_BLOCK] = np.max(xc, axis=1)
+        xc += t * vperp + 0.5 * t * t * np.maximum(-vc, 0.0) + e
+        hi[a:a + _ROW_BLOCK] = np.max(xc, axis=1)
+    return lo, hi
 
 
 def _net_max(X, dirs, hdirs):
@@ -149,18 +214,23 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     """Monte Carlo estimate of gamma(K) with a standard-error bar.
 
     Uniform samples in a ball holding K (radius: max h over the coarse
-    direction net plus its uncertainty band, no quadrature data) are
-    classified through the support criterion max_u <x,u> - h(u) <= 0
-    (coarse direction net plus a Newton polish for points inside the
-    coarse uncertainty band), then weighted by the density at |x|.
-    Counter-based streams keyed by (seed, batch) make the result
-    independent of scheduling.
+    direction net plus its uncertainty band) are classified through the
+    support criterion max_u <x,u> - h(u) <= 0 (coarse direction net plus a
+    Newton polish for points inside the coarse uncertainty band), then
+    weighted by the density at |x|.  The band scales with max |Q| over the
+    body's quadrature nodes.  Counter-based streams keyed by (seed, batch)
+    make the result independent of scheduling.
 
-    Samples inside the inner shell |x| < min(hdirs) - band are certainly
-    inside and skip the net; the rest meet the net _ROW_BLOCK rows at a
-    time, and each row's best net direction starts its polish.  The
-    estimates are bitwise those of the full MC_BATCH x len(dirs) product,
-    which is never formed."""
+    Only samples whose net maximum lies within the band need its exact
+    value; the others need only its sign.  Samples inside the inner shell
+    |x| < min(hdirs) - band are certainly inside.  The rest get a lower and
+    an upper bound on the net maximum from _COARSE cells of the net
+    (_net_cells, _net_bounds: two products with 64 columns each): above
+    band + eps they are outside, below -band - eps inside.  Only the
+    undecided ones meet the full net, _ROW_BLOCK rows at a time, and each
+    row's best net direction starts its polish.  The estimates are bitwise
+    those of the full MC_BATCH x len(dirs) product, which is never
+    formed."""
     h = body.h
     g = body.grid
     n = g.n
@@ -180,6 +250,9 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     # |x| < r_in gives a net maximum <= |x| - min(hdirs) < -band: inside,
     # and never refined (the factor absorbs rounding in <x, u>)
     r_in = (float(np.min(hdirs)) - band) * (1.0 - 1e-9)
+    cells = _net_cells(h, dirs, hdirs)
+    # absorbs rounding in the bounds, |v_perp|^2 = |v|^2 - <v, c_k>^2 above all
+    eps = 1e-7 * R_b
 
     vol_ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * R_b ** n
     batches = (n_samples + MC_BATCH - 1) // MC_BATCH
@@ -196,13 +269,17 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
 
         inside = radii < r_in
         shell = np.flatnonzero(~inside)
-        gmax, i0 = _net_max(X[shell], dirs, hdirs)
+        lo, hi = _net_bounds(X[shell], cells)
+        certain_in = hi < -band - eps
+        inside[shell[certain_in]] = True
+        near = shell[~certain_in & (lo <= band + eps)]
+        gmax, i0 = _net_max(X[near], dirs, hdirs)
         unsure = np.abs(gmax) <= band
         if np.any(unsure):
             refined += int(np.sum(unsure))
             gmax[unsure] = _polish_support_max(
-                h, X[shell[unsure]], dirs[i0[unsure]], gmax[unsure])
-        inside[shell] = gmax <= 0.0
+                h, X[near[unsure]], dirs[i0[unsure]], gmax[unsure])
+        inside[near] = gmax <= 0.0
         fv = np.zeros(MC_BATCH)
         fv[inside] = measure.f(radii[inside])
         total += float(np.sum(fv))

@@ -274,6 +274,27 @@ def test_family_radius_equals_eigvalsh_bisection(kind, n, amplitude, grid2,
         assert fam.a == _reference_radius(fam), name
 
 
+def test_additive_family_computes_base_curvature_once(monkeypatch, grid3):
+    # validating the base body gives its curvature field; the family reuses
+    # it, so only the direction's is computed on top
+    import bmstab.bodies as bodies_module
+    real = bodies_module.curvature_matrix
+    calls = []
+
+    def counting(h, grid):
+        calls.append(h)
+        return real(h, grid)
+
+    monkeypatch.setattr(bodies_module, "curvature_matrix", counting)
+    base, psi = _family_case("additive", 3, "random_even")
+    fam = make_family("additive", base, psi, grid3)
+    assert len(calls) == 2
+    assert calls[0] is base and calls[1] is psi
+    c = fam._coefficients()
+    assert np.array_equal(c["C0"], real(base, grid3).Q)
+    assert np.array_equal(c["v0"], base.d2_ext0(grid3.nodes).val)
+
+
 def test_family_rejects_out_of_range(grid2):
     fam = make_family("additive", PolynomialSF.constant(2, 1.0),
                       PolynomialSF.cos_harmonic(2), grid2)

@@ -15,8 +15,9 @@ import bmstab
 from bmstab.bodies import ball_body, body_from_support
 from bmstab.measures import make_measure
 from bmstab.oracles import (MC_BATCH, McEstimate, PlanarPolygon,
-                            _coarse_directions, _polish_support_max,
-                            central_derivative, mc_measure, wulff_polygon)
+                            _coarse_directions, _net_bounds, _net_cells,
+                            _polish_support_max, central_derivative,
+                            mc_measure, wulff_polygon)
 from bmstab.sphere import PolynomialSF, build_grid, sf_sum
 
 
@@ -173,10 +174,8 @@ def test_mc_agrees_with_tolerance():
     assert not est.agrees_with(1.05, n_sigma=4.0)
 
 
-def _dense_mc_batch(measure, body, seed):
-    """One batch of mc_measure classified with the full sample-by-direction
-    product and no shell skip (in 4,096-row slices to bound memory; gemm
-    rows do not depend on the slice)."""
+def _sampling_ball(body):
+    # mc_measure's direction net, band and bounding radius
     h, n = body.h, body.grid.n
     dirs = _coarse_directions(n)
     hdirs = h.values(dirs)
@@ -187,14 +186,28 @@ def _dense_mc_batch(measure, body, seed):
     h_top = float(np.max(hdirs))
     band = (float(np.max(np.abs(body.curvature.Q))) + h_top) * net_gap ** 2
     R_b = (h_top + band) * (1.0 + 1e-12)
+    return dirs, hdirs, band, R_b
+
+
+def _dense_net_max(X, dirs, hdirs):
+    # in 4,096-row slices to bound memory; gemm rows do not depend on the
+    # slice
+    return np.concatenate([np.max(X[a:a + 4096] @ dirs.T - hdirs, axis=1)
+                           for a in range(0, len(X), 4096)])
+
+
+def _dense_mc_batch(measure, body, seed):
+    """One batch of mc_measure classified with the full sample-by-direction
+    product, no shell skip and no cell bounds."""
+    h, n = body.h, body.grid.n
+    dirs, hdirs, band, R_b = _sampling_ball(body)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([seed, 0])))
     Z = rng.standard_normal((MC_BATCH, n))
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
     radii = R_b * rng.random(MC_BATCH) ** (1.0 / n)
     X = Z * radii[:, None]
-    gmax = np.concatenate([np.max(X[a:a + 4096] @ dirs.T - hdirs, axis=1)
-                           for a in range(0, MC_BATCH, 4096)])
+    gmax = _dense_net_max(X, dirs, hdirs)
     unsure = np.abs(gmax) <= band
     i0 = np.argmax(X[unsure] @ dirs.T - hdirs[None, :], axis=1)
     gmax[unsure] = _polish_support_max(h, X[unsure], dirs[i0], gmax[unsure])
@@ -215,18 +228,77 @@ def _near_ball(n, resolution, amplitude, harmonic):
     return body_from_support(h, build_grid(n, resolution))
 
 
-@pytest.mark.parametrize("case", ["ball3", "shift3", "bump"])
+def _battery3():
+    # the n = 3 body of the default battery's mc_agreement check
+    h = PolynomialSF(3, {(0, 0, 0): 1.0, (0, 0, 1): 0.3})
+    return body_from_support(h, build_grid(3, 16))
+
+
+@pytest.mark.parametrize("case", ["ball3", "shift3", "bump", "battery3"])
 def test_mc_shell_skip_and_row_blocks_match_dense(case, exp1, gaussian):
-    # the bodies of acceptance criterion 10
+    # the bodies of acceptance criterion 10 and the battery's n = 3 body
     body, measure = {
         "ball3": lambda: (ball_body(1.0, build_grid(3, 10)), exp1),
         "shift3": lambda: (_near_ball(3, 10, 0.15, "first_harmonic"), exp1),
         "bump": lambda: (_near_ball(2, 96, 0.1, "second_harmonic"), gaussian),
+        "battery3": lambda: (_battery3(), gaussian),
     }[case]()
     want = _dense_mc_batch(measure, body, seed=31)
     est = mc_measure(measure, body, n_samples=MC_BATCH, seed=31)
     assert want[2] > 0
     assert (est.value, est.stderr, est.refined) == want
+
+
+def _bracket_case(case):
+    if case in ("dented", "one_cell"):
+        # the unit disk's net with values no support function has: the
+        # bounds read nothing but the net, so they must hold for these too
+        h = PolynomialSF.constant(2, 1.0)
+        dirs = _coarse_directions(2)
+        hdirs = h.values(dirs)
+        if case == "dented":
+            hdirs[5] -= 0.1     # in the cell of direction 0: its slack is 0.1
+        else:
+            # every direction more than 7 steps from direction 0 (the cells
+            # of the other centres) lies far out, so that cell alone decides
+            j = np.arange(len(dirs))
+            hdirs[np.minimum(j, len(dirs) - j) > 7] += 100.0
+        return h, dirs, hdirs, 1.2
+    body = {
+        "disk": lambda: ball_body(1.0, build_grid(2, 96)),
+        "bump": lambda: _near_ball(2, 96, 0.1, "second_harmonic"),
+        "shift3": lambda: _near_ball(3, 10, 0.15, "first_harmonic"),
+        "battery3": _battery3,
+        "ball4": lambda: ball_body(1.0, build_grid(4, 8)),
+    }[case]()
+    dirs, hdirs, _, R_b = _sampling_ball(body)
+    return body.h, dirs, hdirs, R_b
+
+
+@pytest.mark.parametrize("case", ["disk", "bump", "shift3", "battery3",
+                                  "ball4", "dented", "one_cell"])
+def test_mc_net_bounds_bracket_the_dense_net_max(case):
+    h, dirs, hdirs, R_b = _bracket_case(case)
+    n = dirs.shape[1]
+    cells = _net_cells(h, dirs, hdirs)
+    assert len(cells[0]) == 64
+    rng = np.random.default_rng(17)
+    C, G = cells[0], cells[2]
+    # uniform in the sampled ball, close to each cell's boundary point g_k,
+    # and along the inner normal g_k - s c_k
+    Z = rng.standard_normal((8192, n))
+    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+    uniform = Z * R_b * rng.random((8192, 1)) ** (1.0 / n)
+    near = (np.repeat(G, 32, axis=0)
+            + 0.02 * rng.standard_normal((32 * len(G), n)))
+    s = np.linspace(0.0, 2.0, 32)[None, :, None]
+    inward = (G[:, None, :] - s * C[:, None, :]).reshape(-1, n)
+    X = np.concatenate([uniform, near, inward])
+    lo, hi = _net_bounds(X, cells)
+    gmax = _dense_net_max(X, dirs, hdirs)
+    eps = 1e-7 * R_b
+    assert np.all(lo - eps <= gmax)
+    assert np.all(gmax <= hi + eps)
 
 
 def test_mc_bounding_radius_covers_the_body(exp1):
