@@ -108,10 +108,8 @@ def log_combine(K, L, lam):
     return body_from_support(h, K.grid)
 
 
-def measure_of_body(measure, body, grid=None):
+def measure_of_body(measure, body):
     """gamma(K) by outer spherical quadrature and inner radial moments."""
-    if grid is not None and grid is not body.grid:
-        raise ValueError("grid does not match the body")
     g = body.grid
     A = _measures.radial_profile(measure, body.D, g.n, powers=(0,))[0]
     vals = body.hvals * body.curvature.det * A
@@ -165,6 +163,7 @@ def boundary_inverse_height(body):
 
 VALIDITY_EIG_FLOOR = 0.05
 _BISECTION_STEPS = 40
+_S_CHUNK = 32           # parameters per measures_along batch
 
 
 @dataclass
@@ -192,7 +191,6 @@ class PerturbationFamily:
     direction: SphericalFunction
     grid: SphereGrid = field(repr=False)
     a: float = 0.0
-    delta: float = VALIDITY_EIG_FLOOR
     search_trace: list = field(default_factory=list, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -268,21 +266,21 @@ class PerturbationFamily:
             Q = vals[..., None, None] * Q
         return vals, grads, Q
 
-    def measures_along(self, measure, s_values, chunk=32):
+    def measures_along(self, measure, s_values):
         """gamma(K_{h_s}) for a batch of parameters (no per-s validation;
         callers must stay inside the validity radius)."""
         s_values = np.asarray(s_values, dtype=float)
         out = np.empty(s_values.size)
         w = self.grid.weights
         n = self.grid.n
-        for lo in range(0, s_values.size, chunk):
-            sl = s_values[lo:lo + chunk]
+        for lo in range(0, s_values.size, _S_CHUNK):
+            sl = s_values[lo:lo + _S_CHUNK]
             vals, grads, Q = self.curvature_batch(sl)
             det = batch_det(Q.reshape(-1, n - 1, n - 1))
             D = np.sqrt(vals ** 2 + np.sum(grads ** 2, axis=2)).ravel()
             A = _measures.radial_profile(measure, D, n, powers=(0,))[0]
-            integrand = vals.ravel() * det * A
-            out[lo:lo + chunk] = (integrand.reshape(len(sl), -1) * w).sum(axis=1)
+            integrand = (vals.ravel() * det * A).reshape(len(sl), -1)
+            out[lo:lo + _S_CHUNK] = (integrand * w).sum(axis=1)
         return out
 
     # -- validity -----------------------------------------------------------
@@ -294,12 +292,11 @@ class PerturbationFamily:
         vals = self._values(s)
         lam = batch_min_eig(c["C0"] + s * c["C1"])
         w = vals if self.kind == "multiplicative" else 1.0
-        return bool(np.all(vals > 0.0)
-                    and np.all(w * lam >= self.delta * c["base_min_eig"]))
+        floor = VALIDITY_EIG_FLOOR * c["base_min_eig"]
+        return bool(np.all(vals > 0.0) and np.all(w * lam >= floor))
 
 
-def make_family(kind, h, direction, grid, delta=VALIDITY_EIG_FLOOR,
-                max_radius=8.0):
+def make_family(kind, h, direction, grid, max_radius=8.0):
     """Build a perturbation family and locate its validity radius by
     bisection (40 steps against the two-endpoint predicate)."""
     if kind not in ("additive", "multiplicative"):
@@ -310,7 +307,7 @@ def make_family(kind, h, direction, grid, delta=VALIDITY_EIG_FLOOR,
             raise FamilyError(
                 "multiplicative direction must be strictly positive")
     fam = PerturbationFamily(kind=kind, base=h, direction=direction,
-                             grid=grid, delta=delta)
+                             grid=grid)
     fam._cache["base_min_eig"] = base_body.min_curvature_eig
     if kind == "additive":
         fam._cache.update(v0=base_body.hvals, g0=base_body.grad0,

@@ -7,8 +7,6 @@ deterministic (randomness only through an explicit seed)."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .sphere import PolynomialSF, sf_exp, sf_sum

@@ -17,7 +17,7 @@ import numpy as np
 from . import measures as _measures
 from . import oracles as _oracles
 from . import variation as _variation
-from .bodies import (ball_body, body_from_support, boundary_inverse_height,
+from .bodies import (body_from_support, boundary_inverse_height,
                      log_combine, make_family, measure_of_body,
                      quermassintegrals)
 from .funcspecs import sf_from_spec
@@ -111,7 +111,10 @@ def _fd_scale(a):
 # ---------------------------------------------------------------------------
 
 def check_dim_bm_infinitesimal(params):
-    """(1 - 1/n) g'(0)^2 - g''(0) g(0) >= 0 along h_s = R + s psi."""
+    """(1 - 1/n) g'(0)^2 - g''(0) g(0) >= 0 along h_s = R + s psi.
+
+    The margin is divided by g(0)^2, so it reads -n (g^{1/n})'' / g^{1/n}
+    at s = 0: zero, up to rounding, along translations."""
     n = params["n"]
     R = float(params["R"])
     g = _grid(n, params["resolution"])
@@ -119,8 +122,8 @@ def check_dim_bm_infinitesimal(params):
     psi = _psi(params, n)
     tol = params.get("tol", DEFAULT_MARGIN_TOL)
     var = variation_at_ball(mu, R, psi, g)
-    margin = (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0
-    scale = max(var.g1 ** 2, abs(var.g2 * var.g0), 1e-30)
+    raw = (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0
+    margin = raw / var.g0 ** 2
 
     fam = make_family("additive", sf_from_spec(
         {"type": "constant", "value": R}, n), psi, g)
@@ -132,17 +135,15 @@ def check_dim_bm_infinitesimal(params):
     floor = 1e-2 * max(1.0, abs(var.g0))
     route = var.route_gap / max(abs(var.g2), floor)
     fd_rel = abs(var.g2 - fd2) / max(abs(var.g2), abs(fd2), floor)
-    res = CheckResult(
+    return CheckResult(
         check_id=_mk_id("dim_bm_infinitesimal", params),
         kind="dim_bm_infinitesimal", n=n, R=R, measure=_measure_name(mu),
-        margin=margin / scale, tol=tol,
-        passed=bool(margin / scale >= -tol), params=params,
+        margin=margin, tol=tol, passed=bool(margin >= -tol), params=params,
         oracle_diff=max(route, fd_rel),
         details={"g0": var.g0, "g1": var.g1, "g2": var.g2,
                  "g2_profile": var.g2_profile, "g2_fd": fd2,
-                 "raw_margin": margin, "psi_parity": psi.parity(),
+                 "raw_margin": raw, "psi_parity": psi.parity(),
                  "validity_radius": fam.a, "sense": "ge"})
-    return res
 
 
 def check_log_bm_infinitesimal(params):
@@ -195,20 +196,14 @@ def check_dim_bm_decomposition(params):
     mu = _measure(params["measure"])
     psi = _psi(params, n)
     tol = params.get("tol", DEFAULT_MARGIN_TOL)
-    d = psi.d2_ext0(g.nodes)
-    w = g.weights
+    var = variation_at_ball(mu, R, psi, g)
     S = sphere_area(n)
-    I0 = float(np.sum(w * d.val))
-    I2 = float(np.sum(w * d.val ** 2))
-    J2 = float(np.sum(w * np.sum(d.grad ** 2, axis=1)))
-    mom = _measures.moments(mu, R, n)
-    fR = float(np.asarray(mu.f(np.array([R])))[0])
-    fpR = float(np.asarray(mu.fprime(np.array([R])))[0])
-    B1 = (mom.A * fR / S) * ((n - 1) * I2 - J2) + (mom.A * R * fpR / S) * I2
+    A, fR, fpR = var.A, var.fR, var.fpR
+    I0, I2, J2 = var.int_psi, var.int_psi_sq, var.int_grad_sq
+    B1 = (A * fR / S) * ((n - 1) * I2 - J2) + (A * R * fpR / S) * I2
     B2 = (n - 1) / n * fR ** 2 * (I0 / S) ** 2
     margin = B2 - B1
 
-    var = variation_at_ball(mu, R, psi, g)
     raw = (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0
     normalized = raw / (S ** 2 * R ** (2 * n - 2))
     identity_gap = abs(margin - normalized) / max(abs(B1), abs(B2), 1.0)
@@ -232,14 +227,14 @@ def check_ball_dilation(params):
     margin = (n - 1) / n * G1 ** 2 - G2 * G
     scale = max(G1 ** 2, abs(G2 * G), 1e-30)
 
-    fd1 = _oracles.central_derivative(
-        lambda r: np.array([_measures.ball_measure(mu, ri, n) for ri in
-                            np.atleast_1d(r)]),
-        R, order=1, step=1e-3 * R)
-    fd2 = _oracles.central_derivative(
-        lambda r: np.array([_measures.ball_measure(mu, ri, n) for ri in
-                            np.atleast_1d(r)]),
-        R, order=2, step=1e-2 * R)
+    def ball_measures(r):
+        return np.array([_measures.ball_measure(mu, ri, n)
+                         for ri in np.atleast_1d(r)])
+
+    fd1 = _oracles.central_derivative(ball_measures, R, order=1,
+                                      step=1e-3 * R)
+    fd2 = _oracles.central_derivative(ball_measures, R, order=2,
+                                      step=1e-2 * R)
     floor = 1e-2 * max(1.0, abs(G))
     odiff = max(abs(G1 - fd1) / max(abs(G1), floor),
                 abs(G2 - fd2) / max(abs(G2), abs(fd2), floor))
@@ -271,20 +266,14 @@ def check_logbm_ball_form(params):
         raise ValueError(
             "the ball-form bound is asserted for even directions; "
             "pass expect_failure for odd ones")
-    d = psi.d2_ext0(g.nodes)
-    w = g.weights
+    var = variation_at_ball(mu, R, psi, g)
     S = sphere_area(n)
-    I0 = float(np.sum(w * d.val))
-    I2 = float(np.sum(w * d.val ** 2))
-    J2 = float(np.sum(w * np.sum(d.grad ** 2, axis=1)))
-    mom = _measures.moments(mu, R, n)
-    fR = float(np.asarray(mu.f(np.array([R])))[0])
-    fpR = float(np.asarray(mu.fprime(np.array([R])))[0])
-    lhs = mom.A * (n * fR + R * fpR) * I2 / S - mom.A * fR * J2 / S
+    A, fR, fpR = var.A, var.fR, var.fpR
+    I0, I2, J2 = var.int_psi, var.int_psi_sq, var.int_grad_sq
+    lhs = A * (n * fR + R * fpR) * I2 / S - A * fR * J2 / S
     rhs = fR ** 2 * (I0 / S) ** 2
     margin = rhs - lhs
 
-    var = variation_at_ball(mu, R, psi, g)
     normalized = (var.g1 ** 2 - var.g2_mult * var.g0) / (
         S ** 2 * R ** (2 * n - 2))
     identity_gap = abs(margin - normalized) / max(abs(lhs), abs(rhs), 1.0)
@@ -292,9 +281,8 @@ def check_logbm_ball_form(params):
     mean = I0 / S
     I2_osc = I2 - mean ** 2 * S
     J2_osc = J2
-    contrib_mean = (fR ** 2 - mom.A * (n * fR + R * fpR)) * mean ** 2
-    contrib_osc = (mom.A * fR * J2_osc
-                   - mom.A * (n * fR + R * fpR) * I2_osc) / S
+    contrib_mean = (fR ** 2 - A * (n * fR + R * fpR)) * mean ** 2
+    contrib_osc = (A * fR * J2_osc - A * (n * fR + R * fpR) * I2_osc) / S
     # sufficient-condition chain for the oscillation part: spectral gap of
     # the zero-mean component at least 2n, and the profile ratio at least 1/n
     rayleigh_osc = J2_osc / I2_osc if I2_osc > 1e-300 else float("inf")
@@ -335,13 +323,10 @@ def _scan_margins(params, combine):
     mu = _measure(params["measure"])
     psi = _psi(params, n)
     base = _base_sf(params, n)
-    kind = params.get("family", "additive")
-    if kind == "multiplicative":
-        from .sphere import sf_exp, sf_ratio
-        direction = sf_exp(sf_ratio(psi, base))
+    if params.get("family", "additive") == "multiplicative":
+        fam = _variation.mult_family_through(base, psi, g)
     else:
-        direction = psi
-    fam = make_family(kind, base, direction, g)
+        fam = make_family("additive", base, psi, g)
     lambdas = params.get("lambdas", _DEFAULT_LAMBDAS)
     if "eps_abs" in params:
         eps = [float(e) for e in params["eps_abs"]]

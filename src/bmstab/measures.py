@@ -21,7 +21,6 @@ both consequences of integrating d/dt [t^n f(tD)] and d/dt [t^{n+1} f'(tD)].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 

@@ -305,15 +305,6 @@ class PlanarPolygon:
     area: float
     perimeter: float
 
-    def contains(self, pts, tol=0.0):
-        pts = np.atleast_2d(pts)
-        v = self.vertices
-        nxt = np.roll(v, -1, axis=0)
-        edge = nxt - v
-        rel = pts[:, None, :] - v[None, :, :]
-        cross = edge[None, :, 0] * rel[:, :, 1] - edge[None, :, 1] * rel[:, :, 0]
-        return np.all(cross >= -tol, axis=1)
-
 
 _HULL_SCALE = float(1 << 40)
 

@@ -12,9 +12,9 @@ extensions of the function:
   ambient gradient at a sphere point is the spherical gradient, the trace of
   its ambient Hessian is the Laplace-Beltrami image).
 
-A black-box representation with central finite differences on the extension
-is available as a fallback for functions without a closed form; its accuracy
-is correspondingly lower (documented on :class:`CallableSF`).
+Grids are products of one-dimensional rules: the trapezoid rule on the
+circle, and for n >= 3 Gauss rules for the weights (1 - t^2)^{(n-3)/2} in
+the last coordinate, computed by Golub-Welsch.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -381,18 +381,6 @@ class PolynomialSF(SphericalFunction):
                         out[:, perm[0], perm[1], perm[2]] = t
         return out
 
-    def laplace_poly(self):
-        """Laplace-Beltrami image as a polynomial restriction (exact)."""
-        ext0 = self._ext(0)
-        acc = {}
-        for i in range(self.n):
-            dd = ext0.diff(i).diff(i)
-            for (alpha, _m), c in dd.terms.items():
-                # restriction to the sphere drops the |x|^m factor
-                acc[alpha] = acc.get(alpha, 0.0) + c
-        return PolynomialSF(self.n, acc)
-
-
 class ExprSF(SphericalFunction):
     """Composite function defined by closures over other representations
     (products, powers, exp/log, quotients).  Derivatives are exact chain
@@ -540,53 +528,6 @@ def sf_log(f, spec=None):
     return ExprSF(f.n, val_fn, d2_fn, spec=spec)
 
 
-class CallableSF(SphericalFunction):
-    """Black-box function on the sphere.
-
-    Derivatives come from central finite differences on the homogeneous
-    extension with step 1e-5 * max(1, |x|); expect roughly 1e-10 accuracy on
-    gradients and 1e-6 on Hessian entries."""
-
-    FD_STEP = 1e-5
-
-    def __init__(self, n, fn, spec=None):
-        self.n = n
-        self._fn = fn
-        self.spec = spec
-
-    def _ext0(self, X):
-        r = np.linalg.norm(X, axis=1, keepdims=True)
-        return self._fn(X / r)
-
-    def values(self, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return np.asarray(self._fn(U), dtype=float)
-
-    def d2_ext0(self, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        m, n = U.shape
-        h = self.FD_STEP
-        val = self.values(U)
-        grad = np.empty((m, n))
-        hess = np.empty((m, n, n))
-        eye = np.eye(n)
-        for i in range(n):
-            fp = self._ext0(U + h * eye[i])
-            fm = self._ext0(U - h * eye[i])
-            grad[:, i] = (fp - fm) / (2.0 * h)
-            hess[:, i, i] = (fp - 2.0 * val + fm) / h ** 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                fpp = self._ext0(U + h * (eye[i] + eye[j]))
-                fmm = self._ext0(U - h * (eye[i] + eye[j]))
-                fpm = self._ext0(U + h * (eye[i] - eye[j]))
-                fmp = self._ext0(U - h * (eye[i] - eye[j]))
-                hij = (fpp + fmm - fpm - fmp) / (4.0 * h ** 2)
-                hess[:, i, j] = hij
-                hess[:, j, i] = hij
-        return D2(val, grad, hess)
-
-
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
@@ -613,11 +554,25 @@ def _circle_nodes(count):
     return nodes, weights
 
 
+def _gauss_jacobi(m, a):
+    """m-point Gauss rule for the weight (1 - t^2)^a on [-1, 1] (Golub and
+    Welsch, Math. Comp. 1969): the nodes are the eigenvalues of the
+    symmetric Jacobi matrix, the weights mu_0 = int (1 - t^2)^a dt times the
+    squared first components of its eigenvectors.  Both are symmetrised
+    about t = 0."""
+    lam = a + 0.5
+    k = np.arange(1, m)
+    off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
+    t, v = np.linalg.eigh(np.diag(off, -1))     # eigh reads the lower triangle
+    w = v[0] ** 2
+    mu0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    return 0.5 * (t - t[::-1]), 0.5 * mu0 * (w + w[::-1])
+
+
 def _sphere_nodes(n, resolution):
     if n == 2:
         return _circle_nodes(2 * resolution)
-    from scipy.special import roots_jacobi
-    t, wt = roots_jacobi(resolution, (n - 3) / 2.0, (n - 3) / 2.0)
+    t, wt = _gauss_jacobi(resolution, (n - 3) / 2.0)
     sub_nodes, sub_w = _sphere_nodes(n - 1, resolution)
     s = np.sqrt(1.0 - t ** 2)
     nodes = np.concatenate(
@@ -693,15 +648,6 @@ def integrate(f, grid):
 # ---------------------------------------------------------------------------
 
 
-def spherical_gradient(psi, u):
-    """Spherical gradient at a single unit vector (or batch)."""
-    U = np.atleast_2d(np.asarray(u, dtype=float))
-    g = psi.spherical_grad(U)
-    if np.asarray(u).ndim == 1:
-        return g[0]
-    return g
-
-
 @dataclass
 class CurvatureField:
     """Per-node curvature matrices Q(h; u) = (h_ij + h delta_ij) in the
@@ -755,20 +701,6 @@ def curvature_matrix(h, grid):
     return CurvatureField(Q=Q, det=det, min_eig=min_eig, grid=grid)
 
 
-def laplace_beltrami(psi, grid_or_n=None):
-    """Laplace-Beltrami image of psi as a spherical function.
-
-    Exact (polynomial) for polynomial representations; a pointwise evaluator
-    backed by the 0-homogeneous Hessian trace otherwise."""
-    if isinstance(psi, PolynomialSF):
-        return psi.laplace_poly()
-
-    def val_fn(U):
-        return np.einsum("mii->m", psi.d2_ext0(U).hess)
-
-    return CallableSF(psi.n, lambda U: val_fn(np.atleast_2d(U)))
-
-
 def split_mean(psi, grid):
     """Split psi into (mean over the sphere, zero-mean part)."""
     mean = integrate(psi, grid) / sphere_area(grid.n)
@@ -788,46 +720,3 @@ def poincare_ratio(psi, grid):
     g = psi.spherical_grad(grid.nodes)
     num = float(np.sum(grid.weights * np.sum(g * g, axis=1)))
     return num / den
-
-
-# ---------------------------------------------------------------------------
-# harmonic diagnostics (n = 2, 3)
-# ---------------------------------------------------------------------------
-
-
-def harmonic_energies(psi, grid, lmax):
-    """L2 energy of psi per spherical-harmonic degree, for n = 2 or 3.
-
-    Returns a dict degree -> squared L2 norm of the projection."""
-    n = grid.n
-    vals = psi.values(grid.nodes) if isinstance(psi, SphericalFunction) else np.asarray(psi)
-    w = grid.weights
-    out = {}
-    if n == 2:
-        theta = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
-        c0 = np.sum(w * vals) / (2.0 * math.pi)
-        out[0] = 2.0 * math.pi * c0 ** 2
-        for k in range(1, lmax + 1):
-            a = np.sum(w * vals * np.cos(k * theta)) / math.pi
-            b = np.sum(w * vals * np.sin(k * theta)) / math.pi
-            out[k] = math.pi * (a ** 2 + b ** 2)
-        return out
-    if n == 3:
-        theta = np.arccos(np.clip(grid.nodes[:, 2], -1.0, 1.0))
-        phi = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
-        from scipy.special import sph_harm_y
-        for l in range(lmax + 1):
-            energy = 0.0
-            for mm in range(-l, l + 1):
-                Y = sph_harm_y(l, abs(mm), theta, phi)
-                if mm == 0:
-                    basis = Y.real
-                elif mm > 0:
-                    basis = math.sqrt(2.0) * Y.real
-                else:
-                    basis = math.sqrt(2.0) * Y.imag
-                coeff = np.sum(w * vals * basis)
-                energy += coeff ** 2
-            out[l] = float(energy)
-        return out
-    raise ValueError("harmonic energies are implemented for n = 2, 3 only")

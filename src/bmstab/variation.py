@@ -18,7 +18,6 @@ derivative of the 1-homogeneous extension restricted to the moving frame.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,45 +31,6 @@ from .sphere import (batch_det, curvature_matrix, sf_exp, sf_log, sf_mul,
 # ---------------------------------------------------------------------------
 # cofactor calculus
 # ---------------------------------------------------------------------------
-
-def cofactor_matrix(M):
-    """First cofactor c_ij = d(det)/dM_ij by explicit minors (exact for any
-    square matrix, no invertibility assumed)."""
-    M = np.asarray(M, dtype=float)
-    N = M.shape[0]
-    if N == 1:
-        return np.ones((1, 1))
-    C = np.empty((N, N))
-    for i in range(N):
-        rows = [r for r in range(N) if r != i]
-        for j in range(N):
-            cols = [c for c in range(N) if c != j]
-            C[i, j] = (-1.0) ** (i + j) * np.linalg.det(M[np.ix_(rows, cols)])
-    return C
-
-
-def second_cofactor(M):
-    """Second cofactor tensor c_ij,kl = d^2(det)/(dM_ij dM_kl)."""
-    M = np.asarray(M, dtype=float)
-    N = M.shape[0]
-    C2 = np.zeros((N, N, N, N))
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                if k == i:
-                    continue
-                for l in range(N):
-                    if l == j:
-                        continue
-                    rows = [r for r in range(N) if r not in (i, k)]
-                    cols = [c for c in range(N) if c not in (j, l)]
-                    minor = M[np.ix_(rows, cols)]
-                    det = np.linalg.det(minor) if rows else 1.0
-                    kk = k - 1 if k > i else k
-                    ll = l - 1 if l > j else l
-                    C2[i, j, k, l] = (-1.0) ** (i + j + kk + ll) * det
-    return C2
-
 
 def cofactor_field(Q):
     """Batched first cofactors for a stack of matrices, shape (m, N, N)."""
@@ -261,9 +221,14 @@ class VariationAtBall:
 
       moment route:  radial moments (A, B, C) at scale R only;
       profile route: density value f(R) and slope f'(R) only.
+
+    Both routes' inputs are kept (A, fR, fpR) for the ball-form checks.
     """
     n: int
     R: float
+    A: float
+    fR: float
+    fpR: float
     int_psi: float
     int_psi_sq: float
     int_grad_sq: float
@@ -306,8 +271,8 @@ def variation_at_ball(measure, R, psi, grid):
     g2_profile = (R ** (n - 2) * fR * ((n - 1) * I2 - J2)
                   + R ** (n - 1) * fpR * I2)
     log_corr = R ** (n - 2) * fR * I2
-    return VariationAtBall(n=n, R=R, int_psi=I0, int_psi_sq=I2,
-                           int_grad_sq=J2, g0=g0, g1=g1,
+    return VariationAtBall(n=n, R=R, A=A, fR=fR, fpR=fpR, int_psi=I0,
+                           int_psi_sq=I2, int_grad_sq=J2, g0=g0, g1=g1,
                            g2_moment=g2_moment, g2_profile=g2_profile,
                            log_corr=log_corr)
 

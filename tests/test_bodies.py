@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from bmstab.bodies import (FamilyError, NonPositiveSupport, NotConvex,
-                           ball_body, ball_intrinsic_volume,
-                           body_from_support, boundary_inverse_height,
-                           log_combine, make_family, measure_of_body,
-                           minkowski_combine, quermassintegrals)
+from bmstab.bodies import (VALIDITY_EIG_FLOOR, FamilyError,
+                           NonPositiveSupport, NotConvex, ball_body,
+                           ball_intrinsic_volume, body_from_support,
+                           boundary_inverse_height, log_combine, make_family,
+                           measure_of_body, minkowski_combine,
+                           quermassintegrals)
 from bmstab.funcspecs import direction_suite, sf_from_spec
 from bmstab.sphere import (PolynomialSF, curvature_matrix, integrate, sf_exp,
                            sf_ratio, sf_sum, sphere_area)
@@ -229,7 +230,8 @@ def test_family_validity_holds_on_dense_s_grid(kind, n, name, grid2, grid3):
     grid = {2: grid2, 3: grid3}[n]
     base, direction = _family_case(kind, n, name)
     fam = make_family(kind, base, direction, grid)
-    floor = fam.delta * body_from_support(base, grid).min_curvature_eig
+    base_min_eig = body_from_support(base, grid).min_curvature_eig
+    floor = VALIDITY_EIG_FLOOR * base_min_eig
     vals, _, Q = fam.curvature_batch(np.linspace(-fam.a, fam.a, 401))
     assert np.all(vals > 0.0)
     min_eig = np.linalg.eigvalsh(Q)[..., 0]
@@ -240,7 +242,7 @@ def _reference_radius(fam, max_radius=8.0):
     # make_family's bisection with eigvalsh for every smallest eigenvalue
     c = fam._coefficients()
     base_Q = curvature_matrix(fam.base, fam.grid).Q
-    floor = fam.delta * np.min(np.linalg.eigvalsh(base_Q)[:, 0])
+    floor = VALIDITY_EIG_FLOOR * np.min(np.linalg.eigvalsh(base_Q)[:, 0])
 
     def valid(b):
         s = np.array([-b, b]).reshape(2, 1, 1, 1)

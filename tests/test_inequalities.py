@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from bmstab.funcspecs import sf_from_spec
 from bmstab.inequalities import (CHECKS, DEFAULT_MARGIN_TOL, CheckResult,
                                  rerun, run_check)
+from bmstab.sphere import build_grid, integrate, sf_mul, sphere_area
 
 GAU = {"kind": "gaussian"}
 LEB = {"kind": "lebesgue"}
@@ -61,6 +63,25 @@ def test_dim_bm_equality_for_homothety():
                      "psi_name": "proportional"})
     assert res.passed
     assert abs(res.margin) <= 1e-10
+
+
+@pytest.mark.parametrize("n,resolution", [(2, 160), (3, 16)])
+@pytest.mark.parametrize("psi,l", [(FIRST, 1), (SECOND, 2)],
+                         ids=["first_harmonic", "second_harmonic"])
+@pytest.mark.parametrize("R", [0.8, 1.0])
+def test_dim_bm_margin_at_lebesgue_ball_closed_form(n, resolution, psi, l, R):
+    # margin = -n (g^{1/n})''/g^{1/n}; at a Lebesgue ball g'(0) = 0 and
+    # g''(0) = R^{n-2} ((n-1) - l(l+n-2)) int psi^2 for a degree-l harmonic,
+    # with g(0) = |S| R^n / n: zero along translations (l = 1)
+    res = run_check("dim_bm_infinitesimal",
+                    {"n": n, "R": R, "measure": LEB, "resolution": resolution,
+                     "psi": psi, "psi_name": f"degree_{l}"})
+    grid = build_grid(n, resolution)
+    psi_sf = sf_from_spec(psi, n)
+    I2 = integrate(sf_mul(psi_sf, psi_sf), grid)
+    want = n * (l * (l + n - 2) - (n - 1)) * I2 / (sphere_area(n) * R * R)
+    assert res.margin == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert res.passed
 
 
 @pytest.mark.parametrize("measure", [GAU, EP1],

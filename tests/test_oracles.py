@@ -114,14 +114,6 @@ def test_circumscribed_excess_scaling():
     assert (poly2.area - math.pi) * 16 == pytest.approx(excess, rel=1e-3)
 
 
-def test_polygon_contains():
-    poly = wulff_polygon(regular_directions(4), np.ones(4))  # unit square-ish
-    pts = np.array([[0.0, 0.0], [0.9, 0.9], [1.1, 0.0], [0.0, -1.05],
-                    [0.99, -0.99]])
-    got = poly.contains(pts)
-    assert list(got) == [True, True, False, False, True]
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo measures
 # ---------------------------------------------------------------------------

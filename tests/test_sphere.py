@@ -8,14 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from bmstab import sphere
-from bmstab.sphere import (CallableSF, GridError, PolynomialSF, ball_volume,
+from bmstab.oracles import central_derivative
+from bmstab.sphere import (GridError, PolynomialSF, ball_volume,
                            batch_min_eig, build_grid, curvature_matrix,
-                           harmonic_energies,
-                           integrate, laplace_beltrami, poincare_ratio,
-                           sf_exp, sf_log, sf_mul, sf_ratio, sf_shift, sf_sum,
-                           sphere_area, spherical_gradient, split_mean)
+                           integrate, poincare_ratio, sf_exp, sf_log, sf_mul,
+                           sf_ratio, sf_shift, sf_sum, sphere_area, split_mean)
 from bmstab.funcspecs import sf_from_spec
 
 
@@ -83,23 +83,35 @@ def test_quadrature_exact_on_monomials(n):
     assert abs(integrate(sf, g)) < 1e-13
 
 
-def test_circle_grids_need_no_scipy():
-    # scipy supplies Gauss-Jacobi nodes for n >= 3 only; importing the package
-    # and building a circle grid must work without it
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("m", [4, 10, 16, 32, 64])
+def test_gauss_jacobi_matches_scipy_and_is_exact(m, a):
+    t, w = sphere._gauss_jacobi(m, a)
+    t_ref, w_ref = roots_jacobi(m, a, a)
+    assert np.max(np.abs(t - t_ref)) <= 1e-15
+    assert np.max(np.abs(w / w_ref - 1.0)) <= 5e-12
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    # int t^{2j} (1 - t^2)^a dt = B(j + 1/2, a + 1), exact for 2j <= 2m - 1
+    for j in range(m):
+        exact = (math.gamma(j + 0.5) * math.gamma(a + 1.0)
+                 / math.gamma(j + a + 1.5))
+        assert np.sum(w * t ** (2 * j)) == pytest.approx(exact, rel=1e-13)
+
+
+def test_grids_need_no_scipy():
+    # every grid is numpy-only: with scipy blocked the package imports and
+    # builds grids on S^1, S^2 and S^3
     env = dict(os.environ)
     src = str(Path(sphere.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys; sys.modules['scipy'] = None\n"
             "import bmstab\n"
-            "print(bmstab.build_grid(2, 16).count)\n"
-            "try:\n"
-            "    bmstab.build_grid(3, 4)\n"
-            "except ImportError:\n"
-            "    print('blocked')\n")
+            "for n, r in ((2, 16), (3, 16), (4, 8)):\n"
+            "    print(bmstab.build_grid(n, r).count)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out == ["16", "blocked"]
+    assert out == ["16", "512", "1024"]
 
 
 def test_integrate_accepts_arrays(grid2):
@@ -131,23 +143,34 @@ def test_gradient_is_tangent(grid3):
 def test_spherical_gradient_single_direction():
     sf = PolynomialSF.linear(3, [0.0, 0.0, 1.0])
     u = np.array([1.0, 0.0, 0.0])
-    gvec = spherical_gradient(sf, u)
+    gvec = sf.spherical_grad(u[None, :])[0]
     # grad of u3 restricted to the sphere at e1 is e3
     assert np.allclose(gvec, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_polynomial_derivatives_match_blackbox(grid2_small):
-    """Analytic derivatives of a polynomial against finite differences on
-    the same values, via the black-box wrapper."""
+    """Analytic derivatives of a polynomial against central differences of
+    its values alone, on the 1-homogeneous extension F(x) = |x| f(x/|x|)."""
     poly = PolynomialSF(2, {(0, 0): 1.0, (2, 0): 0.25, (1, 1): -0.3})
-    bb = CallableSF(2, lambda U: poly.values(U))
+
+    def F(X):
+        r = np.linalg.norm(X, axis=1)
+        return r * poly.values(X / r[:, None])
+
+    def fd(u, v, order):
+        # derivative of t -> F(u + t v) at t = 0
+        return central_derivative(lambda t: F(u + t[:, None] * v), 0.0,
+                                  order=order, step=1e-3)
+
+    e = np.eye(2)
     nodes = grid2_small.nodes[::7]
     ga = poly.grad1(nodes)
-    gb = bb.grad1(nodes)
-    assert np.max(np.abs(ga - gb)) < 1e-9
     ha = poly.hess1(nodes)
-    hb = bb.hess1(nodes)
-    assert np.max(np.abs(ha - hb)) < 1e-5
+    for u, g, H in zip(nodes, ga, ha):
+        assert np.max(np.abs(g - [fd(u, e[i], 1) for i in range(2)])) < 1e-9
+        h11, h22 = fd(u, e[0], 2), fd(u, e[1], 2)
+        h12 = 0.5 * (fd(u, e[0] + e[1], 2) - h11 - h22)
+        assert np.max(np.abs(H - [[h11, h12], [h12, h22]])) < 1e-5
 
 
 def test_hess1_symmetry_and_ball_curvature(grid2, grid3):
@@ -222,19 +245,22 @@ def test_curvature_perturbed_disk(grid2):
     assert np.max(np.abs(curv.Q[:, 0, 0] - expected)) < 1e-12
 
 
+def laplace_beltrami_values(psi, grid):
+    # trace of the 0-homogeneous extension's ambient Hessian at the nodes
+    return np.einsum("mii->m", psi.d2_ext0(grid.nodes).hess)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_laplacian_circle_eigenfunctions(grid2, k):
     psi = PolynomialSF.cos_harmonic(k)
-    lap = laplace_beltrami(psi, grid2)
-    vals = lap.values(grid2.nodes) if hasattr(lap, "values") else np.asarray(lap)
+    vals = laplace_beltrami_values(psi, grid2)
     assert np.allclose(vals, -k * k * psi.values(grid2.nodes), atol=1e-10)
 
 
 def test_laplacian_sphere_quadratic(grid3):
     # u1*u2 is a degree-2 spherical harmonic on S^2: eigenvalue -6
     psi = PolynomialSF(3, {(1, 1, 0): 1.0})
-    lap = laplace_beltrami(psi, grid3)
-    vals = lap.values(grid3.nodes) if hasattr(lap, "values") else np.asarray(lap)
+    vals = laplace_beltrami_values(psi, grid3)
     assert np.allclose(vals, -6.0 * psi.values(grid3.nodes), atol=1e-10)
 
 
@@ -324,28 +350,3 @@ def test_third_derivatives_symmetric(grid3):
     assert np.max(np.abs(T - np.transpose(T, (0, 2, 1, 3)))) < 1e-12
     assert np.max(np.abs(T - np.transpose(T, (0, 1, 3, 2)))) < 1e-12
     assert np.max(np.abs(T - np.transpose(T, (0, 3, 2, 1)))) < 1e-12
-
-
-def test_harmonic_energies_circle(grid2):
-    psi = sf_sum([(1.0, PolynomialSF.constant(2, 0.5)),
-                  (0.8, PolynomialSF.cos_harmonic(2)),
-                  (0.1, PolynomialSF.sin_harmonic(4))])
-    en = harmonic_energies(psi, grid2, lmax=5)
-    # Parseval: ||c0||^2 * 2pi, coefficient amplitude a_k -> pi a_k^2
-    assert en[0] == pytest.approx(2 * math.pi * 0.25, rel=1e-12)
-    assert en[2] == pytest.approx(math.pi * 0.64, rel=1e-12)
-    assert en[4] == pytest.approx(math.pi * 0.01, rel=1e-12)
-    assert en[1] < 1e-14 and en[3] < 1e-14
-    total = integrate(sf_mul(psi, psi), grid2)
-    assert sum(en.values()) == pytest.approx(total, rel=1e-12)
-
-
-def test_harmonic_energies_sphere(grid3):
-    # u1*u2 is pure degree 2; a constant is pure degree 0
-    psi = sf_sum([(1.0, PolynomialSF.constant(3, 0.3)),
-                  (1.0, PolynomialSF(3, {(1, 1, 0): 1.0}))])
-    en = harmonic_energies(psi, grid3, lmax=4)
-    total = integrate(sf_mul(psi, psi), grid3)
-    assert en[0] == pytest.approx(4 * math.pi * 0.09, rel=1e-10)
-    assert en[2] == pytest.approx(total - en[0], rel=1e-10)
-    assert en[1] + en[3] + en[4] < 1e-12

@@ -9,14 +9,12 @@ from bmstab.bodies import (FamilyError, ball_body, body_from_support,
                            make_family, measure_of_body)
 from bmstab.measures import make_measure
 from bmstab.oracles import central_derivative
-from bmstab.sphere import (PolynomialSF, build_grid, curvature_matrix,
-                           sf_exp, sf_ratio, sf_sum)
+from bmstab.sphere import PolynomialSF, build_grid, curvature_matrix, sf_sum
 from bmstab.variation import (cheng_yau_residual, cofactor_field,
-                              cofactor_matrix, first_variation, g_eval,
-                              g_prime, g_prime_ball, g_second_ball,
-                              ibp_residuals, log_correction,
-                              mult_family_through, second_cofactor,
-                              second_cofactor_field, variation_at_ball)
+                              first_variation, g_eval, g_prime, g_prime_ball,
+                              g_second_ball, ibp_residuals, log_correction,
+                              mult_family_through, second_cofactor_field,
+                              variation_at_ball)
 
 
 def random_symmetric(rng, N, scale=1.0):
@@ -27,6 +25,48 @@ def random_symmetric(rng, N, scale=1.0):
 # ---------------------------------------------------------------------------
 # cofactor calculus
 # ---------------------------------------------------------------------------
+
+# Scalar cofactors by explicit minors: the reference for the batched
+# cofactor_field and second_cofactor_field.
+
+def cofactor_matrix(M):
+    """First cofactor c_ij = d(det)/dM_ij by explicit minors (exact for any
+    square matrix, no invertibility assumed)."""
+    M = np.asarray(M, dtype=float)
+    N = M.shape[0]
+    if N == 1:
+        return np.ones((1, 1))
+    C = np.empty((N, N))
+    for i in range(N):
+        rows = [r for r in range(N) if r != i]
+        for j in range(N):
+            cols = [c for c in range(N) if c != j]
+            C[i, j] = (-1.0) ** (i + j) * np.linalg.det(M[np.ix_(rows, cols)])
+    return C
+
+
+def second_cofactor(M):
+    """Second cofactor tensor c_ij,kl = d^2(det)/(dM_ij dM_kl)."""
+    M = np.asarray(M, dtype=float)
+    N = M.shape[0]
+    C2 = np.zeros((N, N, N, N))
+    for i in range(N):
+        for j in range(N):
+            for k in range(N):
+                if k == i:
+                    continue
+                for l in range(N):
+                    if l == j:
+                        continue
+                    rows = [r for r in range(N) if r not in (i, k)]
+                    cols = [c for c in range(N) if c not in (j, l)]
+                    minor = M[np.ix_(rows, cols)]
+                    det = np.linalg.det(minor) if rows else 1.0
+                    kk = k - 1 if k > i else k
+                    ll = l - 1 if l > j else l
+                    C2[i, j, k, l] = (-1.0) ** (i + j + kk + ll) * det
+    return C2
+
 
 def test_cofactor_2x2_closed_form():
     M = np.array([[2.0, 0.7], [0.7, -1.2]])
