@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import _tangent_frame
+from .sphere import tangent_frames
 
 MC_BATCH = 1 << 16
 _ROW_BLOCK = 256            # sample rows per net product in mc_measure
@@ -124,35 +124,53 @@ def _net_cells(h, dirs, hdirs):
     return C, hC, G, np.sum(G * C, axis=1), t * (1.0 + 1e-9), e
 
 
-def _net_bounds(X, cells):
-    """Row-wise lo <= max_j <x, u_j> - h_j <= hi from the cells alone,
+def _net_lo(X, cells):
+    """Row-wise lo <= max_j <x, u_j> - h_j: the maximum over the cell
+    centres, which are net directions."""
+    C, hC = cells[0], cells[1]
+    lo = np.empty(len(X))
+    for a in range(0, len(X), _ROW_BLOCK):
+        P = X[a:a + _ROW_BLOCK] @ C.T
+        P -= hC
+        np.max(P, axis=1, out=lo[a:a + _ROW_BLOCK])
+    return lo
+
+
+def _net_hi(X, cells):
+    """Row-wise hi >= max_j <x, u_j> - h_j from the cells alone,
     _ROW_BLOCK rows at a time.
 
-    lo is the maximum over the centres, which are net directions.  For u_j in
-    cell k write u_j - c_k = a c_k + w with -t_k^2/2 <= a <= 0, |w| <= t_k;
-    with v = x - g_k,
+    For u_j in cell k write u_j - c_k = a c_k + w with -t_k^2/2 <= a <= 0,
+    |w| <= t_k; with v = x - g_k,
         <x, u_j> - h_j <= <x, c_k> - h(c_k) + <v, u_j - c_k> + e_k
                        <= <x, c_k> - h(c_k) + t_k |v_perp|
                           + t_k^2/2 max(0, -<v, c_k>) + e_k,
     whose maximum over k is hi."""
     C, hC, G, gc, t, e = cells
-    CG = np.concatenate([C, G]).T
     g2 = np.sum(G * G, axis=1)
-    k = len(C)
-    lo = np.empty(len(X))
+    half_t2 = 0.5 * t * t
     hi = np.empty(len(X))
     for a in range(0, len(X), _ROW_BLOCK):
         rows = X[a:a + _ROW_BLOCK]
-        P = rows @ CG
-        xc, xg = P[:, :k], P[:, k:]
-        vc = xc - gc
-        v2 = np.sum(rows * rows, axis=1)[:, None] - 2.0 * xg + g2
-        vperp = np.sqrt(np.maximum(v2 - vc * vc, 0.0))
+        xc = rows @ C.T
+        w = rows @ G.T
+        vc = xc - gc                                # <v, c_k>
+        w *= -2.0
+        w += np.sum(rows * rows, axis=1)[:, None]
+        w += g2                                     # |v|^2
+        w -= vc * vc
+        np.maximum(w, 0.0, out=w)
+        np.sqrt(w, out=w)
+        w *= t                                      # t_k |v_perp|
+        np.negative(vc, out=vc)
+        np.maximum(vc, 0.0, out=vc)
+        vc *= half_t2
+        w += vc
+        w += e
         xc -= hC
-        lo[a:a + _ROW_BLOCK] = np.max(xc, axis=1)
-        xc += t * vperp + 0.5 * t * t * np.maximum(-vc, 0.0) + e
-        hi[a:a + _ROW_BLOCK] = np.max(xc, axis=1)
-    return lo, hi
+        xc += w
+        np.max(xc, axis=1, out=hi[a:a + _ROW_BLOCK])
+    return hi
 
 
 def _net_max(X, dirs, hdirs):
@@ -180,26 +198,34 @@ def _net_max(X, dirs, hdirs):
 def _polish_support_max(h, X, u0, g0):
     """Sharpen max_u <x,u> - h(u) for points whose coarse maximum is too
     close to zero to classify.  Projected ascent with Newton steps on the
-    sphere, started from the best coarse direction."""
+    sphere, started from the best coarse direction, all rows at once.  A
+    row whose Newton matrix is singular takes the gradient step, and a step
+    that is not finite or longer than 0.5 becomes the gradient, clipped to
+    length at most 1."""
     k, n = u0.shape
     u = u0.copy()
+    eye = np.eye(n - 1)
     for _ in range(60):
         d = h.d2_ext0(u)
         xu = np.sum(X * u, axis=1)
         grad_amb = X - xu[:, None] * u - d.grad
-        E = np.stack([_tangent_frame(ui) for ui in u])      # (k, n-1, n)
+        E = tangent_frames(u)                               # (k, n-1, n)
         gf = np.einsum("kap,kp->ka", E, grad_amb)
         Hf = (np.einsum("kap,kpq,kbq->kab", E, d.hess, E)
-              + xu[:, None, None] * np.eye(n - 1))
-        step = np.empty_like(gf)
-        for i in range(k):
-            try:
-                s = np.linalg.solve(Hf[i], gf[i])
-            except np.linalg.LinAlgError:
-                s = gf[i]
-            if not np.all(np.isfinite(s)) or np.linalg.norm(s) > 0.5:
-                s = gf[i] / max(1.0, np.linalg.norm(gf[i]))
-            step[i] = s
+              + xu[:, None, None] * eye)
+        try:
+            step = np.linalg.solve(Hf, gf[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # LU meets a zero pivot exactly where the determinant is zero
+            ok = np.linalg.det(Hf) != 0.0
+            step = gf.copy()
+            step[ok] = np.linalg.solve(Hf[ok], gf[ok][:, :, None])[:, :, 0]
+        clip = (~np.all(np.isfinite(step), axis=1)
+                | (np.linalg.norm(step, axis=1) > 0.5))
+        if np.any(clip):
+            gc = gf[clip]
+            step[clip] = gc / np.maximum(
+                1.0, np.linalg.norm(gc, axis=1))[:, None]
         u_new = u + np.einsum("kap,ka->kp", E, step)
         u_new /= np.linalg.norm(u_new, axis=1, keepdims=True)
         if np.max(np.linalg.norm(u_new - u, axis=1)) < 1e-14:
@@ -223,14 +249,15 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
 
     Only samples whose net maximum lies within the band need its exact
     value; the others need only its sign.  Samples inside the inner shell
-    |x| < min(hdirs) - band are certainly inside.  The rest get a lower and
-    an upper bound on the net maximum from _COARSE cells of the net
-    (_net_cells, _net_bounds: two products with 64 columns each): above
-    band + eps they are outside, below -band - eps inside.  Only the
-    undecided ones meet the full net, _ROW_BLOCK rows at a time, and each
-    row's best net direction starts its polish.  The estimates are bitwise
-    those of the full MC_BATCH x len(dirs) product, which is never
-    formed."""
+    |x| < min(hdirs) - band are certainly inside.  The rest are bounded
+    from _COARSE cells of the net (_net_cells), lower bound first: _net_lo
+    (one product with the 64 centres) above band + eps places a sample
+    outside, and only the others get the upper bound _net_hi (chord radius
+    and slack per cell), below -band - eps inside.  Only the undecided ones
+    meet the full net, _ROW_BLOCK rows at a time, and each row's best net
+    direction starts its polish, whose Newton steps are taken for all
+    polished rows at once.  The estimates are bitwise those of the full
+    MC_BATCH x len(dirs) product, which is never formed."""
     h = body.h
     g = body.grid
     n = g.n
@@ -269,10 +296,11 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
 
         inside = radii < r_in
         shell = np.flatnonzero(~inside)
-        lo, hi = _net_bounds(X[shell], cells)
-        certain_in = hi < -band - eps
-        inside[shell[certain_in]] = True
-        near = shell[~certain_in & (lo <= band + eps)]
+        # lo above band + eps places a row outside; only the others need hi
+        maybe = shell[_net_lo(X[shell], cells) <= band + eps]
+        certain_in = _net_hi(X[maybe], cells) < -band - eps
+        inside[maybe[certain_in]] = True
+        near = maybe[~certain_in]
         gmax, i0 = _net_max(X[near], dirs, hdirs)
         unsure = np.abs(gmax) <= band
         if np.any(unsure):
@@ -348,14 +376,12 @@ def wulff_polygon(directions, support_values):
     if np.any(support_values <= 0):
         raise ValueError("support values must be positive")
     dual = directions / support_values[:, None]
-    hull = _convex_hull_ccw(dual)
-    k = len(hull)
-    verts = np.empty((k, 2))
-    for i in range(k):
-        p = hull[i]
-        q = hull[(i + 1) % k]
-        Amat = np.array([p, q])
-        verts[i] = np.linalg.solve(Amat, np.ones(2))
+    p = _convex_hull_ccw(dual)
+    q = np.roll(p, -1, axis=0)
+    # <p, v> = <q, v> = 1 by Cramer's rule
+    det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    verts = (np.column_stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]])
+             / det[:, None])
     nxt = np.roll(verts, -1, axis=0)
     area = 0.5 * float(np.sum(verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]))
     perim = float(np.sum(np.linalg.norm(nxt - verts, axis=1)))

@@ -582,29 +582,34 @@ def _sphere_nodes(n, resolution):
     return nodes, weights
 
 
-def _tangent_frame(u):
-    n = u.size
-    order = np.argsort(np.abs(u), kind="stable")
-    frame = np.empty((n - 1, n))
-    basis = [u]
-    k = 0
-    for idx in order:
-        if k == n - 1:
+def tangent_frames(U):
+    """Orthonormal tangent frames (k, n-1, n) at the unit points U (k, n).
+
+    Gram-Schmidt of the coordinate axes against u and the rows found so
+    far, the axes taken in increasing order of |u_i| (stable sort); an axis
+    whose remainder has norm below 1e-12 is skipped.  All points are done
+    at once."""
+    U = np.asarray(U, dtype=float)
+    k, n = U.shape
+    order = np.argsort(np.abs(U), axis=1, kind="stable")
+    rows = np.arange(k)
+    frames = np.zeros((k, n - 1, n))
+    found = np.zeros(k, dtype=np.intp)
+    for j in range(n):
+        if np.all(found == n - 1):
             break
-        v = np.zeros(n)
-        v[idx] = 1.0
-        for b in basis:
-            v = v - np.dot(v, b) * b
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            continue
-        v = v / norm
-        frame[k] = v
-        basis.append(v)
-        k += 1
-    if k != n - 1:
+        v = np.zeros((k, n))
+        v[rows, order[:, j]] = 1.0
+        # unfound rows are zero and subtract nothing
+        for b in [U] + [frames[:, i] for i in range(j)]:
+            v -= np.sum(v * b, axis=1)[:, None] * b
+        norm = np.sqrt(np.sum(v * v, axis=1))
+        take = (norm >= 1e-12) & (found < n - 1)
+        frames[rows[take], found[take]] = v[take] / norm[take, None]
+        found += take
+    if np.any(found != n - 1):
         raise GridError("frame construction failed")
-    return frame
+    return frames
 
 
 def build_grid(n, resolution):
@@ -624,9 +629,8 @@ def build_grid(n, resolution):
     else:
         nodes, weights = _sphere_nodes(n, resolution)
         exactness = 2 * resolution - 1
-    frames = np.stack([_tangent_frame(u) for u in nodes], axis=0)
     return SphereGrid(n=n, resolution=resolution, nodes=nodes,
-                      weights=weights, frames=frames,
+                      weights=weights, frames=tangent_frames(nodes),
                       exactness_degree=exactness)
 
 

@@ -15,10 +15,11 @@ import bmstab
 from bmstab.bodies import ball_body, body_from_support
 from bmstab.measures import make_measure
 from bmstab.oracles import (MC_BATCH, McEstimate, PlanarPolygon,
-                            _coarse_directions, _net_bounds, _net_cells,
-                            _polish_support_max, central_derivative,
-                            mc_measure, wulff_polygon)
+                            _coarse_directions, _convex_hull_ccw, _net_cells,
+                            _net_hi, _net_lo, _polish_support_max,
+                            central_derivative, mc_measure, wulff_polygon)
 from bmstab.sphere import PolynomialSF, build_grid, sf_sum
+from test_sphere import _tangent_frame
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,21 @@ def test_wulff_redundant_halfplanes_dropped():
     p5 = wulff_polygon(U5, h5)
     assert p5.area == pytest.approx(p4.area, rel=1e-12)
     assert len(p5.vertices) == 4
+
+
+def test_wulff_vertices_match_the_per_vertex_solve():
+    rng = np.random.default_rng(23)
+    for m in (3, 7, 64, 500):
+        th = 2 * math.pi * (np.arange(m) + 0.4 * rng.random(m)) / m
+        U = np.stack([np.cos(th), np.sin(th)], axis=1)
+        h = 1.0 + 0.3 * rng.random(m)
+        poly = wulff_polygon(U, h)
+        hull = _convex_hull_ccw(U / h[:, None])
+        ref = np.array([np.linalg.solve(np.array([p, q]), np.ones(2))
+                        for p, q in zip(hull, np.roll(hull, -1, axis=0))])
+        assert poly.vertices.shape == ref.shape
+        err = np.max(np.abs(poly.vertices - ref))
+        assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_circumscribed_excess_scaling():
@@ -188,17 +204,23 @@ def _dense_net_max(X, dirs, hdirs):
                            for a in range(0, len(X), 4096)])
 
 
-def _dense_mc_batch(measure, body, seed):
-    """One batch of mc_measure classified with the full sample-by-direction
-    product, no shell skip and no cell bounds."""
-    h, n = body.h, body.grid.n
-    dirs, hdirs, band, R_b = _sampling_ball(body)
+def _mc_batch_points(body, R_b, seed):
+    # batch 0 of mc_measure's sample stream
+    n = body.grid.n
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([seed, 0])))
     Z = rng.standard_normal((MC_BATCH, n))
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
     radii = R_b * rng.random(MC_BATCH) ** (1.0 / n)
-    X = Z * radii[:, None]
+    return Z * radii[:, None], radii
+
+
+def _dense_mc_batch(measure, body, seed):
+    """One batch of mc_measure classified with the full sample-by-direction
+    product, no shell skip and no cell bounds."""
+    h, n = body.h, body.grid.n
+    dirs, hdirs, band, R_b = _sampling_ball(body)
+    X, radii = _mc_batch_points(body, R_b, seed)
     gmax = _dense_net_max(X, dirs, hdirs)
     unsure = np.abs(gmax) <= band
     i0 = np.argmax(X[unsure] @ dirs.T - hdirs[None, :], axis=1)
@@ -226,19 +248,105 @@ def _battery3():
     return body_from_support(h, build_grid(3, 16))
 
 
+# the bodies of acceptance criterion 10 and the battery's n = 3 body
+_MC_BODIES = {
+    "ball3": lambda: ball_body(1.0, build_grid(3, 10)),
+    "shift3": lambda: _near_ball(3, 10, 0.15, "first_harmonic"),
+    "bump": lambda: _near_ball(2, 96, 0.1, "second_harmonic"),
+    "battery3": _battery3,
+}
+
+
 @pytest.mark.parametrize("case", ["ball3", "shift3", "bump", "battery3"])
 def test_mc_shell_skip_and_row_blocks_match_dense(case, exp1, gaussian):
-    # the bodies of acceptance criterion 10 and the battery's n = 3 body
-    body, measure = {
-        "ball3": lambda: (ball_body(1.0, build_grid(3, 10)), exp1),
-        "shift3": lambda: (_near_ball(3, 10, 0.15, "first_harmonic"), exp1),
-        "bump": lambda: (_near_ball(2, 96, 0.1, "second_harmonic"), gaussian),
-        "battery3": lambda: (_battery3(), gaussian),
-    }[case]()
+    body = _MC_BODIES[case]()
+    measure = exp1 if case in ("ball3", "shift3") else gaussian
     want = _dense_mc_batch(measure, body, seed=31)
     est = mc_measure(measure, body, n_samples=MC_BATCH, seed=31)
     assert want[2] > 0
     assert (est.value, est.stderr, est.refined) == want
+
+
+def _polish_per_row(h, X, u0, g0):
+    """The Newton polish one row at a time: per-row frames and solves, the
+    reference for the batched _polish_support_max."""
+    k, n = u0.shape
+    u = u0.copy()
+    for _ in range(60):
+        d = h.d2_ext0(u)
+        xu = np.sum(X * u, axis=1)
+        grad_amb = X - xu[:, None] * u - d.grad
+        E = np.stack([_tangent_frame(ui) for ui in u])      # (k, n-1, n)
+        gf = np.einsum("kap,kp->ka", E, grad_amb)
+        Hf = (np.einsum("kap,kpq,kbq->kab", E, d.hess, E)
+              + xu[:, None, None] * np.eye(n - 1))
+        step = np.empty_like(gf)
+        for i in range(k):
+            try:
+                s = np.linalg.solve(Hf[i], gf[i])
+            except np.linalg.LinAlgError:
+                s = gf[i]
+            if not np.all(np.isfinite(s)) or np.linalg.norm(s) > 0.5:
+                s = gf[i] / max(1.0, np.linalg.norm(gf[i]))
+            step[i] = s
+        u_new = u + np.einsum("kap,ka->kp", E, step)
+        u_new /= np.linalg.norm(u_new, axis=1, keepdims=True)
+        if np.max(np.linalg.norm(u_new - u, axis=1)) < 1e-14:
+            u = u_new
+            break
+        u = u_new
+    g = np.sum(X * u, axis=1) - h.values(u)
+    return np.maximum(g, g0)
+
+
+@pytest.mark.parametrize("case", ["ball3", "shift3", "bump", "battery3"])
+def test_mc_batched_polish_matches_the_per_row_reference(case):
+    body = _MC_BODIES[case]()
+    dirs, hdirs, band, R_b = _sampling_ball(body)
+    X, _ = _mc_batch_points(body, R_b, seed=31)
+    gmax = _dense_net_max(X, dirs, hdirs)
+    unsure = np.abs(gmax) <= band
+    Xu, g0 = X[unsure], gmax[unsure]
+    u0 = dirs[np.argmax(Xu @ dirs.T - hdirs, axis=1)]
+    got = _polish_support_max(body.h, Xu, u0, g0)
+    want = _polish_per_row(body.h, Xu, u0, g0)
+    assert len(got) > 0
+    assert np.max(np.abs(got - want)) <= 1e-12 * R_b
+    assert np.array_equal(got <= 0.0, want <= 0.0)
+
+
+class _RecordedSF:
+    """A support function that records the points of every d2_ext0 call."""
+
+    def __init__(self, h):
+        self.h, self.calls = h, []
+
+    def values(self, U):
+        return self.h.values(U)
+
+    def d2_ext0(self, U):
+        self.calls.append(np.array(U))
+        return self.h.d2_ext0(U)
+
+
+def test_mc_polish_singular_row_takes_the_gradient_step():
+    # h = 1 has zero gradient and Hessian, so the Newton matrix is <x, u> I:
+    # singular for the middle row, whose x is orthogonal to its start e_3.
+    # The other rows reach x / |x| in one Newton step; the middle one takes
+    # the gradient step E x (length 0.4, not clipped).
+    one = PolynomialSF.constant(3, 1.0)
+    h = _RecordedSF(one)
+    X = np.array([[0.3, 0.0, 1.2], [0.4, 0.0, 0.0], [0.0, -0.2, 0.9]])
+    u0 = np.tile([0.0, 0.0, 1.0], (3, 1))
+    g0 = np.full(3, -np.inf)
+    got = _polish_support_max(h, X, u0, g0)
+    second = h.calls[1]
+    newton = X[[0, 2]] / np.linalg.norm(X[[0, 2]], axis=1, keepdims=True)
+    assert np.max(np.abs(second[[0, 2]] - newton)) <= 1e-15
+    gradient = np.array([0.4, 0.0, 1.0]) / math.hypot(0.4, 1.0)
+    assert np.max(np.abs(second[1] - gradient)) <= 1e-15
+    assert np.max(np.abs(got - (np.linalg.norm(X, axis=1) - 1.0))) <= 1e-14
+    assert np.max(np.abs(got - _polish_per_row(one, X, u0, g0))) <= 1e-15
 
 
 def _bracket_case(case):
@@ -286,7 +394,7 @@ def test_mc_net_bounds_bracket_the_dense_net_max(case):
     s = np.linspace(0.0, 2.0, 32)[None, :, None]
     inward = (G[:, None, :] - s * C[:, None, :]).reshape(-1, n)
     X = np.concatenate([uniform, near, inward])
-    lo, hi = _net_bounds(X, cells)
+    lo, hi = _net_lo(X, cells), _net_hi(X, cells)
     gmax = _dense_net_max(X, dirs, hdirs)
     eps = 1e-7 * R_b
     assert np.all(lo - eps <= gmax)

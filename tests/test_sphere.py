@@ -58,6 +58,52 @@ def test_grid_basic_struct(n, resolution):
     assert np.max(np.abs(np.einsum("mia,ma->mi", E, g.nodes))) < 1e-12
 
 
+# Per-point Gram-Schmidt: the reference for the batched tangent_frames.
+
+def _tangent_frame(u):
+    n = u.size
+    order = np.argsort(np.abs(u), kind="stable")
+    frame = np.empty((n - 1, n))
+    basis = [u]
+    k = 0
+    for idx in order:
+        if k == n - 1:
+            break
+        v = np.zeros(n)
+        v[idx] = 1.0
+        for b in basis:
+            v = v - np.dot(v, b) * b
+        norm = np.linalg.norm(v)
+        if norm < 1e-12:
+            continue
+        v = v / norm
+        frame[k] = v
+        basis.append(v)
+        k += 1
+    if k != n - 1:
+        raise GridError("frame construction failed")
+    return frame
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tangent_frames_match_the_per_point_reference(n):
+    rng = np.random.default_rng(50 + n)
+    U = rng.standard_normal((500, n))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    # axes, and points whose |u_i| tie, where the stable order decides
+    signs = rng.choice([-1.0, 1.0], size=(40, n))
+    half = np.where(np.arange(n) < 2, signs, 0.0) / math.sqrt(2.0)
+    U = np.concatenate([U, np.eye(n), -np.eye(n), signs / math.sqrt(n),
+                        half])
+    E = sphere.tangent_frames(U)
+    ref = np.stack([_tangent_frame(u) for u in U])
+    assert E.shape == (len(U), n - 1, n)
+    assert np.max(np.abs(E - ref)) <= 1e-15
+    gram = np.einsum("kia,kja->kij", E, E)
+    assert np.max(np.abs(gram - np.eye(n - 1))) < 1e-15
+    assert np.max(np.abs(np.einsum("kia,ka->ki", E, U))) < 1e-15
+
+
 def test_grid_rejects_bad_input():
     with pytest.raises(GridError):
         build_grid(1, 16)
