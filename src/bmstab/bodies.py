@@ -150,13 +150,6 @@ def quermassintegrals(body):
     return out
 
 
-def boundary_inverse_height(body):
-    """int_{boundary K} 1/<y, nu(y)> dsigma, pushed to the sphere:
-    int det Q(h; u) / h(u) du."""
-    g = body.grid
-    return float(np.sum(g.weights * body.curvature.det / body.hvals))
-
-
 # ---------------------------------------------------------------------------
 # perturbation families
 # ---------------------------------------------------------------------------

@@ -174,16 +174,6 @@ def default_battery():
                               "base": {"type": "constant", "value": 1.0},
                               "psi": PSI_SUITE[2][1],
                               "psi_name": "second_harmonic"}})
-    for n in (2, 3):
-        for R in (0.7, 1.3):
-            checks.append({"kind": "strengthened_minkowski",
-                           "params": {"n": n, "R": R,
-                                      "resolution": _RES[n],
-                                      "base": {"type": "constant",
-                                               "value": R}}})
-        checks.append({"kind": "strengthened_minkowski",
-                       "params": {"n": n, "resolution": _RES[n],
-                                  "base": _perturbed_base(n, 0.08)}})
     checks.append({"kind": "polygon_agreement",
                    "params": {"n": 2, "resolution": 160,
                               "base": {"type": "constant", "value": 1.0},

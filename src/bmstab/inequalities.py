@@ -3,9 +3,10 @@
 Every check consumes a JSON-safe parameter dictionary and produces a
 CheckResult carrying the computed margin, the pass decision at an explicit
 tolerance, and the disagreement against whichever independent route is
-available (finite differences, closed forms, Monte Carlo, polygons).  The
-registry at the bottom lets any result be re-run from its stored
-parameters; reruns are deterministic."""
+available (finite differences, closed forms, Monte Carlo, polygons).  Every
+pass decision is made by `_result`, from the margin's sense.  The registry
+at the bottom lets any result be re-run from its stored parameters; reruns
+are deterministic."""
 
 from __future__ import annotations
 
@@ -17,9 +18,8 @@ import numpy as np
 from . import measures as _measures
 from . import oracles as _oracles
 from . import variation as _variation
-from .bodies import (body_from_support, boundary_inverse_height,
-                     log_combine, make_family, measure_of_body,
-                     quermassintegrals)
+from .bodies import (body_from_support, log_combine, make_family,
+                     measure_of_body, quermassintegrals)
 from .funcspecs import sf_from_spec
 from .sphere import build_grid, sphere_area
 from .variation import variation_at_ball
@@ -34,10 +34,6 @@ def _grid(n, resolution):
     if key not in _GRIDS:
         _GRIDS[key] = build_grid(*key)
     return _GRIDS[key]
-
-
-def _measure(spec):
-    return _measures.measure_from_spec(spec)
 
 
 def _measure_name(mu):
@@ -98,12 +94,75 @@ def _mk_id(kind, params):
     return "|".join(bits)
 
 
+def _result(kind, params, n, measure, margin, tol, sense, *, R=None,
+            expected_failure=False, extra_ok=True, oracle_diff=None,
+            details=None):
+    """The one pass rule.  sense "ge" asserts margin >= 0 and holds at
+    margin >= -tol; "le" asserts margin <= 0 and holds at margin <= tol.
+    An expected failure holds at margin <= -tol, whatever the sense.
+    extra_ok carries a check's further conditions (closed-form and
+    polygon gaps)."""
+    if expected_failure:
+        ok = margin <= -tol
+    elif sense == "ge":
+        ok = margin >= -tol
+    else:
+        ok = margin <= tol
+    return CheckResult(
+        check_id=_mk_id(kind, params), kind=kind, n=n, measure=measure,
+        margin=margin, tol=tol, passed=bool(ok and extra_ok), params=params,
+        R=R, expected_failure=expected_failure, oracle_diff=oracle_diff,
+        details={**(details or {}), "sense": sense})
+
+
 def _psi(params, n):
     return sf_from_spec(params["psi"], n)
 
 
-def _fd_scale(a):
-    return 1e-2 * min(1.0, a / 4.0)
+def _expected_failure(params, psi, statement):
+    """The expect_failure flag, which a direction that is not even must
+    carry: the statement is asserted for even directions only."""
+    expected_failure = bool(params.get("expect_failure", False))
+    if psi.parity() != "even" and not expected_failure:
+        raise ValueError(f"{statement} asserted for even directions; "
+                         "pass expect_failure for odd ones")
+    return expected_failure
+
+
+def _at_ball(params):
+    """(n, R, grid, measure, psi, variation) for a direction at a centered
+    ball."""
+    n = params["n"]
+    R = float(params["R"])
+    g = _grid(n, params["resolution"])
+    mu = _measures.measure_from_spec(params["measure"])
+    psi = _psi(params, n)
+    return n, R, g, mu, psi, variation_at_ball(mu, R, psi, g)
+
+
+def _fd_gap(fam, mu, g2, floor):
+    """Finite-difference g''(0) of s -> gamma(K_s) along the family, and its
+    relative gap to g2; the floor keeps a zero g2 from comparing against
+    cancellation noise alone."""
+    fd2 = _oracles.central_derivative(
+        lambda s: fam.measures_along(mu, s), 0.0, order=2,
+        step=1e-2 * min(1.0, fam.a / 4.0))
+    return fd2, abs(g2 - fd2) / max(abs(g2), abs(fd2), floor)
+
+
+def _ball_form_gap(margin, raw, lhs, rhs, R, n):
+    """The variation-route margin raw normalized by |S|^2 R^{2n-2}, and its
+    gap to the ball-form margin lhs - rhs relative to the larger side."""
+    normalized = raw / (sphere_area(n) ** 2 * R ** (2 * n - 2))
+    return normalized, abs(margin - normalized) / max(abs(lhs), abs(rhs), 1.0)
+
+
+def _polygon(h, m):
+    """Circumscribed polygon of the support h at m equally spaced planar
+    directions."""
+    ang = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+    return _oracles.wulff_polygon(dirs, h.values(dirs))
 
 
 # ---------------------------------------------------------------------------
@@ -115,71 +174,44 @@ def check_dim_bm_infinitesimal(params):
 
     The margin is divided by g(0)^2, so it reads -n (g^{1/n})'' / g^{1/n}
     at s = 0: zero, up to rounding, along translations."""
-    n = params["n"]
-    R = float(params["R"])
-    g = _grid(n, params["resolution"])
-    mu = _measure(params["measure"])
-    psi = _psi(params, n)
-    tol = params.get("tol", DEFAULT_MARGIN_TOL)
-    var = variation_at_ball(mu, R, psi, g)
+    n, R, g, mu, psi, var = _at_ball(params)
     raw = (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0
     margin = raw / var.g0 ** 2
 
     fam = make_family("additive", sf_from_spec(
         {"type": "constant", "value": R}, n), psi, g)
-    h = _fd_scale(fam.a)
-    fd2 = _oracles.central_derivative(
-        lambda s: fam.measures_along(mu, s), 0.0, order=2, step=h)
-    # relative gaps with a floor: a zero second derivative leaves only
-    # finite-difference cancellation noise to compare against
     floor = 1e-2 * max(1.0, abs(var.g0))
+    fd2, fd_rel = _fd_gap(fam, mu, var.g2, floor)
     route = var.route_gap / max(abs(var.g2), floor)
-    fd_rel = abs(var.g2 - fd2) / max(abs(var.g2), abs(fd2), floor)
-    return CheckResult(
-        check_id=_mk_id("dim_bm_infinitesimal", params),
-        kind="dim_bm_infinitesimal", n=n, R=R, measure=_measure_name(mu),
-        margin=margin, tol=tol, passed=bool(margin >= -tol), params=params,
+    return _result(
+        "dim_bm_infinitesimal", params, n, _measure_name(mu), margin,
+        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R,
         oracle_diff=max(route, fd_rel),
         details={"g0": var.g0, "g1": var.g1, "g2": var.g2,
                  "g2_profile": var.g2_profile, "g2_fd": fd2,
                  "raw_margin": raw, "psi_parity": psi.parity(),
-                 "validity_radius": fam.a, "sense": "ge"})
+                 "validity_radius": fam.a})
 
 
 def check_log_bm_infinitesimal(params):
     """g'(0)^2 - g''_mult(0) g(0) >= 0 (concavity of log gamma along the
     geometric family through the ball); stated for even directions."""
-    n = params["n"]
-    R = float(params["R"])
-    g = _grid(n, params["resolution"])
-    mu = _measure(params["measure"])
-    psi = _psi(params, n)
-    tol = params.get("tol", DEFAULT_MARGIN_TOL)
-    parity = psi.parity()
-    expected_failure = bool(params.get("expect_failure", False))
-    if parity != "even" and not expected_failure:
-        raise ValueError(
-            "log concavity at the ball is asserted for even directions; "
-            "pass expect_failure for odd ones")
-    var = variation_at_ball(mu, R, psi, g)
+    n, R, g, mu, psi, var = _at_ball(params)
+    expected_failure = _expected_failure(
+        params, psi, "log concavity at the ball is")
     margin = (var.g1 ** 2 - var.g2_mult * var.g0) / var.g0 ** 2
 
     ball_sf = sf_from_spec({"type": "constant", "value": R}, n)
     fam = _variation.mult_family_through(ball_sf, psi, g)
-    h = _fd_scale(fam.a)
-    fd2 = _oracles.central_derivative(
-        lambda s: fam.measures_along(mu, s), 0.0, order=2, step=h)
-    floor = 1e-2 * max(1.0, abs(var.g0))
-    fd_rel = abs(var.g2_mult - fd2) / max(abs(var.g2_mult), abs(fd2), floor)
-    ok = margin <= -tol if expected_failure else margin >= -tol
-    return CheckResult(
-        check_id=_mk_id("log_bm_infinitesimal", params),
-        kind="log_bm_infinitesimal", n=n, R=R, measure=_measure_name(mu),
-        margin=margin, tol=tol, passed=bool(ok), params=params,
+    fd2, fd_rel = _fd_gap(fam, mu, var.g2_mult,
+                          1e-2 * max(1.0, abs(var.g0)))
+    return _result(
+        "log_bm_infinitesimal", params, n, _measure_name(mu), margin,
+        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R,
         expected_failure=expected_failure, oracle_diff=fd_rel,
         details={"g0": var.g0, "g1": var.g1, "g2_mult": var.g2_mult,
                  "g2_mult_fd": fd2, "log_corr": var.log_corr,
-                 "psi_parity": parity, "sense": "ge"})
+                 "psi_parity": psi.parity()})
 
 
 def check_dim_bm_decomposition(params):
@@ -190,30 +222,20 @@ def check_dim_bm_decomposition(params):
 
     margin = B2 - B1; cross-checked against the variation route, which it
     must reproduce up to rounding after normalizing by |S|^2 R^{2n-2}."""
-    n = params["n"]
-    R = float(params["R"])
-    g = _grid(n, params["resolution"])
-    mu = _measure(params["measure"])
-    psi = _psi(params, n)
-    tol = params.get("tol", DEFAULT_MARGIN_TOL)
-    var = variation_at_ball(mu, R, psi, g)
+    n, R, g, mu, psi, var = _at_ball(params)
     S = sphere_area(n)
     A, fR, fpR = var.A, var.fR, var.fpR
     I0, I2, J2 = var.int_psi, var.int_psi_sq, var.int_grad_sq
     B1 = (A * fR / S) * ((n - 1) * I2 - J2) + (A * R * fpR / S) * I2
     B2 = (n - 1) / n * fR ** 2 * (I0 / S) ** 2
     margin = B2 - B1
-
-    raw = (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0
-    normalized = raw / (S ** 2 * R ** (2 * n - 2))
-    identity_gap = abs(margin - normalized) / max(abs(B1), abs(B2), 1.0)
-    return CheckResult(
-        check_id=_mk_id("dim_bm_decomposition", params),
-        kind="dim_bm_decomposition", n=n, R=R, measure=_measure_name(mu),
-        margin=margin, tol=tol, passed=bool(margin >= -tol), params=params,
+    normalized, identity_gap = _ball_form_gap(
+        margin, (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0, B1, B2, R, n)
+    return _result(
+        "dim_bm_decomposition", params, n, _measure_name(mu), margin,
+        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R,
         oracle_diff=identity_gap,
-        details={"B1": B1, "B2": B2, "variation_margin_normalized": normalized,
-                 "sense": "ge"})
+        details={"B1": B1, "B2": B2, "variation_margin_normalized": normalized})
 
 
 def check_ball_dilation(params):
@@ -221,8 +243,7 @@ def check_ball_dilation(params):
     G''(R) G(R) <= (1 - 1/n) G'(R)^2, via closed-form growth derivatives."""
     n = params["n"]
     R = float(params["R"])
-    mu = _measure(params["measure"])
-    tol = params.get("tol", DEFAULT_MARGIN_TOL)
+    mu = _measures.measure_from_spec(params["measure"])
     G, G1, G2 = _measures.ball_growth_derivatives(mu, R, n)
     margin = (n - 1) / n * G1 ** 2 - G2 * G
     scale = max(G1 ** 2, abs(G2 * G), 1e-30)
@@ -238,14 +259,11 @@ def check_ball_dilation(params):
     floor = 1e-2 * max(1.0, abs(G))
     odiff = max(abs(G1 - fd1) / max(abs(G1), floor),
                 abs(G2 - fd2) / max(abs(G2), abs(fd2), floor))
-    return CheckResult(
-        check_id=_mk_id("ball_dilation", params),
-        kind="ball_dilation", n=n, R=R, measure=_measure_name(mu),
-        margin=margin / scale, tol=tol,
-        passed=bool(margin / scale >= -tol), params=params,
-        oracle_diff=odiff,
+    return _result(
+        "ball_dilation", params, n, _measure_name(mu), margin / scale,
+        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R, oracle_diff=odiff,
         details={"G": G, "G1": G1, "G2": G2, "G1_fd": fd1, "G2_fd": fd2,
-                 "raw_margin": margin, "sense": "ge"})
+                 "raw_margin": margin})
 
 
 def check_logbm_ball_form(params):
@@ -254,29 +272,17 @@ def check_logbm_ball_form(params):
         A (n f + R f') I2/|S| - A f J2/|S|  <=  f^2 (I0/|S|)^2
 
     for even directions, split into mean and oscillation contributions."""
-    n = params["n"]
-    R = float(params["R"])
-    g = _grid(n, params["resolution"])
-    mu = _measure(params["measure"])
-    psi = _psi(params, n)
-    tol = params.get("tol", DEFAULT_MARGIN_TOL)
-    expected_failure = bool(params.get("expect_failure", False))
-    parity = psi.parity()
-    if parity != "even" and not expected_failure:
-        raise ValueError(
-            "the ball-form bound is asserted for even directions; "
-            "pass expect_failure for odd ones")
-    var = variation_at_ball(mu, R, psi, g)
+    n, R, g, mu, psi, var = _at_ball(params)
+    expected_failure = _expected_failure(params, psi,
+                                         "the ball-form bound is")
     S = sphere_area(n)
     A, fR, fpR = var.A, var.fR, var.fpR
     I0, I2, J2 = var.int_psi, var.int_psi_sq, var.int_grad_sq
     lhs = A * (n * fR + R * fpR) * I2 / S - A * fR * J2 / S
     rhs = fR ** 2 * (I0 / S) ** 2
     margin = rhs - lhs
-
-    normalized = (var.g1 ** 2 - var.g2_mult * var.g0) / (
-        S ** 2 * R ** (2 * n - 2))
-    identity_gap = abs(margin - normalized) / max(abs(lhs), abs(rhs), 1.0)
+    _, identity_gap = _ball_form_gap(
+        margin, var.g1 ** 2 - var.g2_mult * var.g0, lhs, rhs, R, n)
     # mean / oscillation split of the direction
     mean = I0 / S
     I2_osc = I2 - mean ** 2 * S
@@ -290,17 +296,15 @@ def check_logbm_ball_form(params):
                      if abs(n * fR + R * fpR) > 1e-300 else float("inf"))
     case1 = bool(rayleigh_osc >= 2 * n - 1e-8
                  and profile_ratio >= 1.0 / n - 1e-12)
-    ok = margin <= -tol if expected_failure else margin >= -tol
-    return CheckResult(
-        check_id=_mk_id("logbm_ball_form", params),
-        kind="logbm_ball_form", n=n, R=R, measure=_measure_name(mu),
-        margin=margin, tol=tol, passed=bool(ok), params=params,
+    return _result(
+        "logbm_ball_form", params, n, _measure_name(mu), margin,
+        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R,
         expected_failure=expected_failure, oracle_diff=identity_gap,
         details={"lhs": lhs, "rhs": rhs, "contrib_mean": contrib_mean,
-                 "contrib_osc": contrib_osc, "psi_parity": parity,
+                 "contrib_osc": contrib_osc, "psi_parity": psi.parity(),
                  "rayleigh_osc": rayleigh_osc,
                  "profile_ratio": profile_ratio,
-                 "sufficient_condition": case1, "sense": "ge"})
+                 "sufficient_condition": case1})
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +321,16 @@ def _base_sf(params, n):
     return sf_from_spec({"type": "constant", "value": float(params["R"])}, n)
 
 
-def _scan_margins(params, combine):
+def _scan(kind, params, psi, combine, normalize=False,
+          expected_failure=False):
+    """combine(gamma(s_bar), gamma(e1), gamma(e2), lambda) for every pair of
+    family members e1 <= e2 and every lambda, with s_bar = lambda e1 +
+    (1 - lambda) e2; normalize divides by gamma^{1/n} at the member nearest
+    s = 0.  The worst margin decides; the lambda in {0, 1} margins, which
+    read the same table entry on both sides, give the oracle_diff."""
     n = params["n"]
     g = _grid(n, params["resolution"])
-    mu = _measure(params["measure"])
-    psi = _psi(params, n)
+    mu = _measures.measure_from_spec(params["measure"])
     base = _base_sf(params, n)
     if params.get("family", "additive") == "multiplicative":
         fam = _variation.mult_family_through(base, psi, g)
@@ -330,10 +339,10 @@ def _scan_margins(params, combine):
     lambdas = params.get("lambdas", _DEFAULT_LAMBDAS)
     if "eps_abs" in params:
         eps = [float(e) for e in params["eps_abs"]]
-        worst = max(abs(e) for e in eps)
-        if worst > fam.a:
+        largest = max(abs(e) for e in eps)
+        if largest > fam.a:
             raise ValueError(
-                f"requested perturbation amplitude {worst:g} exceeds the "
+                f"requested perturbation amplitude {largest:g} exceeds the "
                 f"family's validity radius {fam.a:g}; shrink eps_abs or "
                 "use eps_fracs")
     else:
@@ -352,11 +361,23 @@ def _scan_margins(params, combine):
     if np.any(gam <= 0.0):
         raise ValueError("measure vanished along the family")
     lut = dict(zip(s_arr.tolist(), gam.tolist()))
-    rows = []
-    for e1, e2, lam, sbar in combos:
-        m = combine(lut[sbar], lut[e1], lut[e2], lam)
-        rows.append((e1, e2, lam, m))
-    return fam, rows, lut
+    raw = [combine(lut[sbar], lut[e1], lut[e2], lam)
+           for e1, e2, lam, sbar in combos]
+    margins = np.array(raw)
+    if normalize:
+        margins = margins / lut[min(lut, key=abs)] ** (1.0 / n)
+    worst = int(np.argmin(margins))
+    endpoint = [m for c, m in zip(combos, raw) if c[2] in (0.0, 1.0)]
+    return _result(
+        kind, params, n, _measure_name(mu), float(margins[worst]),
+        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=params.get("R"),
+        expected_failure=expected_failure,
+        oracle_diff=max(abs(v) for v in endpoint) if endpoint else None,
+        details={"validity_radius": fam.a, "combos": len(combos),
+                 "worst": {"eps1": combos[worst][0],
+                           "eps2": combos[worst][1],
+                           "lambda": combos[worst][2]},
+                 "psi_parity": psi.parity()})
 
 
 def check_scan_dim_bm(params):
@@ -364,8 +385,6 @@ def check_scan_dim_bm(params):
     members, gamma^{1/n} is at least the chord value.  lambda in {0, 1}
     must give a bitwise-zero margin (same table entry on both sides)."""
     n = params["n"]
-    mu = _measure(params["measure"])
-    tol = params.get("tol", DEFAULT_MARGIN_TOL)
     if params.get("family", "additive") != "additive":
         raise ValueError("dimensional scans combine additively")
 
@@ -373,63 +392,27 @@ def check_scan_dim_bm(params):
         return (g_bar ** (1.0 / n)
                 - lam * g1 ** (1.0 / n) - (1.0 - lam) * g2 ** (1.0 / n))
 
-    fam, rows, lut = _scan_margins(params, combine)
-    g0 = lut[min(lut, key=lambda s: abs(s))]
-    margins = np.array([r[3] for r in rows])
-    norm = margins / g0 ** (1.0 / n)
-    worst = int(np.argmin(norm))
-    endpoint = [r[3] for r in rows if r[2] in (0.0, 1.0)]
-    return CheckResult(
-        check_id=_mk_id("scan_dim_bm", params),
-        kind="scan_dim_bm", n=n, R=params.get("R"), measure=_measure_name(mu),
-        margin=float(norm[worst]), tol=tol,
-        passed=bool(np.all(norm >= -tol)), params=params,
-        oracle_diff=max(abs(v) for v in endpoint) if endpoint else None,
-        details={"validity_radius": fam.a, "combos": len(rows),
-                 "worst": {"eps1": rows[worst][0], "eps2": rows[worst][1],
-                           "lambda": rows[worst][2]},
-                 "psi_parity": _psi(params, n).parity(), "sense": "ge"})
+    return _scan("scan_dim_bm", params, _psi(params, n), combine,
+                 normalize=True)
 
 
 def check_scan_log_bm(params):
     """Log concavity along a multiplicative family: log gamma at the
     geometric combination dominates the chord, for even directions on a
     symmetric base."""
-    n = params["n"]
-    mu = _measure(params["measure"])
-    tol = params.get("tol", DEFAULT_MARGIN_TOL)
     params = dict(params)
     params.setdefault("family", "multiplicative")
     if params["family"] != "multiplicative":
         raise ValueError("log scans combine geometrically")
-    psi = _psi(params, n)
-    expected_failure = bool(params.get("expect_failure", False))
-    if psi.parity() != "even" and not expected_failure:
-        raise ValueError("log scans are asserted for even directions; "
-                         "pass expect_failure otherwise")
+    psi = _psi(params, params["n"])
+    expected_failure = _expected_failure(params, psi, "log scans are")
 
     def combine(g_bar, g1, g2, lam):
         return (math.log(g_bar)
                 - lam * math.log(g1) - (1.0 - lam) * math.log(g2))
 
-    fam, rows, lut = _scan_margins(params, combine)
-    margins = np.array([r[3] for r in rows])
-    worst = int(np.argmin(margins))
-    endpoint = [r[3] for r in rows if r[2] in (0.0, 1.0)]
-    if expected_failure:
-        ok = margins.min() <= -tol
-    else:
-        ok = bool(np.all(margins >= -tol))
-    return CheckResult(
-        check_id=_mk_id("scan_log_bm", params),
-        kind="scan_log_bm", n=n, R=params.get("R"), measure=_measure_name(mu),
-        margin=float(margins[worst]), tol=tol, passed=bool(ok),
-        params=params, expected_failure=expected_failure,
-        oracle_diff=max(abs(v) for v in endpoint) if endpoint else None,
-        details={"validity_radius": fam.a, "combos": len(rows),
-                 "worst": {"eps1": rows[worst][0], "eps2": rows[worst][1],
-                           "lambda": rows[worst][2]},
-                 "psi_parity": psi.parity(), "sense": "ge"})
+    return _scan("scan_log_bm", params, psi, combine,
+                 expected_failure=expected_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +432,10 @@ def check_shift_counterexample(params):
         raise ValueError("shift parameter must lie in (0, 1)")
     n = 2
     g = _grid(n, params["resolution"])
-    mu = _measure(params.get("measure", {"kind": "lebesgue"}))
+    mu = _measures.measure_from_spec(params.get("measure",
+                                                {"kind": "lebesgue"}))
     if mu.kind != "lebesgue":
         raise ValueError("the closed form is for unweighted area")
-    tol = params.get("tol", 1e-6)
     h1 = sf_from_spec({"type": "sum", "parts": [
         [1.0, {"type": "constant", "value": 1.0}],
         [t, {"type": "first_harmonic"}]]}, n)
@@ -467,15 +450,11 @@ def check_shift_counterexample(params):
     closed = math.pi - (math.pi / 4.0) * (1.0 - math.sqrt(1.0 - t * t))
     closed_gap = abs(ag - closed) / closed
 
-    m_dirs = int(params.get("polygon_directions", 1440))
-    ang = np.linspace(0.0, 2.0 * math.pi, m_dirs, endpoint=False)
-    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    poly = _oracles.wulff_polygon(dirs, Kg.h.values(dirs))
+    poly = _polygon(Kg.h, int(params.get("polygon_directions", 1440)))
     poly_gap = abs(poly.area - closed) / closed
 
     details = {"area_geometric_mean": ag, "area_closed_form": closed,
-               "area_polygon": poly.area, "deficit": math.pi - ag,
-               "sense": "le"}
+               "area_polygon": poly.area, "deficit": math.pi - ag}
     odiff = max(closed_gap, poly_gap)
     if params.get("mc_samples"):
         est = _oracles.mc_measure(mu, Kg, n_samples=int(params["mc_samples"]),
@@ -485,16 +464,15 @@ def check_shift_counterexample(params):
         details["mc_z"] = (est.value - closed) / est.stderr
         if not est.agrees_with(closed):
             odiff = max(odiff, abs(est.value - closed))
-    passed = margin <= -tol and closed_gap < 1e-8 and poly_gap < 1e-4
-    return CheckResult(
-        check_id=_mk_id("shift_counterexample", params),
-        kind="shift_counterexample", n=n, R=1.0, measure=_measure_name(mu),
-        margin=margin, tol=tol, passed=bool(passed), params=params,
-        expected_failure=True, oracle_diff=odiff, details=details)
+    return _result(
+        "shift_counterexample", params, n, _measure_name(mu), margin,
+        params.get("tol", 1e-6), "le", R=1.0, expected_failure=True,
+        extra_ok=closed_gap < 1e-8 and poly_gap < 1e-4, oracle_diff=odiff,
+        details=details)
 
 
 # ---------------------------------------------------------------------------
-# cone-measure form and boundary functionals
+# cone-measure form
 # ---------------------------------------------------------------------------
 
 def check_cone_inequality(params):
@@ -508,16 +486,10 @@ def check_cone_inequality(params):
     margin with the square of the mean replaced by the mean square."""
     n = params["n"]
     g = _grid(n, params["resolution"])
-    mu_name = "cone"
     psi = _psi(params, n)
-    tol = params.get("tol", DEFAULT_MARGIN_TOL)
-    expected_failure = bool(params.get("expect_failure", False))
-    parity = psi.parity()
-    base = _base_sf(params, n)
-    body = body_from_support(base, g)
-    if parity != "even" and not expected_failure:
-        raise ValueError("the cone-measure bound is asserted for even "
-                         "directions; pass expect_failure for odd ones")
+    expected_failure = _expected_failure(params, psi,
+                                         "the cone-measure bound is")
+    body = body_from_support(_base_sf(params, n), g)
     w = g.weights
     h = body.hvals
     Q = body.curvature.Q
@@ -543,47 +515,14 @@ def check_cone_inequality(params):
     cs_margin = n * (mean_sq_ratio - mean_ratio ** 2)
     weak_margin = rhs - (float(np.sum(cone_w * lhs_density))
                          - n * mean_sq_ratio)
-    ok = margin <= -tol if expected_failure else margin >= -tol
-    return CheckResult(
-        check_id=_mk_id("cone_inequality", params),
-        kind="cone_inequality", n=n, R=params.get("R"), measure=mu_name,
-        margin=margin, tol=tol, passed=bool(ok), params=params,
+    return _result(
+        "cone_inequality", params, n, "cone", margin,
+        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=params.get("R"),
         expected_failure=expected_failure,
         oracle_diff=abs(weight_total - 1.0),
         details={"lhs": lhs, "rhs": rhs, "cs_margin": cs_margin,
                  "weak_margin": weak_margin, "weight_total": weight_total,
-                 "psi_parity": parity, "sense": "ge"})
-
-
-def check_strengthened_minkowski(params):
-    """Quermassintegral chain with the boundary inverse-height functional:
-
-        V_n (2 pi V_{n-2} + Ibd) <= 4 V_{n-1}^2,   Ibd = int det Q / h du,
-
-    with equality for centered balls (any radius, any n); the unscaled
-    combination V_n (V_{n-2} + Ibd) - V_{n-1}^2 is reported alongside, and
-    Minkowski's second inequality V_n V_{n-2} <= (1-1/n) V_{n-1}^2 rides
-    along in the details."""
-    n = params["n"]
-    g = _grid(n, params["resolution"])
-    tol = params.get("tol", DEFAULT_MARGIN_TOL)
-    base = _base_sf(params, n)
-    body = body_from_support(base, g)
-    V = quermassintegrals(body)
-    ibd = boundary_inverse_height(body)
-    cal = 4.0 * V[n - 1] ** 2 - V[n] * (2.0 * math.pi * V[n - 2] + ibd)
-    literal = V[n - 1] ** 2 - V[n] * (V[n - 2] + ibd)
-    mink2 = (n - 1) / n * V[n - 1] ** 2 - V[n] * V[n - 2]
-    scale = max(V[n - 1] ** 2, 1e-30)
-    return CheckResult(
-        check_id=_mk_id("strengthened_minkowski", params),
-        kind="strengthened_minkowski", n=n, R=params.get("R"),
-        measure="lebesgue", margin=cal / scale, tol=tol,
-        passed=bool(cal / scale >= -tol), params=params,
-        oracle_diff=None,
-        details={"V": V, "boundary_inverse_height": ibd,
-                 "margin_calibrated": cal, "margin_literal": literal,
-                 "minkowski_second_margin": mink2, "sense": "ge"})
+                 "psi_parity": psi.parity()})
 
 
 # ---------------------------------------------------------------------------
@@ -595,23 +534,19 @@ def check_mc_agreement(params):
     margin is the z-score gap 4 - |z|."""
     n = params["n"]
     g = _grid(n, params["resolution"])
-    mu = _measure(params["measure"])
-    base = _base_sf(params, n)
-    body = body_from_support(base, g)
+    mu = _measures.measure_from_spec(params["measure"])
+    body = body_from_support(_base_sf(params, n), g)
     value = measure_of_body(mu, body)
     est = _oracles.mc_measure(mu, body,
                               n_samples=int(params.get("mc_samples", 1 << 18)),
                               seed=int(params.get("seed", 2024)))
     z = (est.value - value) / est.stderr if est.stderr > 0 else 0.0
-    margin = 4.0 - abs(z)
-    return CheckResult(
-        check_id=_mk_id("mc_agreement", params),
-        kind="mc_agreement", n=n, R=params.get("R"), measure=_measure_name(mu),
-        margin=margin, tol=0.0, passed=bool(margin >= 0.0), params=params,
-        oracle_diff=abs(est.value - value),
+    return _result(
+        "mc_agreement", params, n, _measure_name(mu), 4.0 - abs(z), 0.0,
+        "ge", R=params.get("R"), oracle_diff=abs(est.value - value),
         details={"quadrature": value, "mc": est.value,
                  "mc_stderr": est.stderr, "z": z, "samples": est.samples,
-                 "refined": est.refined, "sense": "ge"})
+                 "refined": est.refined})
 
 
 def check_polygon_agreement(params):
@@ -619,24 +554,17 @@ def check_polygon_agreement(params):
     polygon at m directions; the polygon is larger by O(1/m^2)."""
     n = 2
     g = _grid(n, params["resolution"])
-    base = _base_sf(params, n)
-    body = body_from_support(base, g)
+    body = body_from_support(_base_sf(params, n), g)
     area = quermassintegrals(body)[2]
     m = int(params.get("polygon_directions", 720))
-    tol = params.get("tol", 1e-4)
-    ang = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    poly = _oracles.wulff_polygon(dirs, body.h.values(dirs))
+    poly = _polygon(body.h, m)
     gap = poly.area - area
-    passed = 0.0 <= gap <= tol
-    return CheckResult(
-        check_id=_mk_id("polygon_agreement", params),
-        kind="polygon_agreement", n=n, R=params.get("R"),
-        measure="lebesgue", margin=gap, tol=tol, passed=bool(passed),
-        params=params, oracle_diff=abs(gap),
+    return _result(
+        "polygon_agreement", params, n, "lebesgue", gap,
+        params.get("tol", 1e-4), "le", R=params.get("R"),
+        extra_ok=gap >= 0.0, oracle_diff=abs(gap),
         details={"area_quadrature": area, "area_polygon": poly.area,
-                 "directions": m, "vertices": len(poly.vertices),
-                 "sense": "le"})
+                 "directions": m, "vertices": len(poly.vertices)})
 
 
 # ---------------------------------------------------------------------------
@@ -647,16 +575,12 @@ def check_moment_identities(params):
     """Residuals of f(D) = n A + D B and f'(D) = (n+1) B + D C."""
     n = params["n"]
     R = float(params["R"])
-    mu = _measure(params["measure"])
-    tol = params.get("tol", 1e-10)
+    mu = _measures.measure_from_spec(params["measure"])
     r1, r2 = _measures.moment_identities(mu, R, n)
-    resid = max(abs(r1), abs(r2))
-    return CheckResult(
-        check_id=_mk_id("moment_identities", params),
-        kind="moment_identities", n=n, R=R, measure=_measure_name(mu),
-        margin=resid, tol=tol, passed=bool(resid <= tol), params=params,
-        oracle_diff=None,
-        details={"residual_value": r1, "residual_slope": r2, "sense": "le"})
+    return _result(
+        "moment_identities", params, n, _measure_name(mu),
+        max(abs(r1), abs(r2)), params.get("tol", 1e-10), "le", R=R,
+        details={"residual_value": r1, "residual_slope": r2})
 
 
 def check_divergence_identities(params):
@@ -664,40 +588,26 @@ def check_divergence_identities(params):
     integration-by-parts symmetries, for a polynomial support function."""
     n = params["n"]
     g = _grid(n, params["resolution"])
-    tol = params.get("tol", 1e-11)
     base = _base_sf(params, n)
-    psi = _psi(params, n)
     omega = sf_from_spec(params["omega"], n)
     cy = _variation.cheng_yau_residual(base, g)
-    r1, r2 = _variation.ibp_residuals(base, psi, omega, g)
-    resid = max(cy, r1, r2)
-    return CheckResult(
-        check_id=_mk_id("divergence_identities", params),
-        kind="divergence_identities", n=n, R=params.get("R"),
-        measure="none", margin=resid, tol=tol,
-        passed=bool(resid <= tol), params=params, oracle_diff=None,
+    r1, r2 = _variation.ibp_residuals(base, _psi(params, n), omega, g)
+    return _result(
+        "divergence_identities", params, n, "none", max(cy, r1, r2),
+        params.get("tol", 1e-11), "le", R=params.get("R"),
         details={"cofactor_divergence": cy, "ibp_linear": r1,
-                 "ibp_trilinear": r2, "sense": "le"})
+                 "ibp_trilinear": r2})
 
 
 def check_second_variation_routes(params):
     """Agreement of the moment-route and profile-route second variations at
     the ball (these use disjoint measure data)."""
-    n = params["n"]
-    R = float(params["R"])
-    g = _grid(n, params["resolution"])
-    mu = _measure(params["measure"])
-    psi = _psi(params, n)
-    tol = params.get("tol", 1e-10)
-    var = variation_at_ball(mu, R, psi, g)
+    n, R, g, mu, psi, var = _at_ball(params)
     rel = var.route_gap / max(abs(var.g2_moment), abs(var.g2_profile), 1e-30)
-    return CheckResult(
-        check_id=_mk_id("second_variation_routes", params),
-        kind="second_variation_routes", n=n, R=R, measure=_measure_name(mu),
-        margin=rel, tol=tol, passed=bool(rel <= tol), params=params,
-        oracle_diff=None,
-        details={"g2_moment": var.g2_moment, "g2_profile": var.g2_profile,
-                 "sense": "le"})
+    return _result(
+        "second_variation_routes", params, n, _measure_name(mu), rel,
+        params.get("tol", 1e-10), "le", R=R,
+        details={"g2_moment": var.g2_moment, "g2_profile": var.g2_profile})
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +624,6 @@ CHECKS = {
     "scan_log_bm": check_scan_log_bm,
     "shift_counterexample": check_shift_counterexample,
     "cone_inequality": check_cone_inequality,
-    "strengthened_minkowski": check_strengthened_minkowski,
     "mc_agreement": check_mc_agreement,
     "polygon_agreement": check_polygon_agreement,
     "moment_identities": check_moment_identities,

@@ -236,18 +236,8 @@ class MomentTriple:
 
 def moments(measure, D, n, tol=QUAD_TOL):
     """Radial moment triple (A, B, C) of the measure at scale D."""
-    D = float(D)
-
-    def fvec(t):
-        td = t * D
-        return np.column_stack([
-            t ** (n - 1) * measure.f(td),
-            t ** n * measure.fprime(td),
-            t ** (n + 1) * measure.fsecond(td),
-        ])
-
-    a, b, c = adaptive_gk(fvec, 0.0, 1.0, tol=tol)
-    return MomentTriple(A=float(a), B=float(b), C=float(c), D=D, n=n)
+    a, b, c = radial_profile(measure, [D], n, powers=(0, 1, 2), tol=tol)[:, 0]
+    return MomentTriple(A=float(a), B=float(b), C=float(c), D=float(D), n=n)
 
 
 def moment_identities(measure, R, n):

@@ -9,12 +9,11 @@ import pytest
 from bmstab.bodies import (VALIDITY_EIG_FLOOR, FamilyError,
                            NonPositiveSupport, NotConvex, ball_body,
                            ball_intrinsic_volume, body_from_support,
-                           boundary_inverse_height, log_combine, make_family,
-                           measure_of_body, minkowski_combine,
-                           quermassintegrals)
+                           log_combine, make_family, measure_of_body,
+                           minkowski_combine, quermassintegrals)
 from bmstab.funcspecs import direction_suite, sf_from_spec
 from bmstab.sphere import (PolynomialSF, curvature_matrix, integrate, sf_exp,
-                           sf_ratio, sf_sum, sphere_area)
+                           sf_ratio, sf_sum)
 
 
 def perturbed_disk(eps, k=2):
@@ -97,16 +96,6 @@ def test_quermassintegrals_perturbed_disk(grid2):
     # mean width is unchanged by a pure second harmonic
     assert V[1] == pytest.approx(math.pi, rel=1e-12)
     assert V[2] == pytest.approx(math.pi * (1.0 - 1.5 * eps * eps), rel=1e-12)
-
-
-@pytest.mark.parametrize("n,R", [(2, 1.0), (3, 1.4)])
-def test_boundary_inverse_height_ball(n, R):
-    from bmstab.sphere import build_grid
-    g = build_grid(n, {2: 160, 3: 16}[n])
-    K = ball_body(R, g)
-    # int det Q / h du = |S| R^{n-2}
-    assert boundary_inverse_height(K) == pytest.approx(
-        sphere_area(n) * R ** (n - 2), rel=1e-12)
 
 
 def test_minkowski_combine_balls(grid2, lebesgue):

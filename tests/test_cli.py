@@ -199,7 +199,7 @@ def test_list_checks(capsys):
     rc = cli.main(["list-checks"])
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-    assert len(lines) == 15
+    assert len(lines) == 14
     names = {l.split()[0] for l in lines}
     assert names == set(cli.CHECKS)
 
@@ -241,6 +241,20 @@ def test_default_config_is_valid():
     assert kinds <= set(cli.CHECKS)
     # the default battery exercises every registered check kind
     assert kinds == set(cli.CHECKS)
+
+
+def test_every_check_kind_is_cross_checked():
+    # no check without an oracle: the first battery item of each kind
+    # reports an oracle_diff, or is an "le" residual whose margin is itself
+    # the cross-check
+    first = {}
+    for item in cli.default_battery():
+        first.setdefault(item["kind"], item["params"])
+    assert set(first) == set(cli.CHECKS)
+    for kind, params in first.items():
+        res = cli.run_check(kind, params)
+        assert (res.oracle_diff is not None
+                or res.details["sense"] == "le"), kind
 
 
 def test_identity_battery_is_valid():

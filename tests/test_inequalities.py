@@ -8,7 +8,7 @@ import pytest
 
 from bmstab.funcspecs import sf_from_spec
 from bmstab.inequalities import (CHECKS, DEFAULT_MARGIN_TOL, CheckResult,
-                                 rerun, run_check)
+                                 _result, rerun, run_check)
 from bmstab.sphere import build_grid, integrate, sf_mul, sphere_area
 
 GAU = {"kind": "gaussian"}
@@ -23,7 +23,7 @@ RAND = {"type": "random_even", "seed": 20240817, "amplitude": 1.0}
 
 
 def test_registry_contents():
-    assert len(CHECKS) == 15
+    assert len(CHECKS) == 14
     for kind, fn in CHECKS.items():
         assert callable(fn)
         assert fn.__doc__, f"{kind} has no docstring"
@@ -233,28 +233,6 @@ def test_cone_inequality_odd_direction_fails():
     assert res.margin == pytest.approx(-0.5, abs=1e-8)
 
 
-def test_strengthened_minkowski_ball_equality():
-    for n, resolution in ((2, 160), (3, 16)):
-        for R in (0.6, 1.0, 1.7):
-            res = run_check("strengthened_minkowski",
-                            {"n": n, "R": R, "resolution": resolution,
-                             "base": {"type": "constant", "value": R}})
-            assert res.passed
-            assert abs(res.margin) < 1e-10, (n, R, res.margin)
-            # the literal constant placement is reported and is negative
-            assert res.details["margin_literal"] < 0.0
-
-
-def test_strengthened_minkowski_perturbed_frozen():
-    base = {"type": "sum", "parts": [
-        [1.0, {"type": "constant", "value": 1.0}],
-        [0.1, {"type": "second_harmonic"}]]}
-    res = run_check("strengthened_minkowski",
-                    {"n": 2, "resolution": 160, "base": base})
-    assert res.passed
-    assert res.margin == pytest.approx(0.020302015757410512, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # oracle-agreement checks
 # ---------------------------------------------------------------------------
@@ -349,3 +327,25 @@ def test_check_id_stable():
     res = run_check("moment_identities", {"n": 2, "R": 1.0, "measure": GAU})
     assert res.check_id == "moment_identities|n=2|R=1.0|measure=gaussian"
     assert isinstance(res, CheckResult)
+
+
+@pytest.mark.parametrize("sense,expected_failure,want", [
+    ("ge", False, [False, True, True, True]),
+    ("le", False, [True, True, True, False]),
+    ("ge", True, [True, True, False, False]),
+    ("le", True, [True, True, False, False]),
+], ids=["ge", "le", "expected_failure_ge", "expected_failure_le"])
+def test_pass_rule_truth_table(sense, expected_failure, want):
+    tol = 0.25
+    params = {"n": 2, "R": 1.0}
+    for margin, ok in zip((-2 * tol, -tol, tol, 2 * tol), want):
+        res = _result("probe", params, 2, "lebesgue", margin, tol, sense,
+                      expected_failure=expected_failure)
+        assert res.passed is ok, (margin, sense, expected_failure)
+        assert res.check_id == "probe|n=2|R=1.0"
+        assert res.kind == "probe"
+        assert res.details["sense"] == sense
+        # a failed further condition fails the check whatever the margin
+        assert _result("probe", params, 2, "lebesgue", margin, tol, sense,
+                       expected_failure=expected_failure,
+                       extra_ok=False).passed is False
