@@ -21,8 +21,8 @@ import numpy as np
 from . import measures as _measures
 from .sphere import (CurvatureField, PolynomialSF, SphereGrid,
                      SphericalFunction, ball_volume, batch_det,
-                     batch_min_eig, curvature_matrix, frame_hessian,
-                     sf_product_powers, sf_sum, sphere_area)
+                     batch_min_eig, curvature_matrix, sf_product_powers,
+                     sf_sum, sphere_area)
 
 
 class NonPositiveSupport(ValueError):
@@ -46,14 +46,20 @@ class FamilyError(ValueError):
 class Body:
     h: SphericalFunction
     grid: SphereGrid = field(repr=False)
-    hvals: np.ndarray = field(repr=False)
-    grad0: np.ndarray = field(repr=False)
     curvature: CurvatureField = field(repr=False)
     D: np.ndarray = field(repr=False)
 
     @property
     def n(self):
         return self.grid.n
+
+    @property
+    def hvals(self):
+        return self.curvature.val
+
+    @property
+    def grad0(self):
+        return self.curvature.grad
 
     @property
     def min_curvature_eig(self):
@@ -64,21 +70,20 @@ def body_from_support(h, grid):
     """Validate a support-function candidate and cache its boundary data."""
     if h.n != grid.n:
         raise ValueError("support function dimension does not match the grid")
-    d = h.d2_ext0(grid.nodes)
-    if np.any(d.val <= 0.0):
-        i = int(np.argmin(d.val))
-        raise NonPositiveSupport(
-            f"support function nonpositive (h={d.val[i]:.6g} at node {i})",
-            node=grid.nodes[i])
     cf = curvature_matrix(h, grid)
+    if np.any(cf.val <= 0.0):
+        i = int(np.argmin(cf.val))
+        raise NonPositiveSupport(
+            f"support function nonpositive (h={cf.val[i]:.6g} at node {i})",
+            node=grid.nodes[i])
     if np.any(cf.min_eig <= 0.0):
         i = int(np.argmin(cf.min_eig))
         raise NotConvex(
             "curvature matrix not positive definite "
             f"(min eigenvalue {cf.min_eig[i]:.6g} at node {i})",
             node=grid.nodes[i], min_eig=float(cf.min_eig[i]))
-    D = np.sqrt(d.val ** 2 + np.sum(d.grad ** 2, axis=1))
-    return Body(h=h, grid=grid, hvals=d.val, grad0=d.grad, curvature=cf, D=D)
+    D = np.sqrt(cf.val ** 2 + np.sum(cf.grad ** 2, axis=1))
+    return Body(h=h, grid=grid, curvature=cf, D=D)
 
 
 def ball_body(radius, grid):
@@ -167,10 +172,10 @@ class PerturbationFamily:
     multiplicative:  h_s = h * phi^s   (phi strictly positive)
 
     At each grid node Q(h_s) = w(s) (C0 + s C1 + s^2 C2), with coefficients
-    computed once.  Additive: w = 1, C0 = Q(h), C1 = Q(psi), C2 = 0.
-    Multiplicative: w = h_s and, with frames E and w_f = grad f / f,
-    C0 = I + E (hess h / h) E^T, C2 = (E w_phi)(E w_phi)^T and
-    C1 = E (hess phi / phi - w_phi w_phi^T + w_h w_phi^T + w_phi w_h^T) E^T.
+    computed once from the curvature fields Q0 = Q(h) and Q1 = Q(direction).
+    Additive: w = 1, C0 = Q0, C1 = Q1, C2 = 0.  Multiplicative: w = h_s and,
+    with frames E and w_f = grad f / f, C0 = Q0 / h, C2 = (E w_phi)(E w_phi)^T
+    and C1 = Q1 / phi - I + (E w_h)(E w_phi)^T + (E w_phi)(E w_h)^T - C2.
 
     `a` is the validity radius: at every node and every |s| <= a, h_s > 0 and
     w(s) lambda_min(C0 + s C1) >= VALIDITY_EIG_FLOOR * (base body's minimum
@@ -207,34 +212,29 @@ class PerturbationFamily:
     # -- batched node fields ------------------------------------------------
 
     def _coefficients(self):
-        """Node data of h_s (values v0, v1 and gradient terms g0, g1) and the
-        coefficients C0, C1, C2 of Q(h_s), computed on first use.  An
-        additive family made by make_family has v0, g0 and C0 seeded from
-        its validated base body."""
+        """Node data of h_s (values v0, v1 and gradient terms g0, g1), the
+        coefficients C0, C1, C2 of Q(h_s) and the validity floor, computed
+        on first use from one curvature field of the base and one of the
+        direction.  make_family seeds the base's field from its validated
+        body; the seed is released once the coefficients are built."""
         c, g = self._cache, self.grid
         if "C1" not in c:
-            dd = self.direction.d2_ext0(g.nodes)
-            c["v1"] = dd.val
+            f0 = c.pop("base_field", None) or curvature_matrix(self.base, g)
+            f1 = curvature_matrix(self.direction, g)
+            c["floor"] = VALIDITY_EIG_FLOOR * float(np.min(f0.min_eig))
+            c["v0"], c["v1"] = f0.val, f1.val
             if self.kind == "additive":
-                if "C0" not in c:
-                    db = self.base.d2_ext0(g.nodes)
-                    c["v0"], c["g0"] = db.val, db.grad
-                    c["C0"] = curvature_matrix(self.base, g).Q
-                c["g1"] = dd.grad
-                c["C1"] = curvature_matrix(self.direction, g).Q
-                c["C2"] = 0.0
+                c["g0"], c["g1"] = f0.grad, f1.grad
+                c["C0"], c["C1"], c["C2"] = f0.Q, f1.Q, 0.0
             else:
-                db = self.base.d2_ext0(g.nodes)
-                c["v0"] = db.val
-                c["g0"] = db.grad / db.val[:, None]
-                c["g1"] = dd.grad / dd.val[:, None]
+                c["g0"] = f0.grad / f0.val[:, None]
+                c["g1"] = f1.grad / f1.val[:, None]
                 Eh, Ed = (np.einsum("map,mp->ma", g.frames, c[k])
                           for k in ("g0", "g1"))
                 cross = np.einsum("ma,mb->mab", Eh, Ed)
                 c["C2"] = np.einsum("ma,mb->mab", Ed, Ed)
-                c["C0"] = (np.eye(g.n - 1)
-                           + frame_hessian(db.hess / db.val[:, None, None], g))
-                c["C1"] = (frame_hessian(dd.hess / dd.val[:, None, None], g)
+                c["C0"] = f0.Q / f0.val[:, None, None]
+                c["C1"] = (f1.Q / f1.val[:, None, None] - np.eye(g.n - 1)
                            + cross + cross.transpose(0, 2, 1) - c["C2"])
         return c
 
@@ -285,8 +285,7 @@ class PerturbationFamily:
         vals = self._values(s)
         lam = batch_min_eig(c["C0"] + s * c["C1"])
         w = vals if self.kind == "multiplicative" else 1.0
-        floor = VALIDITY_EIG_FLOOR * c["base_min_eig"]
-        return bool(np.all(vals > 0.0) and np.all(w * lam >= floor))
+        return bool(np.all(vals > 0.0) and np.all(w * lam >= c["floor"]))
 
 
 def make_family(kind, h, direction, grid, max_radius=8.0):
@@ -301,10 +300,7 @@ def make_family(kind, h, direction, grid, max_radius=8.0):
                 "multiplicative direction must be strictly positive")
     fam = PerturbationFamily(kind=kind, base=h, direction=direction,
                              grid=grid)
-    fam._cache["base_min_eig"] = base_body.min_curvature_eig
-    if kind == "additive":
-        fam._cache.update(v0=base_body.hvals, g0=base_body.grad0,
-                          C0=base_body.curvature.Q)
+    fam._cache["base_field"] = base_body.curvature
     trace = []
     if fam._valid_on(max_radius):
         fam.a = max_radius

@@ -220,8 +220,8 @@ def check_dim_bm_decomposition(params):
         B1 = (A f / |S|) ((n-1) I2 - J2) + (A R f' / |S|) I2,
         B2 = ((n-1)/n) f^2 (I0 / |S|)^2,
 
-    margin = B2 - B1; cross-checked against the variation route, which it
-    must reproduce up to rounding after normalizing by |S|^2 R^{2n-2}."""
+    margin = B2 - B1 >= 0; cross-checked against the variation route, which
+    it must reproduce up to rounding after normalizing by |S|^2 R^{2n-2}."""
     n, R, g, mu, psi, var = _at_ball(params)
     S = sphere_area(n)
     A, fR, fpR = var.A, var.fR, var.fpR
@@ -424,9 +424,10 @@ def check_shift_counterexample(params):
 
         area = pi - (pi/4) (1 - sqrt(1 - t^2)) < pi,
 
-    so the log-concavity margin is genuinely negative once the center
-    moves: symmetry matters.  The closed form, the quadrature area, the
-    polygonal area, and (optionally) Monte Carlo must all agree."""
+    so the log-concavity margin log area(K_g) - (log area(K_1) + log
+    area(K_2))/2 >= 0 fails once the center moves: symmetry matters.  The
+    closed form, the quadrature area, the polygonal area, and (optionally)
+    Monte Carlo must all agree."""
     t = float(params["t"])
     if not 0.0 < t < 1.0:
         raise ValueError("shift parameter must lie in (0, 1)")
@@ -466,7 +467,7 @@ def check_shift_counterexample(params):
             odiff = max(odiff, abs(est.value - closed))
     return _result(
         "shift_counterexample", params, n, _measure_name(mu), margin,
-        params.get("tol", 1e-6), "le", R=1.0, expected_failure=True,
+        params.get("tol", 1e-6), "ge", R=1.0, expected_failure=True,
         extra_ok=closed_gap < 1e-8 and poly_gap < 1e-4, oracle_diff=odiff,
         details=details)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import tangent_frames
+from .sphere import frame_hessian, tangent_frames
 
 MC_BATCH = 1 << 16
 _ROW_BLOCK = 256            # sample rows per net product in mc_measure
@@ -211,8 +211,7 @@ def _polish_support_max(h, X, u0, g0):
         grad_amb = X - xu[:, None] * u - d.grad
         E = tangent_frames(u)                               # (k, n-1, n)
         gf = np.einsum("kap,kp->ka", E, grad_amb)
-        Hf = (np.einsum("kap,kpq,kbq->kab", E, d.hess, E)
-              + xu[:, None, None] * eye)
+        Hf = frame_hessian(d.hess, E) + xu[:, None, None] * eye
         try:
             step = np.linalg.solve(Hf, gf[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:

@@ -5,12 +5,20 @@ ambient coordinates restricted to the sphere (trigonometric polynomials when
 n = 2).  All derivatives are taken analytically through the homogeneous
 extensions of the function:
 
+* the 0-homogeneous extension  h0(x) = f(x/|x|)  carries the intrinsic data
+  (its ambient gradient at a sphere point is the spherical gradient, the
+  trace of its ambient Hessian is the Laplace-Beltrami image),
 * the 1-homogeneous extension  F(x) = |x| f(x/|x|)  carries the data used by
-  support-function geometry (its ambient Hessian restricted to a tangent
-  frame is the curvature matrix),
-* the 0-homogeneous extension  f(x/|x|)  carries the intrinsic data (its
-  ambient gradient at a sphere point is the spherical gradient, the trace of
-  its ambient Hessian is the Laplace-Beltrami image).
+  support-function geometry (its gradient at u is f(u) u + grad h0(u)).
+
+The curvature matrix Q(h) = hess_S h + h I of a support candidate comes
+from the 0-homogeneous bundle alone: on orthonormal tangent frames E
+(E u = 0),
+
+    Q(h; u) = h(u) I + E hess h0(u) E^T,
+
+so one evaluation of `d2_ext0` per grid gives h, its spherical gradient and
+Q together (`curvature_matrix`).
 
 Grids are products of one-dimensional rules: the trapezoid rule on the
 circle, and for n >= 3 Gauss rules for the weights (1 - t^2)^{(n-3)/2} in
@@ -174,15 +182,6 @@ class SphericalFunction:
         grad F(u) = f(u) u + spherical gradient."""
         d = self.d2_ext0(U)
         return U * d.val[:, None] + d.grad
-
-    def hess1(self, U):
-        """Ambient Hessian of the 1-homogeneous extension at unit points."""
-        d = self.d2_ext0(U)
-        m, n = U.shape
-        eye = np.eye(n)[None, :, :]
-        proj = eye - np.einsum("mi,mj->mij", U, U)
-        return (proj * d.val[:, None, None]
-                + _outer(U, d.grad) + _outer(d.grad, U) + d.hess)
 
     def spherical_grad(self, U):
         """Spherical gradient (tangent vector field) at unit points."""
@@ -654,8 +653,12 @@ def integrate(f, grid):
 
 @dataclass
 class CurvatureField:
-    """Per-node curvature matrices Q(h; u) = (h_ij + h delta_ij) in the
-    grid's tangent frames, with determinants and smallest eigenvalues."""
+    """Node data of a support candidate h from one evaluation of its
+    0-homogeneous bundle: values, spherical gradients, and the curvature
+    matrices Q(h; u) = h I + E hess h0 E^T in the grid's tangent frames,
+    with determinants and smallest eigenvalues."""
+    val: np.ndarray         # (m,)
+    grad: np.ndarray        # (m, n)
     Q: np.ndarray           # (m, n-1, n-1)
     det: np.ndarray         # (m,)
     min_eig: np.ndarray     # (m,)
@@ -689,20 +692,23 @@ def batch_min_eig(Q):
     return np.linalg.eigvalsh(Q)[..., 0]
 
 
-def frame_hessian(hess1_vals, grid):
-    """Restrict ambient Hessians (m, n, n) to the tangent frames, giving
-    (m, n-1, n-1) matrices."""
-    return np.einsum("map,mpq,mbq->mab", grid.frames, hess1_vals, grid.frames)
+def frame_hessian(hess, frames):
+    """Restrict ambient Hessians (m, n, n) to tangent frames (m, n-1, n),
+    giving (m, n-1, n-1) matrices."""
+    return np.einsum("map,mpq,mbq->mab", frames, hess, frames)
 
 
 def curvature_matrix(h, grid):
-    """Curvature matrix field of a support-function candidate h."""
+    """Curvature matrix field of a support-function candidate h, from one
+    `d2_ext0` call at the grid nodes."""
     if h.n != grid.n:
         raise ValueError("function dimension does not match the grid")
-    Q = frame_hessian(h.hess1(grid.nodes), grid)
-    det = batch_det(Q)
-    min_eig = batch_min_eig(Q)
-    return CurvatureField(Q=Q, det=det, min_eig=min_eig, grid=grid)
+    d = h.d2_ext0(grid.nodes)
+    Q = frame_hessian(d.hess, grid.frames)
+    diag = np.arange(grid.n - 1)
+    Q[:, diag, diag] += d.val[:, None]
+    return CurvatureField(val=d.val, grad=d.grad, Q=Q, det=batch_det(Q),
+                          min_eig=batch_min_eig(Q), grid=grid)
 
 
 def split_mean(psi, grid):

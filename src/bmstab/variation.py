@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as _measures
-from .bodies import FamilyError, body_from_support, measure_of_body
+from .bodies import body_from_support, measure_of_body
 from .sphere import (batch_det, curvature_matrix, sf_exp, sf_log, sf_mul,
                      sf_ratio, sphere_area)
 
@@ -121,12 +121,6 @@ def cheng_yau_residual(h, grid):
     return float(np.max(np.abs(cheng_yau_divergence(h, grid))))
 
 
-def _linearized_form(Ch, f, grid):
-    """tr(C[Q_h] . Q(f)) at the grid nodes."""
-    Qf = curvature_matrix(f, grid).Q
-    return np.einsum("mij,mij->m", Ch, Qf)
-
-
 def ibp_residuals(h, psi, omega, grid):
     """Relative residuals of the two integration-by-parts symmetries.
 
@@ -136,29 +130,20 @@ def ibp_residuals(h, psi, omega, grid):
         (psi, omega, h).
     """
     w = grid.weights
-    Qh = curvature_matrix(h, grid).Q
-    Ch = cofactor_field(Qh)
-    C2 = second_cofactor_field(Qh)
-    pv = psi.values(grid.nodes)
-    ov = omega.values(grid.nodes)
-    hv = h.values(grid.nodes)
+    fp, fo, fh = (curvature_matrix(f, grid) for f in (psi, omega, h))
+    Ch = cofactor_field(fh.Q)
+    C2 = second_cofactor_field(fh.Q)
 
-    a = np.sum(w * pv * _linearized_form(Ch, omega, grid))
-    b = np.sum(w * ov * _linearized_form(Ch, psi, grid))
+    a = np.sum(w * fp.val * np.einsum("mij,mij->m", Ch, fo.Q))
+    b = np.sum(w * fo.val * np.einsum("mij,mij->m", Ch, fp.Q))
     r1 = abs(a - b) / max(abs(a), abs(b), 1.0)
 
-    Qp = curvature_matrix(psi, grid).Q
-    Qo = curvature_matrix(omega, grid).Q
-    fields = {"psi": (pv, Qp), "omega": (ov, Qo), "h": (hv, Qh)}
+    def tri(f0, f1, f2):
+        return np.sum(w * f0.val * np.einsum("mijkl,mij,mkl->m", C2, f1.Q,
+                                             f2.Q))
 
-    def tri(n0, n1, n2):
-        v0 = fields[n0][0]
-        Q1 = fields[n1][1]
-        Q2 = fields[n2][1]
-        return np.sum(w * v0 * np.einsum("mijkl,mij,mkl->m", C2, Q1, Q2))
-
-    vals = [tri("psi", "omega", "h"), tri("omega", "psi", "h"),
-            tri("h", "psi", "omega"), tri("psi", "h", "omega")]
+    vals = [tri(fp, fo, fh), tri(fo, fp, fh), tri(fh, fp, fo),
+            tri(fp, fh, fo)]
     scale = max(max(abs(v) for v in vals), 1.0)
     r2 = (max(vals) - min(vals)) / scale
     return float(r1), float(r2)
@@ -175,11 +160,9 @@ def first_variation(measure, body, direction):
     curvature determinant through the linearized cofactor form, and
     (iii) the radial scale D = sqrt(h^2 + |grad h|^2) inside the moment."""
     g = body.grid
-    n = g.n
-    d = direction.d2_ext0(g.nodes)
-    Ch = cofactor_field(body.curvature.Q)
-    lin = _linearized_form(Ch, direction, g)
-    prof = _measures.radial_profile(measure, body.D, n, powers=(0, 1))
+    d = curvature_matrix(direction, g)
+    lin = np.einsum("mij,mij->m", cofactor_field(body.curvature.Q), d.Q)
+    prof = _measures.radial_profile(measure, body.D, g.n, powers=(0, 1))
     A, B = prof[0], prof[1]
     dD = (body.hvals * d.val + np.sum(body.grad0 * d.grad, axis=1)) / body.D
     integrand = (d.val * body.curvature.det * A
@@ -285,10 +268,8 @@ def mult_family_through(h, psi, grid):
 
 def g_eval(family, measure, s):
     """gamma(K_{h_s}): the scalar function whose derivatives the closed
-    forms below predict.  s must lie inside the family's validity radius."""
-    if abs(s) > family.a:
-        raise FamilyError(
-            f"s={s:g} outside the validity radius {family.a:g}")
+    forms below predict.  s must lie inside the family's validity radius
+    (family.body_at raises FamilyError otherwise)."""
     return measure_of_body(measure, family.body_at(s))
 
 

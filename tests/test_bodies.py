@@ -12,8 +12,8 @@ from bmstab.bodies import (VALIDITY_EIG_FLOOR, FamilyError,
                            log_combine, make_family, measure_of_body,
                            minkowski_combine, quermassintegrals)
 from bmstab.funcspecs import direction_suite, sf_from_spec
-from bmstab.sphere import (PolynomialSF, curvature_matrix, integrate, sf_exp,
-                           sf_ratio, sf_sum)
+from bmstab.sphere import (PolynomialSF, SphericalFunction, curvature_matrix,
+                           integrate, sf_exp, sf_ratio, sf_sum)
 
 
 def perturbed_disk(eps, k=2):
@@ -284,6 +284,36 @@ def test_additive_family_computes_base_curvature_once(monkeypatch, grid3):
     c = fam._coefficients()
     assert np.array_equal(c["C0"], real(base, grid3).Q)
     assert np.array_equal(c["v0"], base.d2_ext0(grid3.nodes).val)
+
+
+class _CountingSF(SphericalFunction):
+    """A spherical function that counts its d2_ext0 calls."""
+
+    def __init__(self, sf):
+        self.sf, self.n, self.calls = sf, sf.n, 0
+
+    def values(self, U):
+        return self.sf.values(U)
+
+    def d2_ext0(self, U):
+        self.calls += 1
+        return self.sf.d2_ext0(U)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_one_node_evaluation_per_support_function(kind, grid3):
+    # a body, a family's base and a family's direction each evaluate their
+    # derivative bundle once on the grid; the multiplicative direction
+    # exp(psi) does not reference the base
+    base, psi = _family_case("additive", 3, "random_even")
+    h = _CountingSF(base)
+    body_from_support(h, grid3)
+    assert h.calls == 1
+    h = _CountingSF(base)
+    d = _CountingSF(psi if kind == "additive" else sf_exp(psi))
+    fam = make_family(kind, h, d, grid3)
+    fam.curvature_batch(np.array([-0.5, 0.5]) * fam.a)
+    assert (h.calls, d.calls) == (1, 1)
 
 
 def test_family_rejects_out_of_range(grid2):

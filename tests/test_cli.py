@@ -243,18 +243,51 @@ def test_default_config_is_valid():
     assert kinds == set(cli.CHECKS)
 
 
-def test_every_check_kind_is_cross_checked():
-    # no check without an oracle: the first battery item of each kind
-    # reports an oracle_diff, or is an "le" residual whose margin is itself
-    # the cross-check
+@pytest.fixture(scope="module")
+def first_battery_results():
+    # the result of the first default-battery item of each kind
     first = {}
     for item in cli.default_battery():
         first.setdefault(item["kind"], item["params"])
-    assert set(first) == set(cli.CHECKS)
-    for kind, params in first.items():
-        res = cli.run_check(kind, params)
+    return {kind: cli.run_check(kind, params)
+            for kind, params in first.items()}
+
+
+def test_every_check_kind_is_cross_checked(first_battery_results):
+    # no check without an oracle: the first battery item of each kind
+    # reports an oracle_diff, or is an "le" residual whose margin is itself
+    # the cross-check
+    assert set(first_battery_results) == set(cli.CHECKS)
+    for kind, res in first_battery_results.items():
         assert (res.oracle_diff is not None
                 or res.details["sense"] == "le"), kind
+
+
+# kind -> (recorded sense, the words of its docstring that state the sense)
+SENSE_STATEMENTS = {
+    "dim_bm_infinitesimal": ("ge", "g''(0) g(0) >= 0"),
+    "log_bm_infinitesimal": ("ge", "g''_mult(0) g(0) >= 0"),
+    "dim_bm_decomposition": ("ge", "margin = B2 - B1 >= 0"),
+    "ball_dilation": ("ge", "G''(R) G(R) <= (1 - 1/n) G'(R)^2"),
+    "logbm_ball_form": ("ge", "<= f^2 (I0/|S|)^2"),
+    "scan_dim_bm": ("ge", "is at least the chord value"),
+    "scan_log_bm": ("ge", "dominates the chord"),
+    "shift_counterexample": ("ge", "area(K_2))/2 >= 0 fails"),
+    "cone_inequality": ("ge", "<= int <Q^{-1} grad psi, grad psi> / h"),
+    "mc_agreement": ("ge", "margin is the z-score gap 4 - |z|"),
+    "polygon_agreement": ("le", "the polygon is larger by O(1/m^2)"),
+    "moment_identities": ("le", "Residuals of"),
+    "divergence_identities": ("le", "residual"),
+    "second_variation_routes": ("le", "Agreement of"),
+}
+
+
+def test_every_check_records_the_sense_of_its_statement(first_battery_results):
+    assert set(SENSE_STATEMENTS) == set(cli.CHECKS)
+    for kind, (sense, statement) in SENSE_STATEMENTS.items():
+        doc = " ".join(cli.CHECKS[kind].__doc__.split())
+        assert statement in doc, kind
+        assert first_battery_results[kind].details["sense"] == sense, kind
 
 
 def test_identity_battery_is_valid():

@@ -15,8 +15,20 @@ from bmstab.oracles import central_derivative
 from bmstab.sphere import (GridError, PolynomialSF, ball_volume,
                            batch_min_eig, build_grid, curvature_matrix,
                            integrate, poincare_ratio, sf_exp, sf_log, sf_mul,
-                           sf_ratio, sf_shift, sf_sum, sphere_area, split_mean)
-from bmstab.funcspecs import sf_from_spec
+                           sf_product_powers, sf_ratio, sf_shift, sf_sum,
+                           sphere_area, split_mean)
+from bmstab.funcspecs import direction_suite, sf_from_spec
+
+
+def hess1(sf, U):
+    """Ambient Hessian of the 1-homogeneous extension F(x) = |x| f(x/|x|) at
+    unit points U, from the 0-homogeneous bundle:
+    (I - u u^T) f + u grad^T + grad u^T + hess.  The reference for the
+    frame identity Q(h) = h I + E hess h0 E^T that curvature_matrix uses."""
+    d = sf.d2_ext0(U)
+    proj = np.eye(U.shape[1]) - np.einsum("mi,mj->mij", U, U)
+    return (proj * d.val[:, None, None] + np.einsum("mi,mj->mij", U, d.grad)
+            + np.einsum("mi,mj->mij", d.grad, U) + d.hess)
 
 
 def monomial_sphere_integral(alpha):
@@ -211,7 +223,7 @@ def test_polynomial_derivatives_match_blackbox(grid2_small):
     e = np.eye(2)
     nodes = grid2_small.nodes[::7]
     ga = poly.grad1(nodes)
-    ha = poly.hess1(nodes)
+    ha = hess1(poly, nodes)
     for u, g, H in zip(nodes, ga, ha):
         assert np.max(np.abs(g - [fd(u, e[i], 1) for i in range(2)])) < 1e-9
         h11, h22 = fd(u, e[0], 2), fd(u, e[1], 2)
@@ -222,13 +234,42 @@ def test_polynomial_derivatives_match_blackbox(grid2_small):
 def test_hess1_symmetry_and_ball_curvature(grid2, grid3):
     for g, R in ((grid2, 0.75), (grid3, 1.25)):
         h = PolynomialSF.constant(g.n, R)
-        H = h.hess1(g.nodes)
+        H = hess1(h, g.nodes)
         assert np.max(np.abs(H - np.swapaxes(H, 1, 2))) < 1e-12
         curv = curvature_matrix(h, g)
         eye = np.broadcast_to(np.eye(g.n - 1), curv.Q.shape)
         assert np.max(np.abs(curv.Q - R * eye)) < 1e-12
         assert curv.det == pytest.approx(R ** (g.n - 1), rel=1e-12)
         assert np.allclose(curv.min_eig, R, atol=1e-12)
+
+
+def _identity_cases(n):
+    base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
+                   (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
+    x1 = PolynomialSF.linear(n, [1.0] + [0.0] * (n - 1))
+    cases = [(name, psi) for name, _, psi in direction_suite(n)]
+    cases.append(("product_powers", sf_product_powers(
+        [(base, 0.5), (x1 * x1 + 1.0, 1.5)], exp_part=0.2 * x1, scale=1.3)))
+    cases += [(f"exp_ratio_{name}", sf_exp(sf_ratio(psi, base)))
+              for name, _, psi in direction_suite(n)]
+    return cases
+
+
+def test_curvature_matrix_matches_the_ambient_hessian(grid2, grid3, grid4):
+    # Q from the 0-homogeneous bundle against E hess1 E^T, node by node
+    eps = np.finfo(float).eps
+    for g in (grid2, grid3, grid4):
+        E = g.frames
+        for name, sf in _identity_cases(g.n):
+            cf = curvature_matrix(sf, g)
+            want = np.einsum("map,mpq,mbq->mab", E, hess1(sf, g.nodes), E)
+            d = sf.d2_ext0(g.nodes)
+            scale = np.maximum(np.abs(d.val),
+                               np.max(np.abs(d.hess), axis=(1, 2)))
+            err = np.max(np.abs(cf.Q - want), axis=(1, 2))
+            assert np.all(err <= 16.0 * eps * scale), (g.n, name)
+            assert np.array_equal(cf.val, d.val), (g.n, name)
+            assert np.array_equal(cf.grad, d.grad), (g.n, name)
 
 
 def _min_eig_stacks(N, rng):
@@ -365,7 +406,7 @@ def test_sf_algebra_round_trips(grid2_small):
     back = sf_exp(sf_log(h))
     assert np.max(np.abs(back.values(nodes) - h.values(nodes))) < 1e-12
     assert np.max(np.abs(back.grad1(nodes) - h.grad1(nodes))) < 1e-10
-    assert np.max(np.abs(back.hess1(nodes) - h.hess1(nodes))) < 1e-9
+    assert np.max(np.abs(hess1(back, nodes) - hess1(h, nodes))) < 1e-9
     # ratio then multiply recovers the numerator
     q = sf_ratio(h, PolynomialSF.constant(2, 2.0))
     twice = sf_mul(q, PolynomialSF.constant(2, 2.0))
