@@ -14,8 +14,7 @@ if _threads:
 __version__ = "0.1.0"
 
 from .sphere import (PolynomialSF, SphereGrid, build_grid, curvature_matrix,
-                     integrate, sf_exp, sf_log, sf_mul, sf_ratio, sf_shift,
-                     sf_sum)
+                     integrate, sf_exp, sf_log, sf_mul, sf_ratio, sf_sum)
 from .measures import make_measure, measure_from_spec, moments, ball_measure
 from .bodies import (Body, ball_body, body_from_support, log_combine,
                      make_family, measure_of_body, minkowski_combine,
@@ -28,8 +27,8 @@ from .inequalities import CHECKS, CheckResult, rerun, run_check
 
 __all__ = [
     "PolynomialSF", "SphereGrid", "build_grid", "curvature_matrix",
-    "integrate", "sf_exp", "sf_log", "sf_mul", "sf_ratio", "sf_shift",
-    "sf_sum", "make_measure", "measure_from_spec", "moments", "ball_measure",
+    "integrate", "sf_exp", "sf_log", "sf_mul", "sf_ratio", "sf_sum",
+    "make_measure", "measure_from_spec", "moments", "ball_measure",
     "Body", "ball_body", "body_from_support", "log_combine", "make_family",
     "measure_of_body", "minkowski_combine", "quermassintegrals",
     "first_variation", "g_eval", "g_prime", "g_prime_ball", "g_second_ball",

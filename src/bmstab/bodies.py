@@ -216,11 +216,15 @@ class PerturbationFamily:
         coefficients C0, C1, C2 of Q(h_s) and the validity floor, computed
         on first use from one curvature field of the base and one of the
         direction.  make_family seeds the base's field from its validated
-        body; the seed is released once the coefficients are built."""
+        body; the seed is released once the coefficients are built.  A
+        multiplicative direction must be strictly positive at the nodes."""
         c, g = self._cache, self.grid
         if "C1" not in c:
-            f0 = c.pop("base_field", None) or curvature_matrix(self.base, g)
             f1 = curvature_matrix(self.direction, g)
+            if self.kind == "multiplicative" and np.any(f1.val <= 0.0):
+                raise FamilyError(
+                    "multiplicative direction must be strictly positive")
+            f0 = c.pop("base_field", None) or curvature_matrix(self.base, g)
             c["floor"] = VALIDITY_EIG_FLOOR * float(np.min(f0.min_eig))
             c["v0"], c["v1"] = f0.val, f1.val
             if self.kind == "additive":
@@ -294,10 +298,6 @@ def make_family(kind, h, direction, grid, max_radius=8.0):
     if kind not in ("additive", "multiplicative"):
         raise FamilyError(f"unknown family kind {kind!r}")
     base_body = body_from_support(h, grid)    # validates the base
-    if kind == "multiplicative":
-        if np.any(direction.values(grid.nodes) <= 0.0):
-            raise FamilyError(
-                "multiplicative direction must be strictly positive")
     fam = PerturbationFamily(kind=kind, base=h, direction=direction,
                              grid=grid)
     fam._cache["base_field"] = base_body.curvature

@@ -203,6 +203,15 @@ def default_config():
 # config validation and execution
 # ---------------------------------------------------------------------------
 
+# scan parameter lists: the interval every entry must lie in, and what the
+# entries are
+_SCAN_LISTS = {
+    "eps_fracs": (-1.0, 1.0, "fractions of the validity radius"),
+    "eps_abs": (-math.inf, math.inf, "perturbation amplitudes"),
+    "lambdas": (0.0, 1.0, "combination weights"),
+}
+
+
 def validate_config(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -223,13 +232,18 @@ def validate_config(cfg):
         params = item.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"checks[{i}]: params must be an object")
-        for frac_key in ("eps_fracs",):
-            if frac_key in params:
-                fr = params[frac_key]
-                if any(abs(float(f)) > 1.0 for f in fr):
-                    raise ConfigError(
-                        f"checks[{i}]: {frac_key} entries are fractions of "
-                        "the validity radius and must lie in [-1, 1]")
+        for key, (lo, hi, what) in _SCAN_LISTS.items():
+            if key not in params:
+                continue
+            vals = params[key]
+            if not (isinstance(vals, list) and vals and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in vals)):
+                raise ConfigError(f"checks[{i}]: {key} must be a non-empty "
+                                  "list of finite numbers")
+            if any(not lo <= v <= hi for v in vals):
+                raise ConfigError(f"checks[{i}]: {key} entries are {what} "
+                                  f"and must lie in [{lo:g}, {hi:g}]")
     return cfg
 
 

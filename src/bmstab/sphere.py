@@ -2,8 +2,11 @@
 
 Functions on the sphere are represented canonically as polynomials in the
 ambient coordinates restricted to the sphere (trigonometric polynomials when
-n = 2).  All derivatives are taken analytically through the homogeneous
-extensions of the function:
+n = 2).  Composite functions (sums, products, quotients, powers, exp and
+log of other functions) are compositions of the D2 bundle operations
+d2_combine, d2_mul, d2_power, d2_log and d2_exp, and their values are the
+bundle's values.  All derivatives are taken analytically through the
+homogeneous extensions of the function:
 
 * the 0-homogeneous extension  h0(x) = f(x/|x|)  carries the intrinsic data
   (its ambient gradient at a sphere point is the spherical gradient, the
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +104,13 @@ def d2_log(a):
     return D2(val, g, hess)
 
 
+def d2_exp(a):
+    val = np.exp(a.val)
+    grad = val[:, None] * a.grad
+    hess = val[:, None, None] * (_outer(a.grad, a.grad) + a.hess)
+    return D2(val, grad, hess)
+
+
 # ---------------------------------------------------------------------------
 # radial-polynomial engine:  sums of  c * x^alpha * |x|^m
 # ---------------------------------------------------------------------------
@@ -115,11 +126,7 @@ class _RadialPoly:
 
     def __init__(self, n, terms):
         self.n = n
-        merged = {}
-        for key, c in terms.items():
-            if c != 0.0:
-                merged[key] = merged.get(key, 0.0) + c
-        self.terms = {k: v for k, v in merged.items() if v != 0.0}
+        self.terms = {k: c for k, c in terms.items() if c != 0.0}
 
     def diff(self, i):
         out = {}
@@ -182,10 +189,6 @@ class SphericalFunction:
         grad F(u) = f(u) u + spherical gradient."""
         d = self.d2_ext0(U)
         return U * d.val[:, None] + d.grad
-
-    def spherical_grad(self, U):
-        """Spherical gradient (tangent vector field) at unit points."""
-        return self.d2_ext0(U).grad
 
     def third1(self, U):
         raise NotImplementedError(
@@ -263,8 +266,6 @@ class PolynomialSF(SphericalFunction):
         coeffs = {}
         for j in range(0, k + 1, 2):
             coeffs[(k - j, j)] = amplitude * math.comb(k, j) * (-1.0) ** (j // 2)
-        if k == 0:
-            coeffs = {(0, 0): amplitude}
         return PolynomialSF(2, coeffs, spec=spec)
 
     @staticmethod
@@ -381,19 +382,17 @@ class PolynomialSF(SphericalFunction):
         return out
 
 class ExprSF(SphericalFunction):
-    """Composite function defined by closures over other representations
-    (products, powers, exp/log, quotients).  Derivatives are exact chain
-    rules on the underlying polynomial data."""
+    """Composite function given by one closure U -> D2 built from the d2_*
+    bundle operations on other representations (sums, products, powers,
+    exp/log, quotients).  Its values are the bundle's values."""
 
-    def __init__(self, n, val_fn, d2_fn, spec=None):
+    def __init__(self, n, d2_fn, spec=None):
         self.n = n
-        self._val_fn = val_fn
         self._d2_fn = d2_fn
         self.spec = spec
 
     def values(self, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return self._val_fn(U)
+        return self.d2_ext0(U).val
 
     def d2_ext0(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -410,93 +409,31 @@ def sf_sum(parts, spec=None):
             out = out + c * sf
         out.spec = spec
         return out
-
-    def val_fn(U):
-        return sum(c * sf.values(U) for c, sf in parts)
-
-    def d2_fn(U):
-        return d2_combine([(c, sf.d2_ext0(U)) for c, sf in parts])
-
-    return ExprSF(n, val_fn, d2_fn, spec=spec)
+    return ExprSF(n, lambda U: d2_combine([(c, sf.d2_ext0(U))
+                                          for c, sf in parts]), spec=spec)
 
 
-def sf_shift(sf, offset, spec=None):
-    """sf + constant offset."""
-    if isinstance(sf, PolynomialSF):
-        out = sf + float(offset)
-        out.spec = spec
-        return out
-
-    def val_fn(U):
-        return sf.values(U) + offset
-
-    def d2_fn(U):
-        d = sf.d2_ext0(U)
-        return D2(d.val + offset, d.grad, d.hess)
-
-    return ExprSF(sf.n, val_fn, d2_fn, spec=spec)
-
-
-def sf_product_powers(factors, exp_part=None, scale=1.0, spec=None):
-    """scale * exp(g) * prod f_k^{a_k} with polynomial g and f_k.
+def sf_product_powers(factors, spec=None):
+    """prod f_k^{a_k} = exp(sum a_k log f_k) for spherical functions f_k.
 
     The f_k must be strictly positive on the sphere wherever this is
     evaluated (power/quotient representation for geometric means and
     multiplicative perturbation families)."""
     factors = [(sf, float(a)) for sf, a in factors]
-    n = factors[0][0].n if factors else exp_part.n
-
-    def val_fn(U):
-        out = np.full(U.shape[0], scale)
-        if exp_part is not None:
-            out = out * np.exp(exp_part.values(U))
-        for sf, a in factors:
-            out = out * sf.values(U) ** a
-        return out
-
-    def d2_fn(U):
-        # W = log(value/scale); value = scale * exp(W)
-        m, nn = U.shape
-        Wg = np.zeros((m, nn))
-        Wh = np.zeros((m, nn, nn))
-        logv = np.zeros(m)
-        if exp_part is not None:
-            d = exp_part.d2_ext0(U)
-            logv += d.val
-            Wg += d.grad
-            Wh += d.hess
-        for sf, a in factors:
-            d = sf.d2_ext0(U)
-            logv += a * np.log(d.val)
-            g = d.grad / d.val[:, None]
-            Wg += a * g
-            Wh += a * (d.hess / d.val[:, None, None] - _outer(g, g))
-        val = scale * np.exp(logv)
-        grad = val[:, None] * Wg
-        hess = val[:, None, None] * (_outer(Wg, Wg) + Wh)
-        return D2(val, grad, hess)
-
-    return ExprSF(n, val_fn, d2_fn, spec=spec)
+    return ExprSF(factors[0][0].n, lambda U: d2_exp(d2_combine(
+        [(a, d2_log(sf.d2_ext0(U))) for sf, a in factors])), spec=spec)
 
 
 def sf_ratio(numer, denom, spec=None):
-    """numer / denom with polynomial numer and strictly positive polynomial
-    denom.  Unlike the power representation the numerator may vanish."""
-
-    def val_fn(U):
-        return numer.values(U) / denom.values(U)
-
-    def d2_fn(U):
-        a = numer.d2_ext0(U)
-        b = denom.d2_ext0(U)
-        return d2_mul(a, d2_power(b, -1.0))
-
-    return ExprSF(numer.n, val_fn, d2_fn, spec=spec)
+    """numer / denom for spherical functions with strictly positive denom.
+    Unlike the power representation the numerator may vanish."""
+    return ExprSF(numer.n, lambda U: d2_mul(
+        numer.d2_ext0(U), d2_power(denom.d2_ext0(U), -1.0)), spec=spec)
 
 
 def sf_exp(inner, spec=None):
-    """exp(inner) for polynomial inner (strictly positive result)."""
-    return sf_product_powers([], exp_part=inner, spec=spec)
+    """exp(inner) for a spherical function inner (strictly positive result)."""
+    return ExprSF(inner.n, lambda U: d2_exp(inner.d2_ext0(U)), spec=spec)
 
 
 def sf_mul(f, g, spec=None):
@@ -505,26 +442,13 @@ def sf_mul(f, g, spec=None):
         out = f * g
         out.spec = spec
         return out
-
-    def val_fn(U):
-        return f.values(U) * g.values(U)
-
-    def d2_fn(U):
-        return d2_mul(f.d2_ext0(U), g.d2_ext0(U))
-
-    return ExprSF(f.n, val_fn, d2_fn, spec=spec)
+    return ExprSF(f.n, lambda U: d2_mul(f.d2_ext0(U), g.d2_ext0(U)),
+                  spec=spec)
 
 
 def sf_log(f, spec=None):
     """log(f) for strictly positive f."""
-
-    def val_fn(U):
-        return np.log(f.values(U))
-
-    def d2_fn(U):
-        return d2_log(f.d2_ext0(U))
-
-    return ExprSF(f.n, val_fn, d2_fn, spec=spec)
+    return ExprSF(f.n, lambda U: d2_log(f.d2_ext0(U)), spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +579,21 @@ def integrate(f, grid):
 class CurvatureField:
     """Node data of a support candidate h from one evaluation of its
     0-homogeneous bundle: values, spherical gradients, and the curvature
-    matrices Q(h; u) = h I + E hess h0 E^T in the grid's tangent frames,
-    with determinants and smallest eigenvalues."""
+    matrices Q(h; u) = h I + E hess h0 E^T in the grid's tangent frames.
+    Determinants and smallest eigenvalues are computed from Q on first
+    read."""
     val: np.ndarray         # (m,)
     grad: np.ndarray        # (m, n)
     Q: np.ndarray           # (m, n-1, n-1)
-    det: np.ndarray         # (m,)
-    min_eig: np.ndarray     # (m,)
     grid: SphereGrid = field(repr=False)
+
+    @cached_property
+    def det(self):
+        return batch_det(self.Q)            # (m,)
+
+    @cached_property
+    def min_eig(self):
+        return batch_min_eig(self.Q)        # (m,)
 
 
 def batch_det(Q):
@@ -707,14 +638,14 @@ def curvature_matrix(h, grid):
     Q = frame_hessian(d.hess, grid.frames)
     diag = np.arange(grid.n - 1)
     Q[:, diag, diag] += d.val[:, None]
-    return CurvatureField(val=d.val, grad=d.grad, Q=Q, det=batch_det(Q),
-                          min_eig=batch_min_eig(Q), grid=grid)
+    return CurvatureField(val=d.val, grad=d.grad, Q=Q, grid=grid)
 
 
 def split_mean(psi, grid):
     """Split psi into (mean over the sphere, zero-mean part)."""
     mean = integrate(psi, grid) / sphere_area(grid.n)
-    return mean, sf_shift(psi, -mean)
+    one = PolynomialSF.constant(grid.n, 1.0)
+    return mean, sf_sum([(1.0, psi), (-mean, one)])
 
 
 def poincare_ratio(psi, grid):
@@ -727,6 +658,6 @@ def poincare_ratio(psi, grid):
     den = float(np.sum(grid.weights * vals * vals))
     if den <= 1e-24:
         raise ValueError("poincare_ratio of an identically zero function")
-    g = psi.spherical_grad(grid.nodes)
+    g = psi.d2_ext0(grid.nodes).grad
     num = float(np.sum(grid.weights * np.sum(g * g, axis=1)))
     return num / den

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from bmstab.bodies import (VALIDITY_EIG_FLOOR, FamilyError,
-                           NonPositiveSupport, NotConvex, ball_body,
-                           ball_intrinsic_volume, body_from_support,
-                           log_combine, make_family, measure_of_body,
-                           minkowski_combine, quermassintegrals)
+                           NonPositiveSupport, NotConvex, PerturbationFamily,
+                           ball_body, ball_intrinsic_volume,
+                           body_from_support, log_combine, make_family,
+                           measure_of_body, minkowski_combine,
+                           quermassintegrals)
 from bmstab.funcspecs import direction_suite, sf_from_spec
 from bmstab.sphere import (PolynomialSF, SphericalFunction, curvature_matrix,
                            integrate, sf_exp, sf_ratio, sf_sum)
@@ -314,6 +315,37 @@ def test_one_node_evaluation_per_support_function(kind, grid3):
     fam = make_family(kind, h, d, grid3)
     fam.curvature_batch(np.array([-0.5, 0.5]) * fam.a)
     assert (h.calls, d.calls) == (1, 1)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_family_coefficients_skip_direction_det_and_eigenvalues(
+        kind, grid3, monkeypatch):
+    # the coefficients read only Q, values and gradients of the direction;
+    # the seeded base field's smallest eigenvalues are already cached
+    import bmstab.sphere as sphere_module
+    base, direction = _family_case(kind, 3, "random_even")
+    fam = PerturbationFamily(kind=kind, base=base, direction=direction,
+                             grid=grid3)
+    fam._cache["base_field"] = body_from_support(base, grid3).curvature
+    calls = []
+    for name in ("batch_det", "batch_min_eig"):
+        def counting(Q, name=name, real=getattr(sphere_module, name)):
+            calls.append(name)
+            return real(Q)
+        monkeypatch.setattr(sphere_module, name, counting)
+    fam._coefficients()
+    assert calls == []
+
+
+def test_nonpositive_multiplicative_direction_raises(grid2):
+    base = PolynomialSF.constant(2, 1.0)
+    direction = PolynomialSF.cos_harmonic(2)      # negative at 45 degrees
+    with pytest.raises(FamilyError, match="strictly positive"):
+        make_family("multiplicative", base, direction, grid2)
+    fam = PerturbationFamily(kind="multiplicative", base=base,
+                             direction=direction, grid=grid2)
+    with pytest.raises(FamilyError, match="strictly positive"):
+        fam.curvature_batch([0.0])
 
 
 def test_family_rejects_out_of_range(grid2):

@@ -74,7 +74,34 @@ def test_run_failing_check_exit_two(tmp_path, capsys):
     ({"schema_version": 1,
       "checks": [{"kind": "scan_dim_bm", "params": {"eps_fracs": [1.5]}}]},
      "fractions of the validity radius"),
-], ids=["schema", "empty", "unknown-kind", "eps-frac-range"])
+    ({"schema_version": 1,
+      "checks": [{"kind": "scan_dim_bm", "params": {"lambdas": [-1, 0.5]}}]},
+     "combination weights"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "scan_dim_bm", "params": {"eps_fracs": 0.5}}]},
+     "eps_fracs must be a non-empty list of finite numbers"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "scan_dim_bm", "params": {"eps_fracs": None}}]},
+     "eps_fracs must be a non-empty list of finite numbers"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "scan_dim_bm", "params": {"eps_fracs": ["x"]}}]},
+     "eps_fracs must be a non-empty list of finite numbers"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "scan_dim_bm", "params": {"eps_abs": 0.01}}]},
+     "eps_abs must be a non-empty list of finite numbers"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "scan_dim_bm",
+                  "params": {"eps_abs": [0.01, float("nan")]}}]},
+     "eps_abs must be a non-empty list of finite numbers"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "scan_dim_bm", "params": {"lambdas": 0.5}}]},
+     "lambdas must be a non-empty list of finite numbers"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "scan_dim_bm", "params": {"lambdas": []}}]},
+     "lambdas must be a non-empty list of finite numbers"),
+], ids=["schema", "empty", "unknown-kind", "eps-frac-range", "lambda-range",
+        "eps-fracs-scalar", "eps-fracs-null", "eps-fracs-string",
+        "eps-abs-scalar", "eps-abs-nan", "lambdas-scalar", "lambdas-empty"])
 def test_run_config_errors_exit_one(tmp_path, capsys, cfg, needle):
     rc = cli.main(["run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])

@@ -15,8 +15,8 @@ from bmstab.oracles import central_derivative
 from bmstab.sphere import (GridError, PolynomialSF, ball_volume,
                            batch_min_eig, build_grid, curvature_matrix,
                            integrate, poincare_ratio, sf_exp, sf_log, sf_mul,
-                           sf_product_powers, sf_ratio, sf_shift, sf_sum,
-                           sphere_area, split_mean)
+                           sf_product_powers, sf_ratio, sf_sum, sphere_area,
+                           split_mean)
 from bmstab.funcspecs import direction_suite, sf_from_spec
 
 
@@ -193,7 +193,7 @@ def test_gradient_is_tangent(grid3):
     coeffs = {(2, 0, 0): rng.normal(), (1, 1, 0): rng.normal(),
               (0, 1, 1): rng.normal(), (1, 0, 0): rng.normal()}
     sf = PolynomialSF(3, coeffs)
-    grad = sf.spherical_grad(grid3.nodes)
+    grad = sf.d2_ext0(grid3.nodes).grad
     radial = np.einsum("mi,mi->m", grad, grid3.nodes)
     assert np.max(np.abs(radial)) < 1e-12
 
@@ -201,7 +201,7 @@ def test_gradient_is_tangent(grid3):
 def test_spherical_gradient_single_direction():
     sf = PolynomialSF.linear(3, [0.0, 0.0, 1.0])
     u = np.array([1.0, 0.0, 0.0])
-    gvec = sf.spherical_grad(u[None, :])[0]
+    gvec = sf.d2_ext0(u[None, :]).grad[0]
     # grad of u3 restricted to the sphere at e1 is e3
     assert np.allclose(gvec, [0.0, 0.0, 1.0], atol=1e-12)
 
@@ -249,7 +249,8 @@ def _identity_cases(n):
     x1 = PolynomialSF.linear(n, [1.0] + [0.0] * (n - 1))
     cases = [(name, psi) for name, _, psi in direction_suite(n)]
     cases.append(("product_powers", sf_product_powers(
-        [(base, 0.5), (x1 * x1 + 1.0, 1.5)], exp_part=0.2 * x1, scale=1.3)))
+        [(base, 0.5), (x1 * x1 + 1.0, 1.5), (sf_exp(0.2 * x1), 1.0),
+         (PolynomialSF.constant(n, 1.3), 1.0)])))
     cases += [(f"exp_ratio_{name}", sf_exp(sf_ratio(psi, base)))
               for name, _, psi in direction_suite(n)]
     return cases
@@ -270,6 +271,27 @@ def test_curvature_matrix_matches_the_ambient_hessian(grid2, grid3, grid4):
             assert np.all(err <= 16.0 * eps * scale), (g.n, name)
             assert np.array_equal(cf.val, d.val), (g.n, name)
             assert np.array_equal(cf.grad, d.grad), (g.n, name)
+
+
+def test_composite_values_are_the_bundle_values(grid2, grid3, grid4):
+    # one evaluation path: a composite's values are its bundle's values
+    for g in (grid2, grid3, grid4):
+        n = g.n
+        base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
+                       (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
+        for name, _, psi in direction_suite(n):
+            quot = sf_exp(sf_ratio(psi, base))
+            cases = {
+                "product_powers": sf_product_powers([(base, 0.4),
+                                                     (quot, 0.6)]),
+                "exp_ratio": quot,
+                "mul_log": sf_mul(psi, sf_log(quot)),
+                "sum": sf_sum([(0.5, quot), (-1.5, psi)]),
+            }
+            for label, sf in cases.items():
+                assert np.array_equal(sf.values(g.nodes),
+                                      sf.d2_ext0(g.nodes).val), \
+                    (n, name, label)
 
 
 def _min_eig_stacks(N, rng):
@@ -412,7 +434,7 @@ def test_sf_algebra_round_trips(grid2_small):
     twice = sf_mul(q, PolynomialSF.constant(2, 2.0))
     assert np.max(np.abs(twice.values(nodes) - h.values(nodes))) < 1e-12
     # shift
-    sh = sf_shift(h, -1.0)
+    sh = sf_sum([(1.0, h), (-1.0, PolynomialSF.constant(2, 1.0))])
     assert np.max(np.abs(sh.values(nodes) - (h.values(nodes) - 1.0))) < 1e-13
 
 
@@ -424,9 +446,9 @@ def test_sf_mul_matches_product_values(grid3):
     assert np.max(np.abs(prod.values(nodes)
                          - a.values(nodes) * b.values(nodes))) < 1e-13
     # product rule on the spherical gradient
-    ga = a.spherical_grad(nodes)
-    gb = b.spherical_grad(nodes)
-    gp = prod.spherical_grad(nodes)
+    ga = a.d2_ext0(nodes).grad
+    gb = b.d2_ext0(nodes).grad
+    gp = prod.d2_ext0(nodes).grad
     want = ga * b.values(nodes)[:, None] + gb * a.values(nodes)[:, None]
     assert np.max(np.abs(gp - want)) < 1e-11
 
