@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from . import measures as _measures
 from .sphere import (CurvatureField, PolynomialSF, SphereGrid,
-                     SphericalFunction, ball_volume, batch_det,
-                     batch_min_eig, curvature_matrix, sf_product_powers,
+                     SphericalFunction, ball_volume, batch_min_eig,
+                     curvature_matrix, det_poly, poly_mul, sf_product_powers,
                      sf_sum, sphere_area)
 
 
@@ -121,36 +122,26 @@ def measure_of_body(measure, body):
     return float(np.sum(g.weights * vals))
 
 
-def _elementary_symmetric(eigs):
-    m, N = eigs.shape
-    e = np.zeros((m, N + 1))
-    e[:, 0] = 1.0
-    for j in range(N):
-        for k in range(min(j + 1, N), 0, -1):
-            e[:, k] += eigs[:, j] * e[:, k - 1]
-    return e
-
-
 def ball_intrinsic_volume(n, j):
     """Closed-form intrinsic volume V_j of the unit ball in R^n."""
     return math.comb(n, j) * ball_volume(n) / ball_volume(n - j)
 
 
 def quermassintegrals(body):
-    """Intrinsic volumes [V_0, ..., V_n] from curvature eigenvalues.
+    """Intrinsic volumes [V_0, ..., V_n] from the curvature matrices.
 
-    V_j for j < n integrates the j-th elementary symmetric function of the
-    principal curvature radii; the normalization constants are calibrated so
-    a Euclidean ball reproduces its closed-form values exactly."""
+    V_j for j < n integrates the t^j coefficient of det(I + t Q); the
+    normalization constants are calibrated so a Euclidean ball reproduces
+    its closed-form values exactly."""
     g = body.grid
     n = g.n
-    eigs = np.linalg.eigvalsh(body.curvature.Q)
-    e = _elementary_symmetric(eigs)
+    Q = body.curvature.Q
+    e = det_poly([np.broadcast_to(np.eye(n - 1), Q.shape), Q])
     out = []
     for j in range(n):
         cal = ball_intrinsic_volume(n, j) / (math.comb(n - 1, j) * sphere_area(n))
-        out.append(cal * float(np.sum(g.weights * e[:, j])))
-    vol = float(np.sum(g.weights * body.hvals * e[:, n - 1])) / n
+        out.append(cal * float(np.sum(g.weights * e[j])))
+    vol = float(np.sum(g.weights * body.hvals * e[n - 1])) / n
     out.append(vol)
     return out
 
@@ -171,11 +162,13 @@ class PerturbationFamily:
     additive:        h_s = h + s psi
     multiplicative:  h_s = h * phi^s   (phi strictly positive)
 
-    At each grid node Q(h_s) = w(s) (C0 + s C1 + s^2 C2), with coefficients
-    computed once from the curvature fields Q0 = Q(h) and Q1 = Q(direction).
-    Additive: w = 1, C0 = Q0, C1 = Q1, C2 = 0.  Multiplicative: w = h_s and,
-    with frames E and w_f = grad f / f, C0 = Q0 / h, C2 = (E w_phi)(E w_phi)^T
-    and C1 = Q1 / phi - I + (E w_h)(E w_phi)^T + (E w_phi)(E w_h)^T - C2.
+    At each grid node Q(h_s) = w(s) (C0 + s C1 + s^2 C2) and
+    D(s)^2 = w(s)^2 |u0 + s u1|^2, with coefficients computed once from the
+    curvature fields Q0 = Q(h) and Q1 = Q(direction).  Additive: w = 1,
+    C0 = Q0, C1 = Q1, C2 = 0, u = (h, grad h), (psi, grad psi).
+    Multiplicative: w = h_s, u = (1, w_h), (0, w_phi) with w_f = grad f / f,
+    and with frames E, C0 = Q0 / h, C2 = (E w_phi)(E w_phi)^T and
+    C1 = Q1 / phi - I + (E w_h)(E w_phi)^T + (E w_phi)(E w_h)^T - C2.
 
     `a` is the validity radius: at every node and every |s| <= a, h_s > 0 and
     w(s) lambda_min(C0 + s C1) >= VALIDITY_EIG_FLOOR * (base body's minimum
@@ -249,35 +242,36 @@ class PerturbationFamily:
             return c["v0"] + s[..., 0, 0] * c["v1"]
         return c["v0"] * c["v1"] ** s[..., 0, 0]
 
-    def curvature_batch(self, s_values):
-        """Support values, spherical gradients and frame curvature matrices
-        of h_s at the grid nodes for a batch of parameters, shapes (S, m),
-        (S, m, n), (S, m, n-1, n-1)."""
-        c = self._coefficients()
-        s = np.asarray(s_values, dtype=float).reshape(-1, 1, 1, 1)
-        vals = self._values(s)
-        grads = c["g0"] + s[..., 0] * c["g1"]
-        Q = c["C0"] + s * (c["C1"] + s * c["C2"])
-        if self.kind == "multiplicative":
-            grads = vals[..., None] * grads
-            Q = vals[..., None, None] * Q
-        return vals, grads, Q
-
     def measures_along(self, measure, s_values):
         """gamma(K_{h_s}) for a batch of parameters (no per-s validation;
-        callers must stay inside the validity radius)."""
+        callers must stay inside the validity radius).  Per chunk of
+        _S_CHUNK parameters, det Q(h_s) / w^(n-1) and D(s)^2 / w^2 are exact
+        polynomials in t = s - s_c about the chunk's centre s_c (at s = 0
+        they cancel near s = -a), evaluated by Horner's rule."""
+        c = self._coefficients()
         s_values = np.asarray(s_values, dtype=float)
         out = np.empty(s_values.size)
-        w = self.grid.weights
-        n = self.grid.n
+        w, n = self.grid.weights, self.grid.n
+        add = self.kind == "additive"
+        u0 = np.column_stack([c["v0"] if add else np.ones(w.size), c["g0"]])
+        u1 = np.column_stack([c["v1"] if add else np.zeros(w.size), c["g1"]])
         for lo in range(0, s_values.size, _S_CHUNK):
             sl = s_values[lo:lo + _S_CHUNK]
-            vals, grads, Q = self.curvature_batch(sl)
-            det = batch_det(Q.reshape(-1, n - 1, n - 1))
-            D = np.sqrt(vals ** 2 + np.sum(grads ** 2, axis=2)).ravel()
+            sc = 0.5 * (sl.min() + sl.max())
+            t = (sl - sc)[:, None]
+            mats = [c["C0"] + sc * (c["C1"] + sc * c["C2"]),
+                    c["C1"] + 2.0 * sc * c["C2"]]
+            uc = u0 + sc * u1
+            q = poly_mul([uc, u1], np.stack([uc, u1])).sum(axis=2)
+            D = np.sqrt(polyval(t, q, False))
+            h = self._values(sl.reshape(-1, 1, 1, 1))
+            if add:
+                f = h * polyval(t, det_poly(mats), False)
+            else:
+                f = h ** n * polyval(t, det_poly(mats + [c["C2"]]), False)
+                D = h * D
             A = _measures.radial_profile(measure, D, n, powers=(0,))[0]
-            integrand = (vals.ravel() * det * A).reshape(len(sl), -1)
-            out[lo:lo + _S_CHUNK] = (integrand * w).sum(axis=1)
+            out[lo:lo + _S_CHUNK] = (f * A.reshape(D.shape) * w).sum(axis=1)
         return out
 
     # -- validity -----------------------------------------------------------

@@ -210,6 +210,9 @@ _SCAN_LISTS = {
     "eps_abs": (-math.inf, math.inf, "perturbation amplitudes"),
     "lambdas": (0.0, 1.0, "combination weights"),
 }
+_SCALARS = (("n", int, "a positive integer"),
+            ("resolution", int, "a positive integer"),
+            ("R", (int, float), "a positive finite number"))
 
 
 def validate_config(cfg):
@@ -232,6 +235,11 @@ def validate_config(cfg):
         params = item.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"checks[{i}]: params must be an object")
+        for key, kind, what in _SCALARS:
+            v = params.get(key, 1)
+            if not (isinstance(v, kind) and not isinstance(v, bool)
+                    and math.isfinite(v) and v > 0):
+                raise ConfigError(f"checks[{i}]: {key} must be {what}")
         for key, (lo, hi, what) in _SCAN_LISTS.items():
             if key not in params:
                 continue
@@ -254,8 +262,8 @@ def execute(cfg, log=print):
         params = item.get("params", {})
         try:
             res = run_check(kind, params)
-        except (ValueError, KeyError, FamilyError, NonPositiveSupport,
-                NotConvex) as exc:
+        except (ValueError, KeyError, TypeError, FamilyError,
+                NonPositiveSupport, NotConvex) as exc:
             raise ConfigError(f"check {kind} with params {params!r}: {exc}")
         results.append(res)
         status = "PASS" if res.passed else "FAIL"

@@ -25,11 +25,17 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .sphere import sphere_area
 
 QUAD_TOL = 1e-13
 _MAX_PANELS = 2048
+
+_CHEB_POINTS = 14            # radial_profile's Chebyshev interpolation points
+_CHEB_X = chebyshev.chebpts1(_CHEB_POINTS)
+_CHEB_T = chebyshev.chebvander(_CHEB_X, _CHEB_POINTS - 1).T * (2 / _CHEB_POINTS)
+_CHEB_T[0] *= 0.5
 
 # (G7, K15) Gauss-Kronrod pair on [-1, 1]
 _XGK = np.array([
@@ -250,26 +256,36 @@ def moment_identities(measure, R, n):
     return res1, res2
 
 
+def _integrate_profile(measure, D, n, powers, tol):
+    fns = {0: measure.f, 1: measure.fprime, 2: measure.fsecond}
+
+    def fvec(t):
+        td = np.outer(t, D)                       # (T, len(D))
+        return np.concatenate([t[:, None] ** (n - 1 + p) * fns[p](td)
+                               for p in powers], axis=1)
+
+    return adaptive_gk(fvec, 0.0, 1.0, tol=tol).reshape(len(powers), D.size)
+
+
 def radial_profile(measure, D, n, powers=(0,), tol=QUAD_TOL):
     """Vectorized moments over an array of scales D.
 
     powers selects which of (A, B, C) to compute: 0 -> A, 1 -> B, 2 -> C.
-    Returns an array of shape (len(powers), len(D)).  Repeated scales are
-    deduplicated before integrating."""
+    Returns an array of shape (len(powers), len(D)).  Over more than
+    _CHEB_POINTS scales, the moments at _CHEB_POINTS Chebyshev points of
+    [min D, max D] are interpolated by Clenshaw's recurrence if the last two
+    Chebyshev coefficients of every moment sum to at most tol in absolute
+    value; otherwise (or over a range of zero width) every scale is
+    integrated."""
     D = np.asarray(D, dtype=float).ravel()
-    uniq, inverse = np.unique(D, return_inverse=True)
-    fns = {0: measure.f, 1: measure.fprime, 2: measure.fsecond}
-
-    def fvec(t):
-        td = np.outer(t, uniq)                    # (T, U)
-        cols = []
-        for p in powers:
-            cols.append(t[:, None] ** (n - 1 + p) * fns[p](td))
-        return np.concatenate(cols, axis=1)       # (T, len(powers)*U)
-
-    flat = adaptive_gk(fvec, 0.0, 1.0, tol=tol)
-    out = flat.reshape(len(powers), uniq.size)
-    return out[:, inverse]
+    if D.size <= _CHEB_POINTS or D.max() == D.min():
+        return _integrate_profile(measure, D, n, powers, tol)
+    mid, half = 0.5 * (D.max() + D.min()), 0.5 * (D.max() - D.min())
+    fit = _integrate_profile(measure, mid + half * _CHEB_X, n, powers, tol)
+    coef = (_CHEB_T[:, None, :] * fit).sum(axis=2)          # (K, len(powers))
+    if np.any(np.abs(coef[-2]) + np.abs(coef[-1]) > tol):
+        return _integrate_profile(measure, D, n, powers, tol)
+    return chebyshev.chebval((D - mid) / half, coef)
 
 
 def ball_measure(measure, radius, n, tol=QUAD_TOL):

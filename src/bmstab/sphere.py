@@ -589,24 +589,34 @@ class CurvatureField:
 
     @cached_property
     def det(self):
-        return batch_det(self.Q)            # (m,)
+        return det_poly([self.Q])[0]        # (m,)
 
     @cached_property
     def min_eig(self):
         return batch_min_eig(self.Q)        # (m,)
 
 
-def batch_det(Q):
-    N = Q.shape[-1]
-    if N == 1:
-        return Q[:, 0, 0].copy()
-    if N == 2:
-        return Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] * Q[:, 1, 0]
-    if N == 3:
-        return (Q[:, 0, 0] * (Q[:, 1, 1] * Q[:, 2, 2] - Q[:, 1, 2] * Q[:, 2, 1])
-                - Q[:, 0, 1] * (Q[:, 1, 0] * Q[:, 2, 2] - Q[:, 1, 2] * Q[:, 2, 0])
-                + Q[:, 0, 2] * (Q[:, 1, 0] * Q[:, 2, 1] - Q[:, 1, 1] * Q[:, 2, 0]))
-    return np.linalg.det(Q)
+def poly_mul(a, b):
+    # product of polynomials with array coefficients: a a list, b (k, ...)
+    out = np.zeros((len(a) + len(b) - 1,) + b.shape[1:])
+    for i, ai in enumerate(a):
+        out[i:i + len(b)] += ai * b
+    return out
+
+
+def det_poly(mats):
+    """Coefficients in t, shape (N (d - 1) + 1, ...), of det(sum_k t^k M_k)
+    for d stacks M_k of shape (..., N, N), by Laplace expansion."""
+    N = mats[0].shape[-1]
+    if N == 0:
+        return np.ones((1,) + mats[0].shape[:-2])
+    out = 0.0
+    for j in range(N):
+        keep = [k for k in range(N) if k != j]
+        term = poly_mul([M[..., 0, j] for M in mats],
+                        det_poly([M[..., 1:, keep] for M in mats]))
+        out = out - term if j % 2 else out + term
+    return out
 
 
 def batch_min_eig(Q):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import measures as _measures
 from .bodies import body_from_support, measure_of_body
-from .sphere import (batch_det, curvature_matrix, sf_exp, sf_log, sf_mul,
+from .sphere import (curvature_matrix, det_poly, sf_exp, sf_log, sf_mul,
                      sf_ratio, sphere_area)
 
 
@@ -33,27 +33,12 @@ from .sphere import (batch_det, curvature_matrix, sf_exp, sf_log, sf_mul,
 # ---------------------------------------------------------------------------
 
 def cofactor_field(Q):
-    """Batched first cofactors for a stack of matrices, shape (m, N, N)."""
+    """Batched first cofactors for a stack of matrices, shape (m, N, N):
+    c_ij is the t coefficient of det(Q + t E_ij)."""
     Q = np.asarray(Q, dtype=float)
-    m, N, _ = Q.shape
-    if N == 1:
-        return np.ones((m, 1, 1))
-    if N == 2:
-        C = np.empty_like(Q)
-        C[:, 0, 0] = Q[:, 1, 1]
-        C[:, 0, 1] = -Q[:, 1, 0]
-        C[:, 1, 0] = -Q[:, 0, 1]
-        C[:, 1, 1] = Q[:, 0, 0]
-        return C
-    C = np.empty_like(Q)
-    idx = list(range(N))
-    for i in range(N):
-        rows = idx[:i] + idx[i + 1:]
-        for j in range(N):
-            cols = idx[:j] + idx[j + 1:]
-            minor = Q[np.ix_(np.arange(m), rows, cols)]
-            C[:, i, j] = (-1.0) ** (i + j) * batch_det(minor)
-    return C
+    N = Q.shape[-1]
+    E = np.eye(N * N).reshape(N, N, N, N)
+    return det_poly(np.broadcast_arrays(Q[:, None, None], E))[1]
 
 
 def second_cofactor_field(Q):
@@ -61,26 +46,13 @@ def second_cofactor_field(Q):
     Q = np.asarray(Q, dtype=float)
     m, N, _ = Q.shape
     C2 = np.zeros((m, N, N, N, N))
-    if N == 1:
-        return C2
-    idx = list(range(N))
-    for i in range(N):
-        for k in range(N):
-            if k == i:
-                continue
-            rows = [r for r in idx if r not in (i, k)]
-            kk = k - 1 if k > i else k
-            for j in range(N):
-                for l in range(N):
-                    if l == j:
-                        continue
-                    cols = [c for c in idx if c not in (j, l)]
-                    if rows:
-                        det = batch_det(Q[np.ix_(np.arange(m), rows, cols)])
-                    else:
-                        det = 1.0
-                    ll = l - 1 if l > j else l
-                    C2[:, i, j, k, l] = (-1.0) ** (i + j + kk + ll) * det
+    for i, j, k, l in np.ndindex(N, N, N, N):
+        if i != k and j != l:
+            rows = [r for r in range(N) if r not in (i, k)]
+            cols = [c for c in range(N) if c not in (j, l)]
+            sign = (-1.0) ** (i + j + k + l + (k > i) + (l > j))
+            minor = Q[np.ix_(np.arange(m), rows, cols)]
+            C2[:, i, j, k, l] = sign * det_poly([minor])[0]
     return C2
 
 
@@ -90,7 +62,7 @@ def cofactor_identity_residuals(Q):
     N = Q.shape[1]
     C = cofactor_field(Q)
     C2 = second_cofactor_field(Q)
-    det = batch_det(Q)
+    det = det_poly([Q])[0]
     r1 = np.max(np.abs(np.einsum("mij,mij->m", C, Q) - N * det))
     r2 = np.max(np.abs(np.einsum("mijkl,mkl->mij", C2, Q) - (N - 1) * C))
     return float(r1), float(r2)

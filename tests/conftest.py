@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bmstab.measures as measures_module
 from bmstab.measures import make_measure
 from bmstab.sphere import build_grid
 
@@ -43,3 +44,16 @@ def exp1():
 @pytest.fixture(scope="session")
 def exp3():
     return make_measure(kind="exp_power", p=3)
+
+
+@pytest.fixture
+def gk_widths(monkeypatch):
+    """The batch width of every adaptive_gk call made during the test."""
+    widths, real = [], measures_module.adaptive_gk
+
+    def counting(fvec, a, b, tol=measures_module.QUAD_TOL):
+        widths.append(fvec(np.array([0.5])).shape[1])
+        return real(fvec, a, b, tol)
+
+    monkeypatch.setattr(measures_module, "adaptive_gk", counting)
+    return widths

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bmstab.bodies import (VALIDITY_EIG_FLOOR, FamilyError,
+import bmstab.measures as measures_module
+from bmstab.bodies import (_S_CHUNK, VALIDITY_EIG_FLOOR, FamilyError,
                            NonPositiveSupport, NotConvex, PerturbationFamily,
                            ball_body, ball_intrinsic_volume,
                            body_from_support, log_combine, make_family,
@@ -166,12 +167,27 @@ def test_family_support_at_matches_closed_form(grid2):
     assert np.max(np.abs(hs.values(grid2.nodes) - want)) < 1e-13
 
 
+def _node_fields(fam, s_values):
+    """h_s, grad h_s and Q(h_s) at the nodes, shapes (S, m), (S, m, n) and
+    (S, m, n-1, n-1), from the family's coefficients: the per-node fields
+    whose polynomials in s measures_along evaluates."""
+    c = fam._coefficients()
+    s = np.asarray(s_values, dtype=float).reshape(-1, 1, 1, 1)
+    vals = fam._values(s)
+    grads = c["g0"] + s[..., 0] * c["g1"]
+    Q = c["C0"] + s * (c["C1"] + s * c["C2"])
+    if fam.kind == "multiplicative":
+        grads = vals[..., None] * grads
+        Q = vals[..., None, None] * Q
+    return vals, grads, Q
+
+
 def test_multiplicative_family_fields(grid3):
     base = PolynomialSF(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.1})
     phi = PolynomialSF(3, {(0, 0, 0): 1.0, (0, 2, 0): 0.08})
     fam = make_family("multiplicative", base, phi, grid3)
     s_values = np.array([-0.5, 0.0, 0.8]) * fam.a
-    vals, grads, Q = fam.curvature_batch(s_values)
+    vals, grads, Q = _node_fields(fam, s_values)
     for i, s in enumerate(s_values):
         direct = fam.body_at(float(s))
         assert np.max(np.abs(vals[i] - direct.hvals)) < 1e-11
@@ -210,6 +226,48 @@ def test_measures_along_matches_per_s(grid2, grid3, gaussian):
             assert rel < 1e-13, (kind, grid.n)
 
 
+def _direct_measure(measure, body):
+    # gamma(K) with adaptive_gk at every node: no Chebyshev profile
+    A = measures_module._integrate_profile(measure, body.D, body.n, (0,),
+                                           measures_module.QUAD_TOL)[0]
+    return float(np.sum(body.grid.weights * body.hvals * body.curvature.det
+                        * A))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_measures_along_matches_direct_quadrature_per_s(
+        kind, n, grid2_small, grid3, grid4, lebesgue, gaussian, exp1):
+    # the s-polynomial kernel and the Chebyshev profile against the body at
+    # each s integrated node by node, over the direction suite and out to
+    # 0.95 of the validity radius
+    grid = {2: grid2_small, 3: grid3, 4: grid4}[n]
+    base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
+                   (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
+    for name, _, psi in direction_suite(n):
+        direction = (sf_exp(sf_ratio(psi, base)) if kind == "multiplicative"
+                     else psi)
+        fam = make_family(kind, base, direction, grid)
+        s_values = np.linspace(-0.95, 0.95, 5) * fam.a
+        bodies_at = [fam.body_at(float(s)) for s in s_values]
+        for mu in (lebesgue, gaussian, exp1):
+            gam = fam.measures_along(mu, s_values)
+            direct = np.array([_direct_measure(mu, b) for b in bodies_at])
+            rel = np.max(np.abs(gam - direct) / direct)
+            assert rel < 1e-13, (name, mu.kind)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_measures_along_integrates_chebyshev_points_per_chunk(
+        kind, gk_widths, grid3, gaussian):
+    # each chunk of parameters sends _CHEB_POINTS scales to adaptive_gk,
+    # not one per (parameter, node)
+    base, direction = _family_case(kind, 3, "second_harmonic")
+    fam = make_family(kind, base, direction, grid3)
+    fam.measures_along(gaussian, np.linspace(-0.9, 0.9, 2 * _S_CHUNK) * fam.a)
+    assert gk_widths == [measures_module._CHEB_POINTS] * 2
+
+
 @pytest.mark.parametrize("name", ["second_harmonic", "random_even"])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
@@ -222,7 +280,7 @@ def test_family_validity_holds_on_dense_s_grid(kind, n, name, grid2, grid3):
     fam = make_family(kind, base, direction, grid)
     base_min_eig = body_from_support(base, grid).min_curvature_eig
     floor = VALIDITY_EIG_FLOOR * base_min_eig
-    vals, _, Q = fam.curvature_batch(np.linspace(-fam.a, fam.a, 401))
+    vals, _, Q = _node_fields(fam, np.linspace(-fam.a, fam.a, 401))
     assert np.all(vals > 0.0)
     min_eig = np.linalg.eigvalsh(Q)[..., 0]
     assert np.min(min_eig) >= floor * (1.0 - 1e-12)
@@ -302,7 +360,7 @@ class _CountingSF(SphericalFunction):
 
 
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
-def test_one_node_evaluation_per_support_function(kind, grid3):
+def test_one_node_evaluation_per_support_function(kind, grid3, gaussian):
     # a body, a family's base and a family's direction each evaluate their
     # derivative bundle once on the grid; the multiplicative direction
     # exp(psi) does not reference the base
@@ -313,7 +371,7 @@ def test_one_node_evaluation_per_support_function(kind, grid3):
     h = _CountingSF(base)
     d = _CountingSF(psi if kind == "additive" else sf_exp(psi))
     fam = make_family(kind, h, d, grid3)
-    fam.curvature_batch(np.array([-0.5, 0.5]) * fam.a)
+    fam.measures_along(gaussian, np.array([-0.5, 0.5]) * fam.a)
     assert (h.calls, d.calls) == (1, 1)
 
 
@@ -328,7 +386,7 @@ def test_family_coefficients_skip_direction_det_and_eigenvalues(
                              grid=grid3)
     fam._cache["base_field"] = body_from_support(base, grid3).curvature
     calls = []
-    for name in ("batch_det", "batch_min_eig"):
+    for name in ("det_poly", "batch_min_eig"):
         def counting(Q, name=name, real=getattr(sphere_module, name)):
             calls.append(name)
             return real(Q)
@@ -345,7 +403,7 @@ def test_nonpositive_multiplicative_direction_raises(grid2):
     fam = PerturbationFamily(kind="multiplicative", base=base,
                              direction=direction, grid=grid2)
     with pytest.raises(FamilyError, match="strictly positive"):
-        fam.curvature_batch([0.0])
+        fam._coefficients()
 
 
 def test_family_rejects_out_of_range(grid2):

@@ -99,9 +99,25 @@ def test_run_failing_check_exit_two(tmp_path, capsys):
     ({"schema_version": 1,
       "checks": [{"kind": "scan_dim_bm", "params": {"lambdas": []}}]},
      "lambdas must be a non-empty list of finite numbers"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "scan_dim_bm",
+                  "params": {"n": "x", "psi": {"type": "second_harmonic"}}}]},
+     "n must be a positive integer"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "ball_dilation",
+                  "params": {"n": 2, "R": "1",
+                             "measure": {"kind": "gaussian"}}}]},
+     "R must be a positive finite number"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "dim_bm_infinitesimal",
+                  "params": {"n": 2, "R": 1.0, "resolution": 16.0,
+                             "measure": {"kind": "gaussian"},
+                             "psi": {"type": "second_harmonic"}}}]},
+     "resolution must be a positive integer"),
 ], ids=["schema", "empty", "unknown-kind", "eps-frac-range", "lambda-range",
         "eps-fracs-scalar", "eps-fracs-null", "eps-fracs-string",
-        "eps-abs-scalar", "eps-abs-nan", "lambdas-scalar", "lambdas-empty"])
+        "eps-abs-scalar", "eps-abs-nan", "lambdas-scalar", "lambdas-empty",
+        "n-string", "R-string", "resolution-float"])
 def test_run_config_errors_exit_one(tmp_path, capsys, cfg, needle):
     rc = cli.main(["run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
@@ -359,3 +375,17 @@ def test_thread_cap_applies_on_package_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.strip()
     assert out == "1"
+
+
+def test_battery_margins_match_reference():
+    # tests/data/battery_margins.json holds the default battery's margins and
+    # pass flags from per-scale radial quadrature with per-parameter
+    # curvature matrices; the Chebyshev radial profile and the s-polynomial
+    # family kernel may move a margin by rounding only
+    ref = json.loads((Path(__file__).parent / "data" / "battery_margins.json")
+                     .read_text())
+    results = cli.execute(cli.default_config(), log=lambda *a: None)
+    assert [r.check_id for r in results] == [cid for cid, _, _ in ref]
+    for res, (cid, margin, passed) in zip(results, ref):
+        assert res.passed == passed, cid
+        assert abs(res.margin - margin) <= 1e-12 * max(1.0, abs(margin)), cid

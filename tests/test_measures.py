@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bmstab.measures import (MomentTriple, ball_growth_derivatives,
+import bmstab.measures as measures_module
+from bmstab.measures import (QUAD_TOL, MomentTriple, ball_growth_derivatives,
                              ball_measure, make_measure, measure_from_spec,
                              moment_identities, moments, radial_profile)
 from bmstab.oracles import central_derivative
@@ -62,6 +63,57 @@ def test_radial_profile_matches_pointwise(gaussian):
     # repeated scales share the same value exactly
     assert prof[0, 0] == prof[0, 1]
     assert prof[0, 2] == prof[0, 4]
+
+
+def _direct_profile(measure, D, n, powers):
+    # every scale integrated by adaptive_gk, bypassing the interpolant
+    return measures_module._integrate_profile(
+        measure, np.asarray(D, dtype=float), n, powers, QUAD_TOL)
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s["kind"] + str(s.get("p", "")))
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("lo,hi", [(0.95, 1.05), (0.7, 1.3), (0.3, 2.0)])
+def test_radial_profile_interpolant_matches_direct(spec, n, lo, hi):
+    # accepted or not, the profile over 300 scales agrees with integrating
+    # every scale, for all three moments
+    mu = make_measure(**spec)
+    D = lo + (hi - lo) * (0.5 + 0.5 * np.sin(np.arange(300)))
+    got = radial_profile(mu, D, n, powers=(0, 1, 2))
+    assert got.shape == (3, 300)
+    assert np.max(np.abs(got - _direct_profile(mu, D, n, (0, 1, 2)))) < 1e-14
+
+
+def test_radial_profile_kinked_profile_falls_back_to_direct(gk_widths):
+    # f(r) = exp(-max(r - 1, 0)) is log-concave with a kink at r = 1, so A(D)
+    # has a kink in its second derivative: the interpolant's tail test must
+    # reject it, and the result is the direct route's, bit for bit
+    def f(r):
+        return np.exp(-np.maximum(np.asarray(r, dtype=float) - 1.0, 0.0))
+
+    def fprime(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 1.0, -f(r), 0.0)
+
+    def fsecond(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 1.0, f(r), 0.0)
+
+    kinked = make_measure("custom", f=f, fprime=fprime, fsecond=fsecond,
+                          name="kinked")
+    D = np.linspace(0.8, 1.2, 25)
+    got = radial_profile(kinked, D, 3)
+    assert gk_widths == [measures_module._CHEB_POINTS, D.size]
+    assert np.array_equal(got, _direct_profile(kinked, D, 3, (0,)))
+
+
+def test_radial_profile_zero_width_range_is_integrated(gk_widths, gaussian):
+    # no interpolant over a single scale: every scale is integrated directly
+    D = np.full(40, 1.3)
+    got = radial_profile(gaussian, D, 3, powers=(0, 1))
+    assert gk_widths == [2 * D.size]
+    assert np.array_equal(got, _direct_profile(gaussian, D, 3, (0, 1)))
+    assert np.all(got == got[:, :1])
 
 
 @pytest.mark.parametrize("R", [0.4, 1.0, 1.9])
