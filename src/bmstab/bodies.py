@@ -14,7 +14,7 @@ with A the first radial moment of the density at scale D."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -152,6 +152,7 @@ def quermassintegrals(body):
 
 VALIDITY_EIG_FLOOR = 0.05
 _BISECTION_STEPS = 40
+_MAX_RADIUS = 8.0       # make_family's cap on the validity radius
 _S_CHUNK = 32           # parameters per measures_along batch
 
 
@@ -163,9 +164,9 @@ class PerturbationFamily:
     multiplicative:  h_s = h * phi^s   (phi strictly positive)
 
     At each grid node Q(h_s) = w(s) (C0 + s C1 + s^2 C2) and
-    D(s)^2 = w(s)^2 |u0 + s u1|^2, with coefficients computed once from the
-    curvature fields Q0 = Q(h) and Q1 = Q(direction).  Additive: w = 1,
-    C0 = Q0, C1 = Q1, C2 = 0, u = (h, grad h), (psi, grad psi).
+    D(s)^2 = w(s)^2 |u0 + s u1|^2, with coefficients computed at
+    construction from the curvature fields Q0 = Q(h) and Q1 = Q(direction).
+    Additive: w = 1, C0 = Q0, C1 = Q1, C2 = 0, u = (h, grad h), (psi, grad psi).
     Multiplicative: w = h_s, u = (1, w_h), (0, w_phi) with w_f = grad f / f,
     and with frames E, C0 = Q0 / h, C2 = (E w_phi)(E w_phi)^T and
     C1 = Q1 / phi - I + (E w_h)(E w_phi)^T + (E w_phi)(E w_h)^T - C2.
@@ -183,11 +184,39 @@ class PerturbationFamily:
     grid: SphereGrid = field(repr=False)
     a: float = 0.0
     search_trace: list = field(default_factory=list, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    base_field: InitVar[CurvatureField | None] = None
 
-    @property
-    def n(self):
-        return self.grid.n
+    def __post_init__(self, base_field):
+        """Node values v0, v1 of base and direction, the stacks u0, u1, the
+        coefficients C0, C1, C2 of Q(h_s) and the validity floor, from one
+        curvature field of the direction and one of the base.  make_family
+        passes the base's field from its validated body as base_field.  A
+        multiplicative direction must be strictly positive at the nodes."""
+        if self.kind not in ("additive", "multiplicative"):
+            raise FamilyError(f"unknown family kind {self.kind!r}")
+        g = self.grid
+        f1 = curvature_matrix(self.direction, g)
+        if self.kind == "multiplicative" and np.any(f1.val <= 0.0):
+            raise FamilyError(
+                "multiplicative direction must be strictly positive")
+        f0 = base_field or curvature_matrix(self.base, g)
+        self.floor = VALIDITY_EIG_FLOOR * float(np.min(f0.min_eig))
+        self.v0, self.v1 = f0.val, f1.val
+        if self.kind == "additive":
+            self.u0 = np.column_stack([f0.val, f0.grad])
+            self.u1 = np.column_stack([f1.val, f1.grad])
+            self.C0, self.C1, self.C2 = f0.Q, f1.Q, 0.0
+            return
+        g0 = f0.grad / f0.val[:, None]
+        g1 = f1.grad / f1.val[:, None]
+        self.u0 = np.column_stack([np.ones(g.count), g0])
+        self.u1 = np.column_stack([np.zeros(g.count), g1])
+        Eh, Ed = (np.einsum("map,mp->ma", g.frames, v) for v in (g0, g1))
+        cross = np.einsum("ma,mb->mab", Eh, Ed)
+        self.C2 = np.einsum("ma,mb->mab", Ed, Ed)
+        self.C0 = f0.Q / f0.val[:, None, None]
+        self.C1 = (f1.Q / f1.val[:, None, None] - np.eye(g.n - 1)
+                   + cross + cross.transpose(0, 2, 1) - self.C2)
 
     # -- supports ---------------------------------------------------------
 
@@ -204,43 +233,11 @@ class PerturbationFamily:
 
     # -- batched node fields ------------------------------------------------
 
-    def _coefficients(self):
-        """Node data of h_s (values v0, v1 and gradient terms g0, g1), the
-        coefficients C0, C1, C2 of Q(h_s) and the validity floor, computed
-        on first use from one curvature field of the base and one of the
-        direction.  make_family seeds the base's field from its validated
-        body; the seed is released once the coefficients are built.  A
-        multiplicative direction must be strictly positive at the nodes."""
-        c, g = self._cache, self.grid
-        if "C1" not in c:
-            f1 = curvature_matrix(self.direction, g)
-            if self.kind == "multiplicative" and np.any(f1.val <= 0.0):
-                raise FamilyError(
-                    "multiplicative direction must be strictly positive")
-            f0 = c.pop("base_field", None) or curvature_matrix(self.base, g)
-            c["floor"] = VALIDITY_EIG_FLOOR * float(np.min(f0.min_eig))
-            c["v0"], c["v1"] = f0.val, f1.val
-            if self.kind == "additive":
-                c["g0"], c["g1"] = f0.grad, f1.grad
-                c["C0"], c["C1"], c["C2"] = f0.Q, f1.Q, 0.0
-            else:
-                c["g0"] = f0.grad / f0.val[:, None]
-                c["g1"] = f1.grad / f1.val[:, None]
-                Eh, Ed = (np.einsum("map,mp->ma", g.frames, c[k])
-                          for k in ("g0", "g1"))
-                cross = np.einsum("ma,mb->mab", Eh, Ed)
-                c["C2"] = np.einsum("ma,mb->mab", Ed, Ed)
-                c["C0"] = f0.Q / f0.val[:, None, None]
-                c["C1"] = (f1.Q / f1.val[:, None, None] - np.eye(g.n - 1)
-                           + cross + cross.transpose(0, 2, 1) - c["C2"])
-        return c
-
     def _values(self, s):
         # h_s at the nodes, (S, m), for parameters s shaped (S, 1, 1, 1)
-        c = self._coefficients()
         if self.kind == "additive":
-            return c["v0"] + s[..., 0, 0] * c["v1"]
-        return c["v0"] * c["v1"] ** s[..., 0, 0]
+            return self.v0 + s[..., 0, 0] * self.v1
+        return self.v0 * self.v1 ** s[..., 0, 0]
 
     def measures_along(self, measure, s_values):
         """gamma(K_{h_s}) for a batch of parameters (no per-s validation;
@@ -248,27 +245,23 @@ class PerturbationFamily:
         _S_CHUNK parameters, det Q(h_s) / w^(n-1) and D(s)^2 / w^2 are exact
         polynomials in t = s - s_c about the chunk's centre s_c (at s = 0
         they cancel near s = -a), evaluated by Horner's rule."""
-        c = self._coefficients()
         s_values = np.asarray(s_values, dtype=float)
         out = np.empty(s_values.size)
         w, n = self.grid.weights, self.grid.n
-        add = self.kind == "additive"
-        u0 = np.column_stack([c["v0"] if add else np.ones(w.size), c["g0"]])
-        u1 = np.column_stack([c["v1"] if add else np.zeros(w.size), c["g1"]])
+        u0, u1, C0, C1, C2 = self.u0, self.u1, self.C0, self.C1, self.C2
         for lo in range(0, s_values.size, _S_CHUNK):
             sl = s_values[lo:lo + _S_CHUNK]
             sc = 0.5 * (sl.min() + sl.max())
             t = (sl - sc)[:, None]
-            mats = [c["C0"] + sc * (c["C1"] + sc * c["C2"]),
-                    c["C1"] + 2.0 * sc * c["C2"]]
+            mats = [C0 + sc * (C1 + sc * C2), C1 + 2.0 * sc * C2]
             uc = u0 + sc * u1
             q = poly_mul([uc, u1], np.stack([uc, u1])).sum(axis=2)
             D = np.sqrt(polyval(t, q, False))
             h = self._values(sl.reshape(-1, 1, 1, 1))
-            if add:
+            if self.kind == "additive":
                 f = h * polyval(t, det_poly(mats), False)
             else:
-                f = h ** n * polyval(t, det_poly(mats + [c["C2"]]), False)
+                f = h ** n * polyval(t, det_poly(mats + [C2]), False)
                 D = h * D
             A = _measures.radial_profile(measure, D, n, powers=(0,))[0]
             out[lo:lo + _S_CHUNK] = (f * A.reshape(D.shape) * w).sum(axis=1)
@@ -278,30 +271,27 @@ class PerturbationFamily:
 
     def _valid_on(self, bound):
         # the predicate for |s| <= bound, evaluated at s = +-bound only
-        c = self._coefficients()
         s = np.array([-bound, bound]).reshape(2, 1, 1, 1)
         vals = self._values(s)
-        lam = batch_min_eig(c["C0"] + s * c["C1"])
+        lam = batch_min_eig(self.C0 + s * self.C1)
         w = vals if self.kind == "multiplicative" else 1.0
-        return bool(np.all(vals > 0.0) and np.all(w * lam >= c["floor"]))
+        return bool(np.all(vals > 0.0) and np.all(w * lam >= self.floor))
 
 
-def make_family(kind, h, direction, grid, max_radius=8.0):
-    """Build a perturbation family and locate its validity radius by
-    bisection (40 steps against the two-endpoint predicate)."""
-    if kind not in ("additive", "multiplicative"):
-        raise FamilyError(f"unknown family kind {kind!r}")
+def make_family(kind, h, direction, grid):
+    """Build a perturbation family and locate its validity radius, at most
+    _MAX_RADIUS, by bisection (40 steps against the two-endpoint
+    predicate)."""
     base_body = body_from_support(h, grid)    # validates the base
     fam = PerturbationFamily(kind=kind, base=h, direction=direction,
-                             grid=grid)
-    fam._cache["base_field"] = base_body.curvature
+                             grid=grid, base_field=base_body.curvature)
     trace = []
-    if fam._valid_on(max_radius):
-        fam.a = max_radius
-        trace.append((max_radius, True))
+    if fam._valid_on(_MAX_RADIUS):
+        fam.a = _MAX_RADIUS
+        trace.append((_MAX_RADIUS, True))
     else:
-        lo, hi = 0.0, max_radius
-        trace.append((max_radius, False))
+        lo, hi = 0.0, _MAX_RADIUS
+        trace.append((_MAX_RADIUS, False))
         for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             ok = fam._valid_on(mid)

@@ -285,7 +285,7 @@ def write_csv(path, results):
             writer.writerow(res.to_row())
 
 
-def write_json(path, results, config=None):
+def write_json(path, results):
     payload = {
         "schema_version": SCHEMA_VERSION,
         "created": datetime.now(timezone.utc).isoformat(),
@@ -313,8 +313,8 @@ def write_json(path, results, config=None):
         fh.write("\n")
 
 
-def _symlog(x, tol=1e-12):
-    return math.copysign(math.log10(1.0 + abs(x) / tol), x)
+def _symlog(x):
+    return math.copysign(math.log10(1.0 + abs(x) / 1e-12), x)
 
 
 def write_svg(path, results):

@@ -80,13 +80,13 @@ class MeasureValidationError(ValueError):
     pass
 
 
-def adaptive_gk(fvec, a, b, tol=QUAD_TOL):
+def adaptive_gk(fvec, a, b):
     """Adaptive (G7, K15) quadrature of a batch of integrands over [a, b].
 
     fvec maps an array of abscissae (T,) to values (T, B); the same panel
     subdivision is shared by the whole batch and refined until every batch
-    member's accumulated error estimate falls below the absolute tolerance.
-    Returns an array of shape (B,)."""
+    member's accumulated error estimate falls below the absolute tolerance
+    QUAD_TOL.  Returns an array of shape (B,)."""
 
     def panel(lo, hi):
         mid = 0.5 * (lo + hi)
@@ -99,11 +99,11 @@ def adaptive_gk(fvec, a, b, tol=QUAD_TOL):
     panels = [panel(a, b)]
     while True:
         total_err = np.sum([p[3] for p in panels], axis=0)
-        if np.all(total_err <= tol):
+        if np.all(total_err <= QUAD_TOL):
             break
         if len(panels) >= _MAX_PANELS:
             raise QuadratureError(
-                f"adaptive quadrature failed to reach tol={tol:g} "
+                f"adaptive quadrature failed to reach tol={QUAD_TOL:g} "
                 f"with {len(panels)} panels")
         worst = max(range(len(panels)), key=lambda i: float(np.max(panels[i][3])))
         lo, hi = panels[worst][0], panels[worst][1]
@@ -240,9 +240,9 @@ class MomentTriple:
     n: int
 
 
-def moments(measure, D, n, tol=QUAD_TOL):
+def moments(measure, D, n):
     """Radial moment triple (A, B, C) of the measure at scale D."""
-    a, b, c = radial_profile(measure, [D], n, powers=(0, 1, 2), tol=tol)[:, 0]
+    a, b, c = radial_profile(measure, [D], n, powers=(0, 1, 2))[:, 0]
     return MomentTriple(A=float(a), B=float(b), C=float(c), D=float(D), n=n)
 
 
@@ -256,7 +256,7 @@ def moment_identities(measure, R, n):
     return res1, res2
 
 
-def _integrate_profile(measure, D, n, powers, tol):
+def _integrate_profile(measure, D, n, powers):
     fns = {0: measure.f, 1: measure.fprime, 2: measure.fsecond}
 
     def fvec(t):
@@ -264,35 +264,35 @@ def _integrate_profile(measure, D, n, powers, tol):
         return np.concatenate([t[:, None] ** (n - 1 + p) * fns[p](td)
                                for p in powers], axis=1)
 
-    return adaptive_gk(fvec, 0.0, 1.0, tol=tol).reshape(len(powers), D.size)
+    return adaptive_gk(fvec, 0.0, 1.0).reshape(len(powers), D.size)
 
 
-def radial_profile(measure, D, n, powers=(0,), tol=QUAD_TOL):
+def radial_profile(measure, D, n, powers=(0,)):
     """Vectorized moments over an array of scales D.
 
     powers selects which of (A, B, C) to compute: 0 -> A, 1 -> B, 2 -> C.
     Returns an array of shape (len(powers), len(D)).  Over more than
     _CHEB_POINTS scales, the moments at _CHEB_POINTS Chebyshev points of
     [min D, max D] are interpolated by Clenshaw's recurrence if the last two
-    Chebyshev coefficients of every moment sum to at most tol in absolute
-    value; otherwise (or over a range of zero width) every scale is
-    integrated."""
+    Chebyshev coefficients of every moment sum to at most QUAD_TOL in
+    absolute value; otherwise (or over a range of zero width) every scale is
+    integrated by adaptive_gk."""
     D = np.asarray(D, dtype=float).ravel()
     if D.size <= _CHEB_POINTS or D.max() == D.min():
-        return _integrate_profile(measure, D, n, powers, tol)
+        return _integrate_profile(measure, D, n, powers)
     mid, half = 0.5 * (D.max() + D.min()), 0.5 * (D.max() - D.min())
-    fit = _integrate_profile(measure, mid + half * _CHEB_X, n, powers, tol)
+    fit = _integrate_profile(measure, mid + half * _CHEB_X, n, powers)
     coef = (_CHEB_T[:, None, :] * fit).sum(axis=2)          # (K, len(powers))
-    if np.any(np.abs(coef[-2]) + np.abs(coef[-1]) > tol):
-        return _integrate_profile(measure, D, n, powers, tol)
+    if np.any(np.abs(coef[-2]) + np.abs(coef[-1]) > QUAD_TOL):
+        return _integrate_profile(measure, D, n, powers)
     return chebyshev.chebval((D - mid) / half, coef)
 
 
-def ball_measure(measure, radius, n, tol=QUAD_TOL):
+def ball_measure(measure, radius, n):
     """Total measure of a centered ball: |S^{n-1}| * r^n * A(r)."""
     if radius == 0:
         return 0.0
-    t = moments(measure, radius, n, tol=tol)
+    t = moments(measure, radius, n)
     return sphere_area(n) * radius ** n * t.A
 
 

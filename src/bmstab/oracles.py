@@ -30,12 +30,13 @@ _COARSE = 64                # cells bounding the net maximum in mc_measure
 # finite differences
 # ---------------------------------------------------------------------------
 
-def central_derivative(fn, x0=0.0, order=1, step=1e-3, vectorized=True):
+def central_derivative(fn, x0=0.0, order=1, step=1e-3):
     """Richardson-refined central difference of a scalar function.
 
     Combines the classical stencils at widths `step` and `step/2`, removing
-    the O(step^2) error term; `fn` may accept an array of evaluation points
-    when vectorized."""
+    the O(step^2) error term.  `fn` maps an array of evaluation points to
+    an array of values, as PerturbationFamily.measures_along does once its
+    measure is bound; wrap a scalar function in a list comprehension."""
     h = float(step)
     if order == 1:
         pts = np.array([x0 - h, x0 - h / 2, x0 + h / 2, x0 + h])
@@ -43,10 +44,7 @@ def central_derivative(fn, x0=0.0, order=1, step=1e-3, vectorized=True):
         pts = np.array([x0 - h, x0 - h / 2, x0, x0 + h / 2, x0 + h])
     else:
         raise ValueError("order must be 1 or 2")
-    if vectorized:
-        vals = np.asarray(fn(pts), dtype=float)
-    else:
-        vals = np.array([float(fn(p)) for p in pts])
+    vals = np.asarray(fn(pts), dtype=float)
     if order == 1:
         coarse = (vals[3] - vals[0]) / (2 * h)
         fine = (vals[2] - vals[1]) / h
@@ -70,12 +68,13 @@ class McEstimate:
     seed: int
     radius: float | None = None     # of the sampled ball, from the net
 
-    def agrees_with(self, reference, n_sigma=4.0):
-        # the absolute floor covers the deterministic rounding bias of the
-        # sampling envelope, which matters only when the indicator is
-        # constant across batches and stderr collapses to zero
+    def agrees_with(self, reference):
+        # within four standard errors; the absolute floor covers the
+        # deterministic rounding bias of the sampling envelope, which matters
+        # only when the indicator is constant across batches and stderr
+        # collapses to zero
         floor = 1e-9 * max(1.0, abs(reference))
-        return abs(self.value - reference) <= n_sigma * self.stderr + floor
+        return abs(self.value - reference) <= 4.0 * self.stderr + floor
 
 
 def _fibonacci_sphere(m):
@@ -87,13 +86,13 @@ def _fibonacci_sphere(m):
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _coarse_directions(n, seed=1234):
+def _coarse_directions(n):
     if n == 2:
         t = np.linspace(0.0, 2 * math.pi, 1024, endpoint=False)
         return np.column_stack([np.cos(t), np.sin(t)])
     if n == 3:
         return _fibonacci_sphere(4096)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1234)))
     u = rng.standard_normal((8192, n))
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 

@@ -170,7 +170,7 @@ class SphericalFunction:
     derivatives of its homogeneous extensions."""
 
     n: int
-    spec: dict | None
+    spec: dict | None = None      # set by funcspecs.sf_from_spec
 
     # -- representation hooks -------------------------------------------
 
@@ -226,7 +226,7 @@ class PolynomialSF(SphericalFunction):
     Supports exact derivatives of both homogeneous extensions, including the
     third derivatives needed by the cofactor divergence identities."""
 
-    def __init__(self, n, coeffs, spec=None):
+    def __init__(self, n, coeffs):
         self.n = int(n)
         clean = {}
         for alpha, c in coeffs.items():
@@ -237,43 +237,38 @@ class PolynomialSF(SphericalFunction):
             if c != 0.0:
                 clean[alpha] = clean.get(alpha, 0.0) + c
         self.coeffs = {a: c for a, c in clean.items() if c != 0.0}
-        self.spec = spec
         self._cache = {}
-
-    @property
-    def degree(self):
-        return max((sum(a) for a in self.coeffs), default=0)
 
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def constant(n, c, spec=None):
-        return PolynomialSF(n, {(0,) * n: c}, spec=spec)
+    def constant(n, c):
+        return PolynomialSF(n, {(0,) * n: c})
 
     @staticmethod
-    def linear(n, vector, spec=None):
+    def linear(n, vector):
         coeffs = {}
         for i, v in enumerate(vector):
             alpha = [0] * n
             alpha[i] = 1
             coeffs[tuple(alpha)] = v
-        return PolynomialSF(n, coeffs, spec=spec)
+        return PolynomialSF(n, coeffs)
 
     @staticmethod
-    def cos_harmonic(k, amplitude=1.0, spec=None):
+    def cos_harmonic(k, amplitude=1.0):
         """amplitude * cos(k theta) on the circle, as a polynomial in
         (x1, x2): the real part of (x1 + i x2)^k."""
         coeffs = {}
         for j in range(0, k + 1, 2):
             coeffs[(k - j, j)] = amplitude * math.comb(k, j) * (-1.0) ** (j // 2)
-        return PolynomialSF(2, coeffs, spec=spec)
+        return PolynomialSF(2, coeffs)
 
     @staticmethod
-    def sin_harmonic(k, amplitude=1.0, spec=None):
+    def sin_harmonic(k, amplitude=1.0):
         coeffs = {}
         for j in range(1, k + 1, 2):
             coeffs[(k - j, j)] = amplitude * math.comb(k, j) * (-1.0) ** ((j - 1) // 2)
-        return PolynomialSF(2, coeffs, spec=spec)
+        return PolynomialSF(2, coeffs)
 
     # -- algebra ------------------------------------------------------------
 
@@ -288,17 +283,6 @@ class PolynomialSF(SphericalFunction):
         return PolynomialSF(self.n, out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return PolynomialSF(self.n, {a: -c for a, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = PolynomialSF.constant(self.n, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -386,10 +370,9 @@ class ExprSF(SphericalFunction):
     bundle operations on other representations (sums, products, powers,
     exp/log, quotients).  Its values are the bundle's values."""
 
-    def __init__(self, n, d2_fn, spec=None):
+    def __init__(self, n, d2_fn):
         self.n = n
         self._d2_fn = d2_fn
-        self.spec = spec
 
     def values(self, U):
         return self.d2_ext0(U).val
@@ -399,7 +382,7 @@ class ExprSF(SphericalFunction):
         return self._d2_fn(U)
 
 
-def sf_sum(parts, spec=None):
+def sf_sum(parts):
     """Linear combination of spherical functions: parts = [(coeff, sf), ...]."""
     parts = [(float(c), sf) for c, sf in parts]
     n = parts[0][1].n
@@ -407,13 +390,12 @@ def sf_sum(parts, spec=None):
         out = PolynomialSF(n, {})
         for c, sf in parts:
             out = out + c * sf
-        out.spec = spec
         return out
     return ExprSF(n, lambda U: d2_combine([(c, sf.d2_ext0(U))
-                                          for c, sf in parts]), spec=spec)
+                                          for c, sf in parts]))
 
 
-def sf_product_powers(factors, spec=None):
+def sf_product_powers(factors):
     """prod f_k^{a_k} = exp(sum a_k log f_k) for spherical functions f_k.
 
     The f_k must be strictly positive on the sphere wherever this is
@@ -421,34 +403,31 @@ def sf_product_powers(factors, spec=None):
     multiplicative perturbation families)."""
     factors = [(sf, float(a)) for sf, a in factors]
     return ExprSF(factors[0][0].n, lambda U: d2_exp(d2_combine(
-        [(a, d2_log(sf.d2_ext0(U))) for sf, a in factors])), spec=spec)
+        [(a, d2_log(sf.d2_ext0(U))) for sf, a in factors])))
 
 
-def sf_ratio(numer, denom, spec=None):
+def sf_ratio(numer, denom):
     """numer / denom for spherical functions with strictly positive denom.
     Unlike the power representation the numerator may vanish."""
     return ExprSF(numer.n, lambda U: d2_mul(
-        numer.d2_ext0(U), d2_power(denom.d2_ext0(U), -1.0)), spec=spec)
+        numer.d2_ext0(U), d2_power(denom.d2_ext0(U), -1.0)))
 
 
-def sf_exp(inner, spec=None):
+def sf_exp(inner):
     """exp(inner) for a spherical function inner (strictly positive result)."""
-    return ExprSF(inner.n, lambda U: d2_exp(inner.d2_ext0(U)), spec=spec)
+    return ExprSF(inner.n, lambda U: d2_exp(inner.d2_ext0(U)))
 
 
-def sf_mul(f, g, spec=None):
+def sf_mul(f, g):
     """Pointwise product; either factor may vanish or change sign."""
     if isinstance(f, PolynomialSF) and isinstance(g, PolynomialSF):
-        out = f * g
-        out.spec = spec
-        return out
-    return ExprSF(f.n, lambda U: d2_mul(f.d2_ext0(U), g.d2_ext0(U)),
-                  spec=spec)
+        return f * g
+    return ExprSF(f.n, lambda U: d2_mul(f.d2_ext0(U), g.d2_ext0(U)))
 
 
-def sf_log(f, spec=None):
+def sf_log(f):
     """log(f) for strictly positive f."""
-    return ExprSF(f.n, lambda U: d2_log(f.d2_ext0(U)), spec=spec)
+    return ExprSF(f.n, lambda U: d2_log(f.d2_ext0(U)))
 
 
 # ---------------------------------------------------------------------------

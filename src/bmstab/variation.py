@@ -251,13 +251,8 @@ def g_prime_ball(R, psi, measure, grid):
     return variation_at_ball(measure, R, psi, grid).g1
 
 
-def g_second_ball(R, psi, measure, grid, route="moment"):
+def g_second_ball(R, psi, measure, grid):
     """Second derivative at s = 0 of s -> gamma(ball(R) + s psi), by the
-    radial-moment route (default) or the density-profile route; the two
-    agree to rounding and are cross-checked in variation_at_ball."""
-    var = variation_at_ball(measure, R, psi, grid)
-    if route == "moment":
-        return var.g2_moment
-    if route == "profile":
-        return var.g2_profile
-    raise ValueError(f"unknown route {route!r}")
+    radial-moment route.  variation_at_ball also gives the density-profile
+    route (g2_profile) and the gap between the two (route_gap)."""
+    return variation_at_ball(measure, R, psi, grid).g2_moment

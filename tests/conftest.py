@@ -51,9 +51,9 @@ def gk_widths(monkeypatch):
     """The batch width of every adaptive_gk call made during the test."""
     widths, real = [], measures_module.adaptive_gk
 
-    def counting(fvec, a, b, tol=measures_module.QUAD_TOL):
+    def counting(fvec, a, b):
         widths.append(fvec(np.array([0.5])).shape[1])
-        return real(fvec, a, b, tol)
+        return real(fvec, a, b)
 
     monkeypatch.setattr(measures_module, "adaptive_gk", counting)
     return widths

@@ -171,11 +171,10 @@ def _node_fields(fam, s_values):
     """h_s, grad h_s and Q(h_s) at the nodes, shapes (S, m), (S, m, n) and
     (S, m, n-1, n-1), from the family's coefficients: the per-node fields
     whose polynomials in s measures_along evaluates."""
-    c = fam._coefficients()
     s = np.asarray(s_values, dtype=float).reshape(-1, 1, 1, 1)
     vals = fam._values(s)
-    grads = c["g0"] + s[..., 0] * c["g1"]
-    Q = c["C0"] + s * (c["C1"] + s * c["C2"])
+    grads = fam.u0[:, 1:] + s[..., 0] * fam.u1[:, 1:]
+    Q = fam.C0 + s * (fam.C1 + s * fam.C2)
     if fam.kind == "multiplicative":
         grads = vals[..., None] * grads
         Q = vals[..., None, None] * Q
@@ -228,8 +227,7 @@ def test_measures_along_matches_per_s(grid2, grid3, gaussian):
 
 def _direct_measure(measure, body):
     # gamma(K) with adaptive_gk at every node: no Chebyshev profile
-    A = measures_module._integrate_profile(measure, body.D, body.n, (0,),
-                                           measures_module.QUAD_TOL)[0]
+    A = measures_module._integrate_profile(measure, body.D, body.n, (0,))[0]
     return float(np.sum(body.grid.weights * body.hvals * body.curvature.det
                         * A))
 
@@ -288,14 +286,13 @@ def test_family_validity_holds_on_dense_s_grid(kind, n, name, grid2, grid3):
 
 def _reference_radius(fam, max_radius=8.0):
     # make_family's bisection with eigvalsh for every smallest eigenvalue
-    c = fam._coefficients()
     base_Q = curvature_matrix(fam.base, fam.grid).Q
     floor = VALIDITY_EIG_FLOOR * np.min(np.linalg.eigvalsh(base_Q)[:, 0])
 
     def valid(b):
         s = np.array([-b, b]).reshape(2, 1, 1, 1)
         vals = fam._values(s)
-        lam = np.linalg.eigvalsh(c["C0"] + s * c["C1"])[..., 0]
+        lam = np.linalg.eigvalsh(fam.C0 + s * fam.C1)[..., 0]
         w = vals if fam.kind == "multiplicative" else 1.0
         return bool(np.all(vals > 0.0) and np.all(w * lam >= floor))
 
@@ -340,9 +337,8 @@ def test_additive_family_computes_base_curvature_once(monkeypatch, grid3):
     fam = make_family("additive", base, psi, grid3)
     assert len(calls) == 2
     assert calls[0] is base and calls[1] is psi
-    c = fam._coefficients()
-    assert np.array_equal(c["C0"], real(base, grid3).Q)
-    assert np.array_equal(c["v0"], base.d2_ext0(grid3.nodes).val)
+    assert np.array_equal(fam.C0, real(base, grid3).Q)
+    assert np.array_equal(fam.v0, base.d2_ext0(grid3.nodes).val)
 
 
 class _CountingSF(SphericalFunction):
@@ -379,19 +375,18 @@ def test_one_node_evaluation_per_support_function(kind, grid3, gaussian):
 def test_family_coefficients_skip_direction_det_and_eigenvalues(
         kind, grid3, monkeypatch):
     # the coefficients read only Q, values and gradients of the direction;
-    # the seeded base field's smallest eigenvalues are already cached
+    # the passed base field's smallest eigenvalues are already cached
     import bmstab.sphere as sphere_module
     base, direction = _family_case(kind, 3, "random_even")
-    fam = PerturbationFamily(kind=kind, base=base, direction=direction,
-                             grid=grid3)
-    fam._cache["base_field"] = body_from_support(base, grid3).curvature
+    base_field = body_from_support(base, grid3).curvature
     calls = []
     for name in ("det_poly", "batch_min_eig"):
         def counting(Q, name=name, real=getattr(sphere_module, name)):
             calls.append(name)
             return real(Q)
         monkeypatch.setattr(sphere_module, name, counting)
-    fam._coefficients()
+    PerturbationFamily(kind=kind, base=base, direction=direction, grid=grid3,
+                       base_field=base_field)
     assert calls == []
 
 
@@ -400,10 +395,9 @@ def test_nonpositive_multiplicative_direction_raises(grid2):
     direction = PolynomialSF.cos_harmonic(2)      # negative at 45 degrees
     with pytest.raises(FamilyError, match="strictly positive"):
         make_family("multiplicative", base, direction, grid2)
-    fam = PerturbationFamily(kind="multiplicative", base=base,
-                             direction=direction, grid=grid2)
     with pytest.raises(FamilyError, match="strictly positive"):
-        fam._coefficients()
+        PerturbationFamily(kind="multiplicative", base=base,
+                           direction=direction, grid=grid2)
 
 
 def test_family_rejects_out_of_range(grid2):
@@ -417,8 +411,22 @@ def test_family_rejects_out_of_range(grid2):
 
 
 def test_family_max_radius_cap(grid2):
-    # a direction that never breaks convexity: the cap must bind
+    # 1 + 0.1 s stays a ball of radius >= 0.2 for |s| <= 8, so the curvature
+    # floor never binds and the cap does
     base = PolynomialSF.constant(2, 1.0)
-    fam = make_family("additive", base, PolynomialSF.constant(2, 1.0),
-                      grid2, max_radius=2.5)
-    assert fam.a <= 2.5 + 1e-12
+    fam = make_family("additive", base, PolynomialSF.constant(2, 0.1), grid2)
+    assert fam.a == 8.0
+    assert fam.search_trace == [(8.0, True)]
+
+
+def test_family_rejects_misspelled_kind(grid2, lebesgue):
+    # a directly built family validates its kind instead of running the
+    # multiplicative path: the additive ball family 1 + s measures pi (1+s)^2
+    one = PolynomialSF.constant(2, 1.0)
+    with pytest.raises(FamilyError, match="unknown family kind 'addtive'"):
+        PerturbationFamily(kind="addtive", base=one, direction=one,
+                           grid=grid2)
+    fam = PerturbationFamily(kind="additive", base=one, direction=one,
+                             grid=grid2)
+    got = fam.measures_along(lebesgue, [0.0, 0.2])
+    assert got == pytest.approx([math.pi, 1.44 * math.pi], rel=1e-12)

@@ -201,6 +201,13 @@ def test_shift_counterexample_frozen_values(t, closed, margin):
                - res.details["area_geometric_mean"]) < 1e-4
 
 
+def test_shift_counterexample_monte_carlo_oracle():
+    res = run_check("shift_counterexample", {"t": 0.3, "resolution": 256,
+                                             "mc_samples": 1 << 16})
+    assert res.passed and "area_mc" in res.details
+    assert abs(res.details["mc_z"]) <= 4.0
+
+
 def test_shift_counterexample_rejects_bad_t():
     with pytest.raises(ValueError):
         run_check("shift_counterexample", {"t": 1.2, "resolution": 128})

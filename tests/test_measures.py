@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import bmstab.measures as measures_module
-from bmstab.measures import (QUAD_TOL, MomentTriple, ball_growth_derivatives,
+from bmstab.measures import (MomentTriple, ball_growth_derivatives,
                              ball_measure, make_measure, measure_from_spec,
                              moment_identities, moments, radial_profile)
 from bmstab.oracles import central_derivative
@@ -68,7 +68,7 @@ def test_radial_profile_matches_pointwise(gaussian):
 def _direct_profile(measure, D, n, powers):
     # every scale integrated by adaptive_gk, bypassing the interpolant
     return measures_module._integrate_profile(
-        measure, np.asarray(D, dtype=float), n, powers, QUAD_TOL)
+        measure, np.asarray(D, dtype=float), n, powers)
 
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s["kind"] + str(s.get("p", "")))
@@ -136,10 +136,10 @@ def test_ball_growth_derivatives_match_fd(spec, n):
     R = 1.1
     G, G1, G2 = ball_growth_derivatives(mu, R, n)
     assert G == pytest.approx(ball_measure(mu, R, n), rel=1e-12)
-    fd1 = central_derivative(lambda r: ball_measure(mu, r, n), R,
-                             order=1, step=1e-3, vectorized=False)
-    fd2 = central_derivative(lambda r: ball_measure(mu, r, n), R,
-                             order=2, step=1e-3, vectorized=False)
+    fd1 = central_derivative(lambda rs: [ball_measure(mu, r, n) for r in rs],
+                             R, order=1, step=1e-3)
+    fd2 = central_derivative(lambda rs: [ball_measure(mu, r, n) for r in rs],
+                             R, order=2, step=1e-3)
     assert G1 == pytest.approx(fd1, rel=1e-7)
     assert G2 == pytest.approx(fd2, rel=1e-5, abs=1e-7)
 
