@@ -17,7 +17,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from . import measures as _measures
 from .sphere import (CurvatureField, PolynomialSF, SphereGrid,
@@ -57,10 +57,6 @@ class Body:
     @property
     def hvals(self):
         return self.curvature.val
-
-    @property
-    def grad0(self):
-        return self.curvature.grad
 
     @property
     def min_curvature_eig(self):
@@ -156,6 +152,12 @@ _MAX_RADIUS = 8.0       # make_family's cap on the validity radius
 _S_CHUNK = 32           # parameters per measures_along batch
 
 
+def _leibniz(a, b):
+    # (ab, (ab)', (ab)'') from (a, a', a'') and (b, b', b'')
+    return [a[0] * b[0], a[1] * b[0] + a[0] * b[1],
+            a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2]]
+
+
 @dataclass
 class PerturbationFamily:
     """One-parameter family of support candidates.
@@ -239,6 +241,22 @@ class PerturbationFamily:
             return self.v0 + s[..., 0, 0] * self.v1
         return self.v0 * self.v1 ** s[..., 0, 0]
 
+    def _expansions(self, s_values):
+        # per chunk of _S_CHUNK parameters about its centre s_c: the chunk's
+        # start, t = s - s_c shaped (S, 1), h_s at the nodes, and the node
+        # coefficients in t of det Q(h_s) / w^(n-1) and of D(s)^2 / w^2
+        u0, u1, C0, C1, C2 = self.u0, self.u1, self.C0, self.C1, self.C2
+        for lo in range(0, s_values.size, _S_CHUNK):
+            sl = s_values[lo:lo + _S_CHUNK]
+            sc = 0.5 * (sl.min() + sl.max())
+            mats = [C0 + sc * (C1 + sc * C2), C1 + 2.0 * sc * C2]
+            if self.kind == "multiplicative":
+                mats.append(C2)
+            uc = u0 + sc * u1
+            q = poly_mul([uc, u1], np.stack([uc, u1])).sum(axis=2)
+            h = self._values(sl.reshape(-1, 1, 1, 1))
+            yield lo, (sl - sc)[:, None], h, det_poly(mats), q
+
     def measures_along(self, measure, s_values):
         """gamma(K_{h_s}) for a batch of parameters (no per-s validation;
         callers must stay inside the validity radius).  Per chunk of
@@ -248,24 +266,49 @@ class PerturbationFamily:
         s_values = np.asarray(s_values, dtype=float)
         out = np.empty(s_values.size)
         w, n = self.grid.weights, self.grid.n
-        u0, u1, C0, C1, C2 = self.u0, self.u1, self.C0, self.C1, self.C2
-        for lo in range(0, s_values.size, _S_CHUNK):
-            sl = s_values[lo:lo + _S_CHUNK]
-            sc = 0.5 * (sl.min() + sl.max())
-            t = (sl - sc)[:, None]
-            mats = [C0 + sc * (C1 + sc * C2), C1 + 2.0 * sc * C2]
-            uc = u0 + sc * u1
-            q = poly_mul([uc, u1], np.stack([uc, u1])).sum(axis=2)
+        for lo, t, h, p, q in self._expansions(s_values):
             D = np.sqrt(polyval(t, q, False))
-            h = self._values(sl.reshape(-1, 1, 1, 1))
             if self.kind == "additive":
-                f = h * polyval(t, det_poly(mats), False)
+                f = h * polyval(t, p, False)
             else:
-                f = h ** n * polyval(t, det_poly(mats + [C2]), False)
+                f = h ** n * polyval(t, p, False)
                 D = h * D
             A = _measures.radial_profile(measure, D, n, powers=(0,))[0]
             out[lo:lo + _S_CHUNK] = (f * A.reshape(D.shape) * w).sum(axis=1)
         return out
+
+    def derivatives_along(self, measure, s_values):
+        """(g, g', g'') for g(s) = gamma(K_{h_s}) over a batch of parameters,
+        from the polynomials of measures_along (same caveat on the validity
+        radius).  With H = h_s det Q(h_s) and the moments A, B = dA/dD and
+        C = d^2A/dD^2 at D(s), the product rule on H A(D(s)), summed with the
+        grid weights w, gives
+
+            g'  = sum w (H' A + H B D'),
+            g'' = sum w (H'' A + 2 H' B D' + H (C D'^2 + B D'')).
+
+        Multiplicative families differentiate through the factors w(s) = h_s,
+        with h_s' = h_s log phi."""
+        s_values = np.asarray(s_values, dtype=float)
+        out = np.empty((3, s_values.size))
+        w, n = self.grid.weights, self.grid.n
+        for lo, t, h, p, q in self._expansions(s_values):
+            P = [polyval(t, polyder(p, k), False) for k in range(3)]
+            q0, q1, q2 = (polyval(t, polyder(q, k), False) for k in range(3))
+            E = np.sqrt(q0)                 # D / w and its derivatives
+            E1 = q1 / (2.0 * E)
+            D = [E, E1, (q2 - 2.0 * E1 ** 2) / (2.0 * E)]
+            if self.kind == "additive":
+                H = _leibniz([h, self.v1, 0.0], P)
+            else:
+                L = np.log(self.v1)
+                H = _leibniz([h ** n * (n * L) ** k for k in range(3)], P)
+                D = _leibniz([h * L ** k for k in range(3)], D)
+            A, B, C = _measures.radial_profile(
+                measure, D[0], n, powers=(0, 1, 2)).reshape((3,) + h.shape)
+            terms = _leibniz(H, [A, B * D[1], C * D[1] ** 2 + B * D[2]])
+            out[:, lo:lo + _S_CHUNK] = (np.stack(terms) * w).sum(axis=2)
+        return out[0], out[1], out[2]
 
     # -- validity -----------------------------------------------------------
 

@@ -212,7 +212,8 @@ _SCAN_LISTS = {
 }
 _SCALARS = (("n", int, "a positive integer"),
             ("resolution", int, "a positive integer"),
-            ("R", (int, float), "a positive finite number"))
+            ("R", (int, float), "a positive finite number"),
+            ("mc_samples", int, "a positive integer"))
 
 
 def validate_config(cfg):

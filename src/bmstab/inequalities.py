@@ -3,10 +3,10 @@
 Every check consumes a JSON-safe parameter dictionary and produces a
 CheckResult carrying the computed margin, the pass decision at an explicit
 tolerance, and the disagreement against whichever independent route is
-available (finite differences, closed forms, Monte Carlo, polygons).  Every
-pass decision is made by `_result`, from the margin's sense.  The registry
-at the bottom lets any result be re-run from its stored parameters; reruns
-are deterministic."""
+available (family kernels, finite differences, closed forms, Monte Carlo,
+polygons).  Every pass decision is made by `_result`, from the margin's
+sense.  The registry at the bottom lets any result be re-run from its
+stored parameters; reruns are deterministic."""
 
 from __future__ import annotations
 
@@ -140,16 +140,6 @@ def _at_ball(params):
     return n, R, g, mu, psi, variation_at_ball(mu, R, psi, g)
 
 
-def _fd_gap(fam, mu, g2, floor):
-    """Finite-difference g''(0) of s -> gamma(K_s) along the family, and its
-    relative gap to g2; the floor keeps a zero g2 from comparing against
-    cancellation noise alone."""
-    fd2 = _oracles.central_derivative(
-        lambda s: fam.measures_along(mu, s), 0.0, order=2,
-        step=1e-2 * min(1.0, fam.a / 4.0))
-    return fd2, abs(g2 - fd2) / max(abs(g2), abs(fd2), floor)
-
-
 def _ball_form_gap(margin, raw, lhs, rhs, R, n):
     """The variation-route margin raw normalized by |S|^2 R^{2n-2}, and its
     gap to the ball-form margin lhs - rhs relative to the larger side."""
@@ -181,14 +171,15 @@ def check_dim_bm_infinitesimal(params):
     fam = make_family("additive", sf_from_spec(
         {"type": "constant", "value": R}, n), psi, g)
     floor = 1e-2 * max(1.0, abs(var.g0))
-    fd2, fd_rel = _fd_gap(fam, mu, var.g2, floor)
+    g2k = float(fam.derivatives_along(mu, [0.0])[2][0])
+    kernel = abs(var.g2 - g2k) / max(abs(var.g2), abs(g2k), floor)
     route = var.route_gap / max(abs(var.g2), floor)
     return _result(
         "dim_bm_infinitesimal", params, n, _measure_name(mu), margin,
         params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R,
-        oracle_diff=max(route, fd_rel),
+        oracle_diff=max(route, kernel),
         details={"g0": var.g0, "g1": var.g1, "g2": var.g2,
-                 "g2_profile": var.g2_profile, "g2_fd": fd2,
+                 "g2_profile": var.g2_profile, "g2_kernel": g2k,
                  "raw_margin": raw, "psi_parity": psi.parity(),
                  "validity_radius": fam.a})
 
@@ -203,14 +194,15 @@ def check_log_bm_infinitesimal(params):
 
     ball_sf = sf_from_spec({"type": "constant", "value": R}, n)
     fam = _variation.mult_family_through(ball_sf, psi, g)
-    fd2, fd_rel = _fd_gap(fam, mu, var.g2_mult,
-                          1e-2 * max(1.0, abs(var.g0)))
+    g2k = float(fam.derivatives_along(mu, [0.0])[2][0])
+    floor = 1e-2 * max(1.0, abs(var.g0))
+    kernel = abs(var.g2_mult - g2k) / max(abs(var.g2_mult), abs(g2k), floor)
     return _result(
         "log_bm_infinitesimal", params, n, _measure_name(mu), margin,
         params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R,
-        expected_failure=expected_failure, oracle_diff=fd_rel,
+        expected_failure=expected_failure, oracle_diff=kernel,
         details={"g0": var.g0, "g1": var.g1, "g2_mult": var.g2_mult,
-                 "g2_mult_fd": fd2, "log_corr": var.log_corr,
+                 "g2_mult_kernel": g2k, "log_corr": var.log_corr,
                  "psi_parity": psi.parity()})
 
 

@@ -271,14 +271,21 @@ def radial_profile(measure, D, n, powers=(0,)):
     """Vectorized moments over an array of scales D.
 
     powers selects which of (A, B, C) to compute: 0 -> A, 1 -> B, 2 -> C.
-    Returns an array of shape (len(powers), len(D)).  Over more than
-    _CHEB_POINTS scales, the moments at _CHEB_POINTS Chebyshev points of
-    [min D, max D] are interpolated by Clenshaw's recurrence if the last two
-    Chebyshev coefficients of every moment sum to at most QUAD_TOL in
-    absolute value; otherwise (or over a range of zero width) every scale is
+    Returns an array of shape (len(powers), len(D)).  When every scale is
+    the same, that one scale is integrated by adaptive_gk and repeated.
+    Over more than _CHEB_POINTS scales, the moments at _CHEB_POINTS
+    Chebyshev points of [min D, max D] are interpolated by Clenshaw's
+    recurrence if the last two Chebyshev coefficients of every moment sum
+    to at most QUAD_TOL in absolute value; otherwise every scale is
     integrated by adaptive_gk."""
     D = np.asarray(D, dtype=float).ravel()
-    if D.size <= _CHEB_POINTS or D.max() == D.min():
+    if D.size > 2 and D.max() == D.min():
+        # two copies, not one: adaptive_gk's einsum sums a one-column batch
+        # in another order, and the repeated values must be bitwise those
+        # of the whole batch
+        one = _integrate_profile(measure, D[:2], n, powers)[:, :1]
+        return np.repeat(one, D.size, axis=1)
+    if D.size <= _CHEB_POINTS:
         return _integrate_profile(measure, D, n, powers)
     mid, half = 0.5 * (D.max() + D.min()), 0.5 * (D.max() - D.min())
     fit = _integrate_profile(measure, mid + half * _CHEB_X, n, powers)

@@ -256,6 +256,8 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     direction starts its polish, whose Newton steps are taken for all
     polished rows at once.  The estimates are bitwise those of the full
     MC_BATCH x len(dirs) product, which is never formed."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     h = body.h
     g = body.grid
     n = g.n

@@ -1,5 +1,9 @@
-"""First and second variations of the measure of a body along support
-perturbations, and the cofactor calculus behind them.
+"""Closed-form variations of the measure at a centered ball, and the
+cofactor calculus behind the curvature integrals.
+
+variation_at_ball gives g, g' and g'' at s = 0 for g(s) = gamma(K_{R + s psi})
+in closed form; PerturbationFamily.derivatives_along gives them along any
+family at any s, and each is the other's oracle at the ball.
 
 For an N x N matrix M the cofactor c_ij = d(det M)/dM_ij and the second
 cofactor c_ij,kl = d^2(det M)/(dM_ij dM_kl) drive two families of exact
@@ -23,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as _measures
-from .bodies import body_from_support, measure_of_body
-from .sphere import (curvature_matrix, det_poly, sf_exp, sf_log, sf_mul,
-                     sf_ratio, sphere_area)
+from .bodies import make_family, measure_of_body
+from .sphere import curvature_matrix, det_poly, sf_exp, sf_ratio, sphere_area
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +37,16 @@ from .sphere import (curvature_matrix, det_poly, sf_exp, sf_log, sf_mul,
 
 def cofactor_field(Q):
     """Batched first cofactors for a stack of matrices, shape (m, N, N):
-    c_ij is the t coefficient of det(Q + t E_ij)."""
+    c_ij = (-1)^(i+j) times the minor without row i and column j."""
     Q = np.asarray(Q, dtype=float)
-    N = Q.shape[-1]
-    E = np.eye(N * N).reshape(N, N, N, N)
-    return det_poly(np.broadcast_arrays(Q[:, None, None], E))[1]
+    m, N, _ = Q.shape
+    C = np.empty((m, N, N))
+    for i, j in np.ndindex(N, N):
+        rows = [r for r in range(N) if r != i]
+        cols = [c for c in range(N) if c != j]
+        minor = Q[np.ix_(np.arange(m), rows, cols)]
+        C[:, i, j] = (-1.0) ** (i + j) * det_poly([minor])[0]
+    return C
 
 
 def second_cofactor_field(Q):
@@ -122,50 +130,6 @@ def ibp_residuals(h, psi, omega, grid):
 
 
 # ---------------------------------------------------------------------------
-# first variation (general body)
-# ---------------------------------------------------------------------------
-
-def first_variation(measure, body, direction):
-    """d/ds gamma(K_{h + s psi}) at s = 0 for a validated body.
-
-    Three terms: the direction moves (i) the support factor, (ii) the
-    curvature determinant through the linearized cofactor form, and
-    (iii) the radial scale D = sqrt(h^2 + |grad h|^2) inside the moment."""
-    g = body.grid
-    d = curvature_matrix(direction, g)
-    lin = np.einsum("mij,mij->m", cofactor_field(body.curvature.Q), d.Q)
-    prof = _measures.radial_profile(measure, body.D, g.n, powers=(0, 1))
-    A, B = prof[0], prof[1]
-    dD = (body.hvals * d.val + np.sum(body.grad0 * d.grad, axis=1)) / body.D
-    integrand = (d.val * body.curvature.det * A
-                 + body.hvals * lin * A
-                 + body.hvals * body.curvature.det * B * dD)
-    return float(np.sum(g.weights * integrand))
-
-
-def family_direction_at(family, s=0.0):
-    """Effective additive direction d h_s / ds of a family at parameter s."""
-    if family.kind == "additive":
-        return family.direction
-    return sf_mul(family.support_at(s), sf_log(family.direction))
-
-
-def g_prime(measure, family, s=0.0):
-    """First derivative of s -> gamma(K_{h_s}) at any s inside the validity
-    radius, by re-basing the family at s."""
-    h_s = family.base if s == 0.0 else family.support_at(s)
-    body = body_from_support(h_s, family.grid)
-    return first_variation(measure, body, family_direction_at(family, s))
-
-
-def log_correction(measure, body, psi):
-    """Gap between multiplicative and additive second variations at a body:
-    the first variation in direction psi^2 / h."""
-    chi = sf_ratio(sf_mul(psi, psi), body.h)
-    return first_variation(measure, body, chi)
-
-
-# ---------------------------------------------------------------------------
 # variations at a centered ball
 # ---------------------------------------------------------------------------
 
@@ -234,25 +198,12 @@ def variation_at_ball(measure, R, psi, grid):
 
 def mult_family_through(h, psi, grid):
     """Multiplicative family h phi^s with d h_s/ds|_0 = psi: phi = e^{psi/h}."""
-    from .bodies import make_family
     return make_family("multiplicative", h, sf_exp(sf_ratio(psi, h)), grid)
 
 
 def g_eval(family, measure, s):
-    """gamma(K_{h_s}): the scalar function whose derivatives the closed
-    forms below predict.  s must lie inside the family's validity radius
-    (family.body_at raises FamilyError otherwise)."""
+    """gamma(K_{h_s}) from a validated body: the scalar function whose
+    derivatives variation_at_ball and the family's derivatives_along give.
+    s must lie inside the family's validity radius (family.body_at raises
+    FamilyError otherwise)."""
     return measure_of_body(measure, family.body_at(s))
-
-
-def g_prime_ball(R, psi, measure, grid):
-    """First derivative at s = 0 of s -> gamma(ball(R) + s psi):
-    R^{n-1} f(R) * integral of psi."""
-    return variation_at_ball(measure, R, psi, grid).g1
-
-
-def g_second_ball(R, psi, measure, grid):
-    """Second derivative at s = 0 of s -> gamma(ball(R) + s psi), by the
-    radial-moment route.  variation_at_ball also gives the density-profile
-    route (g2_profile) and the gap between the two (route_gap)."""
-    return variation_at_ball(measure, R, psi, grid).g2_moment

@@ -106,9 +106,8 @@ def test_criterion_03_variation_vs_finite_differences(grid2, grid3):
             for name, _psi_spec, psi in bm.direction_suite(n):
                 fam = bm.make_family("additive", hb, psi, grid)
                 f = lambda ss: [bm.g_eval(fam, meas, s) for s in ss]
-                for order, analytic in (
-                        (1, bm.g_prime_ball(1.0, psi, meas, grid)),
-                        (2, bm.g_second_ball(1.0, psi, meas, grid))):
+                var = bm.variation_at_ball(meas, 1.0, psi, grid)
+                for order, analytic in ((1, var.g1), (2, var.g2)):
                     fd = bm.central_derivative(f, 0.0, order=order,
                                                step=1e-3)
                     err = abs(analytic - fd)
@@ -116,8 +115,8 @@ def test_criterion_03_variation_vs_finite_differences(grid2, grid3):
                     assert err <= bound, (n, spec, name, order, err, bound)
                     worst_fd = max(worst_fd,
                                    err / max(abs(analytic), abs(fd), 1.0))
-                d = bm.variation_at_ball(meas, 1.0, psi, grid).route_gap
-                scale = max(1.0, abs(bm.g_second_ball(1.0, psi, meas, grid)))
+                d = var.route_gap
+                scale = max(1.0, abs(var.g2))
                 assert d <= 1e-10 * scale, (n, spec, name, d)
                 worst_routes = max(worst_routes, d / scale)
     report(3, True, f"48 derivative comparisons, worst FD rel {worst_fd:.2e}; "

@@ -14,8 +14,10 @@ from bmstab.bodies import (_S_CHUNK, VALIDITY_EIG_FLOOR, FamilyError,
                            measure_of_body, minkowski_combine,
                            quermassintegrals)
 from bmstab.funcspecs import direction_suite, sf_from_spec
+from bmstab.oracles import central_derivative
 from bmstab.sphere import (PolynomialSF, SphericalFunction, curvature_matrix,
                            integrate, sf_exp, sf_ratio, sf_sum)
+from bmstab.variation import mult_family_through, variation_at_ball
 
 
 def perturbed_disk(eps, k=2):
@@ -190,7 +192,7 @@ def test_multiplicative_family_fields(grid3):
     for i, s in enumerate(s_values):
         direct = fam.body_at(float(s))
         assert np.max(np.abs(vals[i] - direct.hvals)) < 1e-11
-        assert np.max(np.abs(grads[i] - direct.grad0)) < 1e-10
+        assert np.max(np.abs(grads[i] - direct.curvature.grad)) < 1e-10
         # Q(s) = h_s (C0 + s C1 + s^2 C2) against the body's own curvature
         assert np.max(np.abs(Q[i] - direct.curvature.Q)) < 1e-11
     # h_s = h * phi^s pointwise
@@ -264,6 +266,63 @@ def test_measures_along_integrates_chebyshev_points_per_chunk(
     fam = make_family(kind, base, direction, grid3)
     fam.measures_along(gaussian, np.linspace(-0.9, 0.9, 2 * _S_CHUNK) * fam.a)
     assert gk_widths == [measures_module._CHEB_POINTS] * 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_derivatives_along_match_variation_at_ball(n, grid2, grid3, grid4,
+                                                   lebesgue, gaussian, exp3):
+    # at s = 0 the family kernel reproduces the closed form at the ball:
+    # g, g' and g'' along 1 + s psi, and g''_mult along exp(psi)^s
+    grid = {2: grid2, 3: grid3, 4: grid4}[n]
+    ball = PolynomialSF.constant(n, 1.0)
+    for name, _, psi in direction_suite(n):
+        fam_add = make_family("additive", ball, psi, grid)
+        fam_mul = mult_family_through(ball, psi, grid)
+        for mu in (lebesgue, gaussian, exp3):
+            var = variation_at_ball(mu, 1.0, psi, grid)
+            got = [d[0] for d in fam_add.derivatives_along(mu, [0.0])]
+            got.append(fam_mul.derivatives_along(mu, [0.0])[2][0])
+            want = [var.g0, var.g1, var.g2, var.g2_mult]
+            err = np.max(np.abs(np.subtract(got, want)))
+            assert err <= 1e-13 * max(1.0, abs(var.g0)), (name, mu.kind)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_derivatives_along_match_central_differences(
+        kind, n, grid2, grid3, grid4, lebesgue, gaussian, exp3):
+    # at s = +-0.6 a on a perturbed ball, against Richardson central
+    # differences of measures_along
+    grid = {2: grid2, 3: grid3, 4: grid4}[n]
+    base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
+                   (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
+    for name, _, psi in direction_suite(n):
+        direction = (sf_exp(sf_ratio(psi, base)) if kind == "multiplicative"
+                     else psi)
+        fam = make_family(kind, base, direction, grid)
+        for mu in (lebesgue, gaussian, exp3):
+            for s0 in (-0.6 * fam.a, 0.6 * fam.a):
+                g, g1, g2 = (d[0] for d in fam.derivatives_along(mu, [s0]))
+                fd1, fd2 = (central_derivative(
+                    lambda s: fam.measures_along(mu, s), s0, order=order,
+                    step=step * min(1.0, fam.a))
+                    for order, step in ((1, 1e-3), (2, 1e-2)))
+                scale = max(1.0, abs(g))
+                assert abs(g1 - fd1) <= 1e-7 * scale, (name, mu.kind, s0)
+                assert abs(g2 - fd2) <= 1e-6 * scale, (name, mu.kind, s0)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_derivatives_along_value_matches_measures_along(kind, grid3,
+                                                        gaussian):
+    # g over 101 parameters, four chunks, is measures_along's value up to
+    # rounding: its moments A come from a batch that also holds B and C
+    base, direction = _family_case(kind, 3, "second_harmonic")
+    fam = make_family(kind, base, direction, grid3)
+    s_values = np.linspace(-0.9, 0.9, 101) * fam.a
+    g = fam.derivatives_along(gaussian, s_values)[0]
+    gam = fam.measures_along(gaussian, s_values)
+    assert np.max(np.abs(g - gam) / gam) < 1e-14
 
 
 @pytest.mark.parametrize("name", ["second_harmonic", "random_even"])

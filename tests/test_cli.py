@@ -114,10 +114,29 @@ def test_run_failing_check_exit_two(tmp_path, capsys):
                              "measure": {"kind": "gaussian"},
                              "psi": {"type": "second_harmonic"}}}]},
      "resolution must be a positive integer"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "mc_agreement",
+                  "params": {"n": 2, "R": 1.0, "resolution": 32,
+                             "measure": {"kind": "gaussian"},
+                             "mc_samples": 0}}]},
+     "mc_samples must be a positive integer"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "mc_agreement",
+                  "params": {"n": 2, "R": 1.0, "resolution": 32,
+                             "measure": {"kind": "gaussian"},
+                             "mc_samples": -3}}]},
+     "mc_samples must be a positive integer"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "mc_agreement",
+                  "params": {"n": 2, "R": 1.0, "resolution": 32,
+                             "measure": {"kind": "gaussian"},
+                             "mc_samples": 1.5}}]},
+     "mc_samples must be a positive integer"),
 ], ids=["schema", "empty", "unknown-kind", "eps-frac-range", "lambda-range",
         "eps-fracs-scalar", "eps-fracs-null", "eps-fracs-string",
         "eps-abs-scalar", "eps-abs-nan", "lambdas-scalar", "lambdas-empty",
-        "n-string", "R-string", "resolution-float"])
+        "n-string", "R-string", "resolution-float", "mc-samples-zero",
+        "mc-samples-negative", "mc-samples-float"])
 def test_run_config_errors_exit_one(tmp_path, capsys, cfg, needle):
     rc = cli.main(["run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
@@ -389,3 +408,14 @@ def test_battery_margins_match_reference():
     for res, (cid, margin, passed) in zip(results, ref):
         assert res.passed == passed, cid
         assert abs(res.margin - margin) <= 1e-12 * max(1.0, abs(margin)), cid
+
+
+def test_battery_infinitesimal_oracles_agree():
+    # the 42 infinitesimal rows of the default battery: the closed form at
+    # the ball against the family kernel's g''(0)
+    items = [c for c in cli.default_battery()
+             if c["kind"] in ("dim_bm_infinitesimal", "log_bm_infinitesimal")]
+    assert len(items) == 42
+    for item in items:
+        res = cli.run_check(item["kind"], item["params"])
+        assert res.oracle_diff <= 1e-10, res.check_id

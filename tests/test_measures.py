@@ -108,12 +108,24 @@ def test_radial_profile_kinked_profile_falls_back_to_direct(gk_widths):
 
 
 def test_radial_profile_zero_width_range_is_integrated(gk_widths, gaussian):
-    # no interpolant over a single scale: every scale is integrated directly
+    # no interpolant over a single scale: it is integrated directly, as a
+    # batch of two, and repeated, bitwise as if every scale were integrated
     D = np.full(40, 1.3)
     got = radial_profile(gaussian, D, 3, powers=(0, 1))
-    assert gk_widths == [2 * D.size]
+    assert gk_widths == [2 * 2]
     assert np.array_equal(got, _direct_profile(gaussian, D, 3, (0, 1)))
     assert np.all(got == got[:, :1])
+    for spec in ALL_KINDS:
+        mu = make_measure(**spec)
+        for n in (2, 3, 4):
+            for R in (0.3, 1.0, 1.7, 3.0):
+                for m in (3, 15, 16, 160, 1000):
+                    D = np.full(m, R)
+                    for powers in ((0,), (0, 1, 2)):
+                        assert np.array_equal(
+                            radial_profile(mu, D, n, powers),
+                            _direct_profile(mu, D, n, powers)), \
+                            (spec, n, R, m, powers)
 
 
 @pytest.mark.parametrize("R", [0.4, 1.0, 1.9])

@@ -163,6 +163,13 @@ def test_mc_measure_off_center_body(grid2, lebesgue):
     assert est.refined >= 0
 
 
+def test_mc_measure_rejects_nonpositive_sample_count(grid2, lebesgue):
+    disk = ball_body(1.0, grid2)
+    for n_samples in (0, -3):
+        with pytest.raises(ValueError, match="n_samples"):
+            mc_measure(lebesgue, disk, n_samples=n_samples)
+
+
 def test_mc_agrees_with_tolerance():
     est = McEstimate(value=1.0, stderr=0.01, samples=100, batches=1,
                      refined=0, seed=0)

@@ -5,16 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from bmstab.bodies import (FamilyError, ball_body, body_from_support,
-                           make_family, measure_of_body)
+from bmstab.bodies import FamilyError, ball_body, make_family, measure_of_body
 from bmstab.measures import make_measure
 from bmstab.oracles import central_derivative
 from bmstab.sphere import PolynomialSF, build_grid, curvature_matrix, sf_sum
-from bmstab.variation import (cheng_yau_residual, cofactor_field,
-                              first_variation, g_eval, g_prime, g_prime_ball,
-                              g_second_ball, ibp_residuals, log_correction,
-                              mult_family_through, second_cofactor_field,
-                              variation_at_ball)
+from bmstab.variation import (cheng_yau_residual, cofactor_field, g_eval,
+                              ibp_residuals, mult_family_through,
+                              second_cofactor_field, variation_at_ball)
 
 
 def random_symmetric(rng, N, scale=1.0):
@@ -215,21 +212,21 @@ def test_g_eval_closed_forms(grid2, lebesgue, gaussian):
 def test_g_prime_ball_closed_forms(grid2, lebesgue, gaussian):
     one = PolynomialSF.constant(2, 1.0)
     cos1 = PolynomialSF.cos_harmonic(1)
-    assert g_prime_ball(1.0, one, lebesgue, grid2) == pytest.approx(
+    assert variation_at_ball(lebesgue, 1.0, one, grid2).g1 == pytest.approx(
         2 * math.pi, rel=1e-12)
-    assert g_prime_ball(1.0, one, gaussian, grid2) == pytest.approx(
+    assert variation_at_ball(gaussian, 1.0, one, grid2).g1 == pytest.approx(
         2 * math.pi * math.exp(-0.5), rel=1e-12)
-    assert abs(g_prime_ball(1.0, cos1, lebesgue, grid2)) < 1e-13
+    assert abs(variation_at_ball(lebesgue, 1.0, cos1, grid2).g1) < 1e-13
 
 
 def test_g_second_ball_closed_forms(grid2, lebesgue, gaussian):
     one = PolynomialSF.constant(2, 1.0)
     cos1 = PolynomialSF.cos_harmonic(1)
-    assert g_second_ball(1.0, one, lebesgue, grid2) == pytest.approx(
+    assert variation_at_ball(lebesgue, 1.0, one, grid2).g2 == pytest.approx(
         2 * math.pi, rel=1e-12)
     # translations leave area fixed
-    assert abs(g_second_ball(1.0, cos1, lebesgue, grid2)) < 1e-13
-    assert g_second_ball(1.0, cos1, gaussian, grid2) == pytest.approx(
+    assert abs(variation_at_ball(lebesgue, 1.0, cos1, grid2).g2) < 1e-13
+    assert variation_at_ball(gaussian, 1.0, cos1, grid2).g2 == pytest.approx(
         -math.pi * math.exp(-0.5), rel=1e-12)
 
 
@@ -260,8 +257,7 @@ def test_first_variation_matches_fd(grid2, gaussian):
                    (0.08, PolynomialSF.cos_harmonic(2))])
     psi = PolynomialSF.cos_harmonic(2)
     fam = make_family("additive", base, psi, grid2)
-    body = body_from_support(base, grid2)
-    analytic = first_variation(gaussian, body, psi)
+    analytic = fam.derivatives_along(gaussian, [0.0])[1][0]
     fd = central_derivative(lambda ss: [g_eval(fam, gaussian, s) for s in ss],
                             0.0, order=1, step=1e-3)
     assert analytic == pytest.approx(fd, rel=1e-7)
@@ -272,19 +268,19 @@ def test_g_prime_away_from_zero(grid2, exp1):
     psi = PolynomialSF.cos_harmonic(2)
     fam = make_family("additive", base, psi, grid2)
     s0 = 0.3 * fam.a
-    analytic = g_prime(exp1, fam, s=s0)
+    analytic = fam.derivatives_along(exp1, [s0])[1][0]
     fd = central_derivative(lambda ss: [g_eval(fam, exp1, s) for s in ss],
                             s0, order=1, step=1e-4)
     assert analytic == pytest.approx(fd, rel=1e-6)
 
 
 def test_g_prime_multiplicative_away_from_zero(grid2, exp1):
-    # re-based at s0, the multiplicative family moves along h_s0 log(phi)
+    # at s0 the multiplicative family moves along h_s0 log(phi)
     base = sf_sum([(1.0, PolynomialSF.constant(2, 1.0)),
                    (0.05, PolynomialSF.cos_harmonic(2))])
     fam = mult_family_through(base, PolynomialSF.cos_harmonic(2), grid2)
     s0 = 0.3 * fam.a
-    analytic = g_prime(exp1, fam, s=s0)
+    analytic = fam.derivatives_along(exp1, [s0])[1][0]
     fd = central_derivative(lambda s: fam.measures_along(exp1, s), s0,
                             order=1, step=1e-3)
     assert analytic == pytest.approx(fd, rel=1e-8)
@@ -295,16 +291,25 @@ def test_variation_at_ball_g0_g1(grid3, gaussian):
     var = variation_at_ball(gaussian, 1.2, psi, grid3)
     K = ball_body(1.2, grid3)
     assert var.g0 == pytest.approx(measure_of_body(gaussian, K), rel=1e-12)
+    fam = make_family("additive", K.h, psi, grid3)
     assert var.g1 == pytest.approx(
-        first_variation(gaussian, K, psi), rel=1e-10)
+        fam.derivatives_along(gaussian, [0.0])[1][0], rel=1e-10)
+
+
+def _log_correction(measure, fam_add, fam_mul):
+    # g''_mult(0) - g''_add(0) of two families through one body along one
+    # initial direction, from the family kernel
+    return (fam_mul.derivatives_along(measure, [0.0])[2][0]
+            - fam_add.derivatives_along(measure, [0.0])[2][0])
 
 
 def test_log_correction_at_ball(grid2, gaussian):
     # closed form R^{n-2} f(R) int psi^2 for a centered R-ball
     R = 1.4
-    K = ball_body(R, grid2)
+    ball = PolynomialSF.constant(2, R)
     psi = PolynomialSF.cos_harmonic(2)
-    got = log_correction(gaussian, K, psi)
+    got = _log_correction(gaussian, make_family("additive", ball, psi, grid2),
+                          mult_family_through(ball, psi, grid2))
     want = R ** 0 * math.exp(-R * R / 2) * math.pi  # int cos^2 = pi
     assert got == pytest.approx(want, rel=1e-10)
     var = variation_at_ball(gaussian, R, psi, grid2)
@@ -317,7 +322,6 @@ def test_log_correction_general_body_vs_double_fd(grid2, gaussian):
     base = sf_sum([(1.0, PolynomialSF.constant(2, 1.0)),
                    (0.06, PolynomialSF.cos_harmonic(2))])
     psi = PolynomialSF.cos_harmonic(2)
-    body = body_from_support(base, grid2)
     fam_add = make_family("additive", base, psi, grid2)
     fam_mul = mult_family_through(base, psi, grid2)
     step = 2e-3
@@ -327,7 +331,7 @@ def test_log_correction_general_body_vs_double_fd(grid2, gaussian):
     g2_mul = central_derivative(
         lambda ss: [g_eval(fam_mul, gaussian, s) for s in ss], 0.0,
         order=2, step=step)
-    corr = log_correction(gaussian, body, psi)
+    corr = _log_correction(gaussian, fam_add, fam_mul)
     assert corr == pytest.approx(g2_mul - g2_add, rel=1e-4)
 
 
