@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bodies import FamilyError, NonPositiveSupport, NotConvex
 from .inequalities import CHECKS, run_check
 
 SCHEMA_VERSION = 1
@@ -263,8 +262,8 @@ def execute(cfg, log=print):
         params = item.get("params", {})
         try:
             res = run_check(kind, params)
-        except (ValueError, KeyError, TypeError, FamilyError,
-                NonPositiveSupport, NotConvex) as exc:
+        # FamilyError, NonPositiveSupport and NotConvex are ValueErrors
+        except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"check {kind} with params {params!r}: {exc}")
         results.append(res)
         status = "PASS" if res.passed else "FAIL"

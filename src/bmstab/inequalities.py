@@ -18,7 +18,8 @@ import numpy as np
 from . import measures as _measures
 from . import oracles as _oracles
 from . import variation as _variation
-from .bodies import (body_from_support, log_combine, make_family,
+from .bodies import (NonPositiveSupport, PerturbationFamily,
+                     body_from_support, log_combine, make_family,
                      measure_of_body, quermassintegrals)
 from .funcspecs import sf_from_spec
 from .sphere import build_grid, sphere_area
@@ -134,6 +135,8 @@ def _at_ball(params):
     ball."""
     n = params["n"]
     R = float(params["R"])
+    if not R > 0.0:
+        raise NonPositiveSupport(f"ball radius must be positive, got R={R:g}")
     g = _grid(n, params["resolution"])
     mu = _measures.measure_from_spec(params["measure"])
     psi = _psi(params, n)
@@ -168,8 +171,9 @@ def check_dim_bm_infinitesimal(params):
     raw = (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0
     margin = raw / var.g0 ** 2
 
-    fam = make_family("additive", sf_from_spec(
-        {"type": "constant", "value": R}, n), psi, g)
+    # the derivatives at s = 0 hold inside any radius: no radius search
+    fam = PerturbationFamily(kind="additive", base=sf_from_spec(
+        {"type": "constant", "value": R}, n), direction=psi, grid=g)
     floor = 1e-2 * max(1.0, abs(var.g0))
     g2k = float(fam.derivatives_along(mu, [0.0])[2][0])
     kernel = abs(var.g2 - g2k) / max(abs(var.g2), abs(g2k), floor)
@@ -180,8 +184,7 @@ def check_dim_bm_infinitesimal(params):
         oracle_diff=max(route, kernel),
         details={"g0": var.g0, "g1": var.g1, "g2": var.g2,
                  "g2_profile": var.g2_profile, "g2_kernel": g2k,
-                 "raw_margin": raw, "psi_parity": psi.parity(),
-                 "validity_radius": fam.a})
+                 "raw_margin": raw, "psi_parity": psi.parity()})
 
 
 def check_log_bm_infinitesimal(params):
@@ -193,7 +196,8 @@ def check_log_bm_infinitesimal(params):
     margin = (var.g1 ** 2 - var.g2_mult * var.g0) / var.g0 ** 2
 
     ball_sf = sf_from_spec({"type": "constant", "value": R}, n)
-    fam = _variation.mult_family_through(ball_sf, psi, g)
+    fam = PerturbationFamily(kind="multiplicative", base=ball_sf, grid=g,
+                             direction=_variation.log_direction(ball_sf, psi))
     g2k = float(fam.derivatives_along(mu, [0.0])[2][0])
     floor = 1e-2 * max(1.0, abs(var.g0))
     kernel = abs(var.g2_mult - g2k) / max(abs(var.g2_mult), abs(g2k), floor)

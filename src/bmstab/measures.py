@@ -192,10 +192,7 @@ def make_measure(kind, p=None, f=None, fprime=None, fsecond=None, name=None):
         def fp_(r, p=p):
             r = np.asarray(r, dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = -p * r ** (p - 1.0) * np.exp(-r ** p)
-            if p == 1.0:
-                out = -np.exp(-r)
-            return out
+                return -p * r ** (p - 1.0) * np.exp(-r ** p)
 
         def fs_(r, p=p):
             r = np.asarray(r, dtype=float)

@@ -5,8 +5,9 @@ The Monte Carlo route samples a ball uniformly and classifies points
 against the support function directly, the polygon route intersects
 half-planes exactly, and the finite-difference helpers only evaluate the
 callables they are given; none of them uses the spherical quadrature or the
-radial-moment machinery.  One datum is still borrowed from the route under
-test: mc_measure sizes its uncertainty band with max |Q| of the body's
+radial-moment machinery; mc_measure's lower bound on the net maximum is
+_net_max over the cell centres.  One datum is still borrowed from the route
+under test: mc_measure sizes its uncertainty band with max |Q| of the body's
 curvature matrices at the quadrature nodes (body.curvature.Q).  ROADMAP.md,
 item 1, takes that scale from the support function's own sup bound instead.
 Agreement between these estimates and the main formulas is what the
@@ -123,18 +124,6 @@ def _net_cells(h, dirs, hdirs):
     return C, hC, G, np.sum(G * C, axis=1), t * (1.0 + 1e-9), e
 
 
-def _net_lo(X, cells):
-    """Row-wise lo <= max_j <x, u_j> - h_j: the maximum over the cell
-    centres, which are net directions."""
-    C, hC = cells[0], cells[1]
-    lo = np.empty(len(X))
-    for a in range(0, len(X), _ROW_BLOCK):
-        P = X[a:a + _ROW_BLOCK] @ C.T
-        P -= hC
-        np.max(P, axis=1, out=lo[a:a + _ROW_BLOCK])
-    return lo
-
-
 def _net_hi(X, cells):
     """Row-wise hi >= max_j <x, u_j> - h_j from the cells alone,
     _ROW_BLOCK rows at a time.
@@ -248,8 +237,8 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     Only samples whose net maximum lies within the band need its exact
     value; the others need only its sign.  Samples inside the inner shell
     |x| < min(hdirs) - band are certainly inside.  The rest are bounded
-    from _COARSE cells of the net (_net_cells), lower bound first: _net_lo
-    (one product with the 64 centres) above band + eps places a sample
+    from _COARSE cells of the net (_net_cells), lower bound first: _net_max
+    over the 64 centres (net directions) above band + eps places a sample
     outside, and only the others get the upper bound _net_hi (chord radius
     and slack per cell), below -band - eps inside.  Only the undecided ones
     meet the full net, _ROW_BLOCK rows at a time, and each row's best net
@@ -297,7 +286,7 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
         inside = radii < r_in
         shell = np.flatnonzero(~inside)
         # lo above band + eps places a row outside; only the others need hi
-        maybe = shell[_net_lo(X[shell], cells) <= band + eps]
+        maybe = shell[_net_max(X[shell], *cells[:2])[0] <= band + eps]
         certain_in = _net_hi(X[maybe], cells) < -band - eps
         inside[maybe[certain_in]] = True
         near = maybe[~certain_in]

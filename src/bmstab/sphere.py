@@ -145,7 +145,8 @@ class _RadialPoly:
 
     def eval(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.sqrt(np.sum(pts * pts, axis=1))
+        if any(m for _, m in self.terms):   # polynomial values need no |x|
+            r = np.sqrt(np.sum(pts * pts, axis=1))
         out = np.zeros(pts.shape[0])
         for (alpha, m), c in self.terms.items():
             term = np.full(pts.shape[0], c)
@@ -302,28 +303,18 @@ class PolynomialSF(SphericalFunction):
     # -- evaluation ---------------------------------------------------------
 
     def values(self, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        out = np.zeros(U.shape[0])
-        for alpha, c in self.coeffs.items():
-            term = np.full(U.shape[0], c)
-            for j, a in enumerate(alpha):
-                if a:
-                    term = term * U[:, j] ** a
-            out += term
-        return out
-
-    def _ext(self, shift):
-        # radial-poly extension with homogeneity degree `shift`
-        key = ("ext", shift)
-        if key not in self._cache:
-            terms = {(a, shift - sum(a)): c for a, c in self.coeffs.items()}
-            self._cache[key] = _RadialPoly(self.n, terms)
-        return self._cache[key]
+        # the derivatives' term loop, on terms that all carry |x|^0
+        if "values" not in self._cache:
+            self._cache["values"] = _RadialPoly(
+                self.n, {(a, 0): c for a, c in self.coeffs.items()})
+        return self._cache["values"].eval(U)
 
     def _derivs(self, shift, order):
+        # the extension of homogeneity degree `shift` and its derivatives
         key = ("derivs", shift, order)
         if key not in self._cache:
-            base = {(): self._ext(shift)}
+            base = {(): _RadialPoly(self.n, {(a, shift - sum(a)): c
+                                             for a, c in self.coeffs.items()})}
             for level in range(1, order + 1):
                 prev = {k: v for k, v in base.items() if len(k) == level - 1}
                 for idx, rp in prev.items():

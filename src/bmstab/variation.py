@@ -196,9 +196,14 @@ def variation_at_ball(measure, R, psi, grid):
                            log_corr=log_corr)
 
 
+def log_direction(h, psi):
+    """phi = e^{psi/h}: the family h phi^s has d h_s/ds|_0 = psi."""
+    return sf_exp(sf_ratio(psi, h))
+
+
 def mult_family_through(h, psi, grid):
-    """Multiplicative family h phi^s with d h_s/ds|_0 = psi: phi = e^{psi/h}."""
-    return make_family("multiplicative", h, sf_exp(sf_ratio(psi, h)), grid)
+    """Multiplicative family h phi^s with phi = log_direction(h, psi)."""
+    return make_family("multiplicative", h, log_direction(h, psi), grid)
 
 
 def g_eval(family, measure, s):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bmstab.bodies import NonPositiveSupport, PerturbationFamily
 from bmstab.funcspecs import sf_from_spec
 from bmstab.inequalities import (CHECKS, DEFAULT_MARGIN_TOL, CheckResult,
                                  _result, rerun, run_check)
@@ -52,6 +53,37 @@ def test_dim_bm_infinitesimal_holds(measure, psi, psi_name):
     assert res.margin >= -DEFAULT_MARGIN_TOL
     assert res.oracle_diff < 1e-10  # the family kernel's g''(0)
     assert res.details["sense"] == "ge"
+
+
+def test_infinitesimal_checks_search_no_validity_radius(monkeypatch):
+    # both checks read the family's derivatives at s = 0, which lies inside
+    # every radius: they must pass, and read the same, with the radius
+    # predicate unavailable
+    params = [(kind, {"n": n, "R": 1.0, "measure": GAU,
+                      "resolution": 160 if n == 2 else 16, "psi": SECOND,
+                      "psi_name": "second_harmonic"})
+              for kind in ("dim_bm_infinitesimal", "log_bm_infinitesimal")
+              for n in (2, 3)]
+    before = [run_check(kind, p) for kind, p in params]
+
+    def no_radius(self, bound):
+        raise AssertionError("validity radius searched")
+
+    monkeypatch.setattr(PerturbationFamily, "_valid_on", no_radius)
+    for (kind, p), ref in zip(params, before):
+        res = run_check(kind, p)
+        assert res.passed, res.check_id
+        assert res.margin == ref.margin, res.check_id
+        assert res.oracle_diff == ref.oracle_diff, res.check_id
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0])
+@pytest.mark.parametrize("kind", ["dim_bm_infinitesimal",
+                                  "log_bm_infinitesimal"])
+def test_infinitesimal_checks_reject_nonpositive_radius(kind, R):
+    with pytest.raises(NonPositiveSupport, match="ball radius"):
+        run_check(kind, {"n": 2, "R": R, "measure": GAU, "resolution": 32,
+                         "psi": SECOND})
 
 
 def test_dim_bm_equality_for_homothety():

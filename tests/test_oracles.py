@@ -14,9 +14,9 @@ import pytest
 import bmstab
 from bmstab.bodies import ball_body, body_from_support
 from bmstab.measures import make_measure
-from bmstab.oracles import (MC_BATCH, McEstimate, PlanarPolygon,
+from bmstab.oracles import (_ROW_BLOCK, MC_BATCH, McEstimate, PlanarPolygon,
                             _coarse_directions, _convex_hull_ccw, _net_cells,
-                            _net_hi, _net_lo, _net_max, _polish_support_max,
+                            _net_hi, _net_max, _polish_support_max,
                             central_derivative, mc_measure, wulff_polygon)
 from bmstab.sphere import PolynomialSF, build_grid, sf_sum
 from test_sphere import _tangent_frame
@@ -389,7 +389,7 @@ def test_mc_net_bounds_bracket_the_dense_net_max(case):
     s = np.linspace(0.0, 2.0, 32)[None, :, None]
     inward = (G[:, None, :] - s * C[:, None, :]).reshape(-1, n)
     X = np.concatenate([uniform, near, inward])
-    lo, hi = _net_lo(X, cells), _net_hi(X, cells)
+    lo, hi = _net_max(X, *cells[:2])[0], _net_hi(X, cells)
     gmax = _dense_net_max(X, dirs, hdirs)
     eps = 1e-7 * R_b
     assert np.all(lo - eps <= gmax)
@@ -398,14 +398,19 @@ def test_mc_net_bounds_bracket_the_dense_net_max(case):
 
 def test_mc_net_max_one_row_block_matches_a_larger_block():
     # a lone row is doubled before the product, so gemm and not gemv forms
-    # it: each row's maximum is bitwise the one it has inside a larger block
+    # it: each row's maximum is bitwise the one it has inside a larger block.
+    # The full net, and the 64 cell centres of mc_measure's lower bound on
+    # 2 _ROW_BLOCK + 1 rows, which would leave a lone row in a last block
     h, dirs, hdirs, R_b = _bracket_case("shift3")
-    X = np.random.default_rng(5).uniform(-R_b, R_b, (16, 3))
-    block, i_block = _net_max(X, dirs, hdirs)
-    for i in range(len(X)):
-        one, i_one = _net_max(X[i:i + 1], dirs, hdirs)
-        assert one.shape == (1,)
-        assert one[0] == block[i] and i_one[0] == i_block[i], i
+    rng = np.random.default_rng(5)
+    for net, rows in [((dirs, hdirs), 16),
+                      (_net_cells(h, dirs, hdirs)[:2], 2 * _ROW_BLOCK + 1)]:
+        X = rng.uniform(-R_b, R_b, (rows, 3))
+        block, i_block = _net_max(X, *net)
+        for i in range(len(X)):
+            one, i_one = _net_max(X[i:i + 1], *net)
+            assert one.shape == (1,)
+            assert one[0] == block[i] and i_one[0] == i_block[i], (rows, i)
 
 
 def test_mc_bounding_radius_covers_the_body(exp1):
