@@ -14,7 +14,7 @@ with A the first radial moment of the density at scale D."""
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
@@ -173,35 +173,37 @@ class PerturbationFamily:
     and with frames E, C0 = Q0 / h, C2 = (E w_phi)(E w_phi)^T and
     C1 = Q1 / phi - I + (E w_h)(E w_phi)^T + (E w_phi)(E w_h)^T - C2.
 
-    `a` is the validity radius: at every node and every |s| <= a, h_s > 0 and
-    w(s) lambda_min(C0 + s C1) >= VALIDITY_EIG_FLOOR * (base body's minimum
-    eigenvalue).  That value is concave (additive) or log-concave
-    (multiplicative) in s, so checking s = +-a covers the whole interval.  It
-    is the exact smallest eigenvalue for additive families and, as C2 >= 0, a
-    lower bound for multiplicative ones.  Nothing between nodes is checked."""
+    The base must be a body: body_from_support validates it, raising
+    NonPositiveSupport or NotConvex, before the direction is read.  `a` is
+    the validity radius (0 unless given; make_family searches it): at every
+    node and every |s| <= a, h_s > 0 and w(s) lambda_min(C0 + s C1) >=
+    VALIDITY_EIG_FLOOR * (base body's minimum eigenvalue).  That value is
+    concave (additive) or log-concave (multiplicative) in s, so checking
+    s = +-a covers the whole interval.  It is the exact smallest eigenvalue
+    for additive families and, as C2 >= 0, a lower bound for multiplicative
+    ones.  Nothing between nodes is checked."""
 
     kind: str
     base: SphericalFunction
     direction: SphericalFunction
     grid: SphereGrid = field(repr=False)
     a: float = 0.0
-    search_trace: list = field(default_factory=list, repr=False)
-    base_field: InitVar[CurvatureField | None] = None
+    search_trace: list = field(default_factory=list, init=False, repr=False)
 
-    def __post_init__(self, base_field):
+    def __post_init__(self):
         """Node values v0, v1 of base and direction, the stacks u0, u1, the
-        coefficients C0, C1, C2 of Q(h_s) and the validity floor, from one
-        curvature field of the direction and one of the base.  make_family
-        passes the base's field from its validated body as base_field.  A
-        multiplicative direction must be strictly positive at the nodes."""
+        coefficients C0, C1, C2 of Q(h_s) and the validity floor, from the
+        curvature field of the validated base body and one of the
+        direction.  A multiplicative direction must be strictly positive at
+        the nodes."""
         if self.kind not in ("additive", "multiplicative"):
             raise FamilyError(f"unknown family kind {self.kind!r}")
         g = self.grid
+        f0 = body_from_support(self.base, g).curvature
         f1 = curvature_matrix(self.direction, g)
         if self.kind == "multiplicative" and np.any(f1.val <= 0.0):
             raise FamilyError(
                 "multiplicative direction must be strictly positive")
-        f0 = base_field or curvature_matrix(self.base, g)
         self.floor = VALIDITY_EIG_FLOOR * float(np.min(f0.min_eig))
         self.v0, self.v1 = f0.val, f1.val
         if self.kind == "additive":
@@ -322,13 +324,12 @@ class PerturbationFamily:
 
 
 def make_family(kind, h, direction, grid):
-    """Build a perturbation family and locate its validity radius, at most
-    _MAX_RADIUS, by bisection (40 steps against the two-endpoint
-    predicate)."""
-    base_body = body_from_support(h, grid)    # validates the base
-    fam = PerturbationFamily(kind=kind, base=h, direction=direction,
-                             grid=grid, base_field=base_body.curvature)
-    trace = []
+    """Build a perturbation family (which validates its base h) and locate
+    its validity radius, at most _MAX_RADIUS, by bisection (40 steps
+    against the two-endpoint predicate); search_trace lists each probed
+    radius and its verdict."""
+    fam = PerturbationFamily(kind=kind, base=h, direction=direction, grid=grid)
+    trace = fam.search_trace
     if fam._valid_on(_MAX_RADIUS):
         fam.a = _MAX_RADIUS
         trace.append((_MAX_RADIUS, True))
@@ -346,5 +347,4 @@ def make_family(kind, h, direction, grid):
         fam.a = lo
     if fam.a <= 0.0:
         raise FamilyError("family degenerates for arbitrarily small s")
-    fam.search_trace = trace
     return fam

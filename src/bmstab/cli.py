@@ -36,22 +36,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _jsonable(x):
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (bool, int, float, str)) or x is None:
-        return x
-    return repr(x)
+def _numpy_json(x):
+    # json's default= hook: numpy scalars and arrays as Python values
+    # (np.float64 is a float and never reaches here)
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +288,18 @@ def write_json(path, results):
                                      if r.expected_failure),
         },
         "checks": [
-            _jsonable({
+            {
                 "check_id": r.check_id, "kind": r.kind, "n": r.n, "R": r.R,
                 "measure": r.measure, "margin": r.margin, "tol": r.tol,
                 "passed": r.passed, "expected_failure": r.expected_failure,
                 "oracle_diff": r.oracle_diff, "params": r.params,
                 "details": r.details,
-            })
+            }
             for r in results
         ],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=_numpy_json)
         fh.write("\n")
 
 

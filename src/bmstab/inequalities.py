@@ -1,11 +1,11 @@
 """Inequality margins near the ball, with independent cross-checks.
 
 Every check consumes a JSON-safe parameter dictionary and produces a
-CheckResult carrying the computed margin, the pass decision at an explicit
-tolerance, and the disagreement against whichever independent route is
-available (family kernels, finite differences, closed forms, Monte Carlo,
-polygons).  Every pass decision is made by `_result`, from the margin's
-sense.  The registry at the bottom lets any result be re-run from its
+CheckResult carrying the computed margin, the pass decision at the check
+kind's fixed tolerance (run_check rejects params that set "tol"), and the
+disagreement against whichever independent route is available (family
+kernels, finite differences, closed forms, Monte Carlo, polygons).  Every
+pass decision is made by `_result`, from the margin's sense.  The registry at the bottom lets any result be re-run from its
 stored parameters; reruns are deterministic."""
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def _result(kind, params, n, measure, margin, tol, sense, *, R=None,
     """The one pass rule.  sense "ge" asserts margin >= 0 and holds at
     margin >= -tol; "le" asserts margin <= 0 and holds at margin <= tol.
     An expected failure holds at margin <= -tol, whatever the sense.
-    extra_ok carries a check's further conditions (closed-form and
-    polygon gaps)."""
+    extra_ok carries a check's further conditions (closed-form, polygon
+    and Monte Carlo gaps)."""
     if expected_failure:
         ok = margin <= -tol
     elif sense == "ge":
@@ -162,6 +162,22 @@ def _polygon(h, m):
 # infinitesimal checks at a centered ball
 # ---------------------------------------------------------------------------
 
+def _ball_kernel(kind, R, psi, g, mu, var):
+    """g''(0) from the s-polynomial kernel of the family through the ball of
+    radius R along psi (R + s psi, or R e^{s psi / R} for kind
+    "multiplicative"), and its gap to the variation route's g2 (g2_mult)
+    relative to the larger of the two and 1e-2 max(1, |g(0)|).  The
+    derivatives at s = 0 hold inside any radius: no radius search."""
+    ball = sf_from_spec({"type": "constant", "value": R}, psi.n)
+    g2 = var.g2
+    if kind == "multiplicative":
+        psi, g2 = _variation.log_direction(ball, psi), var.g2_mult
+    fam = PerturbationFamily(kind=kind, base=ball, direction=psi, grid=g)
+    g2k = float(fam.derivatives_along(mu, [0.0])[2][0])
+    floor = 1e-2 * max(1.0, abs(var.g0))
+    return g2k, abs(g2 - g2k) / max(abs(g2), abs(g2k), floor)
+
+
 def check_dim_bm_infinitesimal(params):
     """(1 - 1/n) g'(0)^2 - g''(0) g(0) >= 0 along h_s = R + s psi.
 
@@ -171,17 +187,11 @@ def check_dim_bm_infinitesimal(params):
     raw = (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0
     margin = raw / var.g0 ** 2
 
-    # the derivatives at s = 0 hold inside any radius: no radius search
-    fam = PerturbationFamily(kind="additive", base=sf_from_spec(
-        {"type": "constant", "value": R}, n), direction=psi, grid=g)
-    floor = 1e-2 * max(1.0, abs(var.g0))
-    g2k = float(fam.derivatives_along(mu, [0.0])[2][0])
-    kernel = abs(var.g2 - g2k) / max(abs(var.g2), abs(g2k), floor)
-    route = var.route_gap / max(abs(var.g2), floor)
+    g2k, kernel = _ball_kernel("additive", R, psi, g, mu, var)
+    route = var.route_gap / max(abs(var.g2), 1e-2 * max(1.0, abs(var.g0)))
     return _result(
         "dim_bm_infinitesimal", params, n, _measure_name(mu), margin,
-        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R,
-        oracle_diff=max(route, kernel),
+        DEFAULT_MARGIN_TOL, "ge", R=R, oracle_diff=max(route, kernel),
         details={"g0": var.g0, "g1": var.g1, "g2": var.g2,
                  "g2_profile": var.g2_profile, "g2_kernel": g2k,
                  "raw_margin": raw, "psi_parity": psi.parity()})
@@ -194,17 +204,11 @@ def check_log_bm_infinitesimal(params):
     expected_failure = _expected_failure(
         params, psi, "log concavity at the ball is")
     margin = (var.g1 ** 2 - var.g2_mult * var.g0) / var.g0 ** 2
-
-    ball_sf = sf_from_spec({"type": "constant", "value": R}, n)
-    fam = PerturbationFamily(kind="multiplicative", base=ball_sf, grid=g,
-                             direction=_variation.log_direction(ball_sf, psi))
-    g2k = float(fam.derivatives_along(mu, [0.0])[2][0])
-    floor = 1e-2 * max(1.0, abs(var.g0))
-    kernel = abs(var.g2_mult - g2k) / max(abs(var.g2_mult), abs(g2k), floor)
+    g2k, kernel = _ball_kernel("multiplicative", R, psi, g, mu, var)
     return _result(
         "log_bm_infinitesimal", params, n, _measure_name(mu), margin,
-        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R,
-        expected_failure=expected_failure, oracle_diff=kernel,
+        DEFAULT_MARGIN_TOL, "ge", R=R, expected_failure=expected_failure,
+        oracle_diff=kernel,
         details={"g0": var.g0, "g1": var.g1, "g2_mult": var.g2_mult,
                  "g2_mult_kernel": g2k, "log_corr": var.log_corr,
                  "psi_parity": psi.parity()})
@@ -229,8 +233,7 @@ def check_dim_bm_decomposition(params):
         margin, (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0, B1, B2, R, n)
     return _result(
         "dim_bm_decomposition", params, n, _measure_name(mu), margin,
-        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R,
-        oracle_diff=identity_gap,
+        DEFAULT_MARGIN_TOL, "ge", R=R, oracle_diff=identity_gap,
         details={"B1": B1, "B2": B2, "variation_margin_normalized": normalized})
 
 
@@ -257,7 +260,7 @@ def check_ball_dilation(params):
                 abs(G2 - fd2) / max(abs(G2), abs(fd2), floor))
     return _result(
         "ball_dilation", params, n, _measure_name(mu), margin / scale,
-        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R, oracle_diff=odiff,
+        DEFAULT_MARGIN_TOL, "ge", R=R, oracle_diff=odiff,
         details={"G": G, "G1": G1, "G2": G2, "G1_fd": fd1, "G2_fd": fd2,
                  "raw_margin": margin})
 
@@ -294,8 +297,8 @@ def check_logbm_ball_form(params):
                  and profile_ratio >= 1.0 / n - 1e-12)
     return _result(
         "logbm_ball_form", params, n, _measure_name(mu), margin,
-        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=R,
-        expected_failure=expected_failure, oracle_diff=identity_gap,
+        DEFAULT_MARGIN_TOL, "ge", R=R, expected_failure=expected_failure,
+        oracle_diff=identity_gap,
         details={"lhs": lhs, "rhs": rhs, "contrib_mean": contrib_mean,
                  "contrib_osc": contrib_osc, "psi_parity": psi.parity(),
                  "rayleigh_osc": rayleigh_osc,
@@ -366,7 +369,7 @@ def _scan(kind, params, psi, combine, normalize=False,
     endpoint = [m for c, m in zip(combos, raw) if c[2] in (0.0, 1.0)]
     return _result(
         kind, params, n, _measure_name(mu), float(margins[worst]),
-        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=params.get("R"),
+        DEFAULT_MARGIN_TOL, "ge", R=params.get("R"),
         expected_failure=expected_failure,
         oracle_diff=max(abs(v) for v in endpoint) if endpoint else None,
         details={"validity_radius": fam.a, "combos": len(combos),
@@ -463,7 +466,7 @@ def check_shift_counterexample(params):
             odiff = max(odiff, abs(est.value - closed))
     return _result(
         "shift_counterexample", params, n, _measure_name(mu), margin,
-        params.get("tol", 1e-6), "ge", R=1.0, expected_failure=True,
+        1e-6, "ge", R=1.0, expected_failure=True,
         extra_ok=closed_gap < 1e-8 and poly_gap < 1e-4, oracle_diff=odiff,
         details=details)
 
@@ -513,9 +516,8 @@ def check_cone_inequality(params):
     weak_margin = rhs - (float(np.sum(cone_w * lhs_density))
                          - n * mean_sq_ratio)
     return _result(
-        "cone_inequality", params, n, "cone", margin,
-        params.get("tol", DEFAULT_MARGIN_TOL), "ge", R=params.get("R"),
-        expected_failure=expected_failure,
+        "cone_inequality", params, n, "cone", margin, DEFAULT_MARGIN_TOL,
+        "ge", R=params.get("R"), expected_failure=expected_failure,
         oracle_diff=abs(weight_total - 1.0),
         details={"lhs": lhs, "rhs": rhs, "cs_margin": cs_margin,
                  "weak_margin": weak_margin, "weight_total": weight_total,
@@ -528,7 +530,8 @@ def check_cone_inequality(params):
 
 def check_mc_agreement(params):
     """Quadrature measure of a body against the Monte Carlo estimate;
-    margin is the z-score gap 4 - |z|."""
+    margin is the z-score gap 4 - |z|, and the estimate must agree with the
+    quadrature value (McEstimate.agrees_with) even at standard error 0."""
     n = params["n"]
     g = _grid(n, params["resolution"])
     mu = _measures.measure_from_spec(params["measure"])
@@ -540,7 +543,8 @@ def check_mc_agreement(params):
     z = (est.value - value) / est.stderr if est.stderr > 0 else 0.0
     return _result(
         "mc_agreement", params, n, _measure_name(mu), 4.0 - abs(z), 0.0,
-        "ge", R=params.get("R"), oracle_diff=abs(est.value - value),
+        "ge", R=params.get("R"), extra_ok=est.agrees_with(value),
+        oracle_diff=abs(est.value - value),
         details={"quadrature": value, "mc": est.value,
                  "mc_stderr": est.stderr, "z": z, "samples": est.samples,
                  "refined": est.refined})
@@ -557,9 +561,8 @@ def check_polygon_agreement(params):
     poly = _polygon(body.h, m)
     gap = poly.area - area
     return _result(
-        "polygon_agreement", params, n, "lebesgue", gap,
-        params.get("tol", 1e-4), "le", R=params.get("R"),
-        extra_ok=gap >= 0.0, oracle_diff=abs(gap),
+        "polygon_agreement", params, n, "lebesgue", gap, 1e-4, "le",
+        R=params.get("R"), extra_ok=gap >= 0.0, oracle_diff=abs(gap),
         details={"area_quadrature": area, "area_polygon": poly.area,
                  "directions": m, "vertices": len(poly.vertices)})
 
@@ -576,7 +579,7 @@ def check_moment_identities(params):
     r1, r2 = _measures.moment_identities(mu, R, n)
     return _result(
         "moment_identities", params, n, _measure_name(mu),
-        max(abs(r1), abs(r2)), params.get("tol", 1e-10), "le", R=R,
+        max(abs(r1), abs(r2)), 1e-10, "le", R=R,
         details={"residual_value": r1, "residual_slope": r2})
 
 
@@ -591,7 +594,7 @@ def check_divergence_identities(params):
     r1, r2 = _variation.ibp_residuals(base, _psi(params, n), omega, g)
     return _result(
         "divergence_identities", params, n, "none", max(cy, r1, r2),
-        params.get("tol", 1e-11), "le", R=params.get("R"),
+        1e-11, "le", R=params.get("R"),
         details={"cofactor_divergence": cy, "ibp_linear": r1,
                  "ibp_trilinear": r2})
 
@@ -603,7 +606,7 @@ def check_second_variation_routes(params):
     rel = var.route_gap / max(abs(var.g2_moment), abs(var.g2_profile), 1e-30)
     return _result(
         "second_variation_routes", params, n, _measure_name(mu), rel,
-        params.get("tol", 1e-10), "le", R=R,
+        1e-10, "le", R=R,
         details={"g2_moment": var.g2_moment, "g2_profile": var.g2_profile})
 
 
@@ -632,6 +635,9 @@ CHECKS = {
 def run_check(kind, params):
     if kind not in CHECKS:
         raise KeyError(f"unknown check kind {kind!r}")
+    if "tol" in params:
+        raise ValueError("tol cannot be set: each check kind fixes its "
+                         f"tolerance (got tol={params['tol']!r})")
     return CHECKS[kind](params)
 
 

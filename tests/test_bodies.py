@@ -15,8 +15,9 @@ from bmstab.bodies import (_S_CHUNK, VALIDITY_EIG_FLOOR, FamilyError,
                            quermassintegrals)
 from bmstab.funcspecs import direction_suite, sf_from_spec
 from bmstab.oracles import central_derivative
-from bmstab.sphere import (PolynomialSF, SphericalFunction, curvature_matrix,
-                           integrate, sf_exp, sf_ratio, sf_sum)
+from bmstab.sphere import (PolynomialSF, SphericalFunction, build_grid,
+                           curvature_matrix, integrate, sf_exp, sf_ratio,
+                           sf_sum)
 from bmstab.variation import mult_family_through, variation_at_ball
 
 
@@ -287,6 +288,25 @@ def test_derivatives_along_match_variation_at_ball(n, grid2, grid3, grid4,
             assert err <= 1e-13 * max(1.0, abs(var.g0)), (name, mu.kind)
 
 
+@pytest.mark.parametrize("n,resolution", [(5, 6), (6, 4)])
+def test_derivatives_along_match_variation_at_ball_n5_n6(n, resolution,
+                                                         gaussian):
+    # 4 x 4 and 5 x 5 curvature matrices (2,592 and 2,048 nodes): the base
+    # body, the family's radius search and its kernel at s = 0 against the
+    # closed form at the ball
+    grid = build_grid(n, resolution)
+    ball = PolynomialSF.constant(n, 1.0)
+    for spec in ({"type": "second_harmonic"},
+                 {"type": "random_even", "seed": 20240817}):
+        psi = sf_from_spec(spec, n)
+        fam = make_family("additive", ball, psi, grid)
+        assert 0.0 < fam.a < 8.0
+        var = variation_at_ball(gaussian, 1.0, psi, grid)
+        got = [d[0] for d in fam.derivatives_along(gaussian, [0.0])]
+        err = np.max(np.abs(np.subtract(got, [var.g0, var.g1, var.g2])))
+        assert err <= 1e-13 * max(1.0, abs(var.g0)), spec["type"]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
 def test_derivatives_along_match_central_differences(
@@ -434,19 +454,35 @@ def test_one_node_evaluation_per_support_function(kind, grid3, gaussian):
 def test_family_coefficients_skip_direction_det_and_eigenvalues(
         kind, grid3, monkeypatch):
     # the coefficients read only Q, values and gradients of the direction;
-    # the passed base field's smallest eigenvalues are already cached
+    # the smallest eigenvalues are formed once, validating the base body
     import bmstab.sphere as sphere_module
     base, direction = _family_case(kind, 3, "random_even")
-    base_field = body_from_support(base, grid3).curvature
     calls = []
     for name in ("det_poly", "batch_min_eig"):
         def counting(Q, name=name, real=getattr(sphere_module, name)):
             calls.append(name)
             return real(Q)
         monkeypatch.setattr(sphere_module, name, counting)
-    PerturbationFamily(kind=kind, base=base, direction=direction, grid=grid3,
-                       base_field=base_field)
-    assert calls == []
+    PerturbationFamily(kind=kind, base=base, direction=direction, grid=grid3)
+    assert calls == ["batch_min_eig"]
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_directly_built_family_validates_its_base(kind, grid2):
+    # without make_family the base is still a body, checked before the
+    # direction (cos 2theta is not a valid multiplicative direction)
+    direction = PolynomialSF.cos_harmonic(2)
+    nonconvex = sf_sum([(1.0, PolynomialSF.constant(2, 1.0)),
+                        (0.9, sf_from_spec({"type": "second_harmonic"}, 2))])
+    with pytest.raises(NotConvex):
+        PerturbationFamily(kind=kind, base=nonconvex, direction=direction,
+                           grid=grid2)
+    with pytest.raises(NonPositiveSupport):
+        PerturbationFamily(kind=kind, base=PolynomialSF.constant(2, -1.0),
+                           direction=direction, grid=grid2)
+    with pytest.raises(TypeError, match="search_trace"):
+        PerturbationFamily(kind=kind, base=PolynomialSF.constant(2, 1.0),
+                           direction=direction, grid=grid2, search_trace=[])
 
 
 def test_nonpositive_multiplicative_direction_raises(grid2):

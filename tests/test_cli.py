@@ -132,11 +132,17 @@ def test_run_failing_check_exit_two(tmp_path, capsys):
                              "measure": {"kind": "gaussian"},
                              "mc_samples": 1.5}}]},
      "mc_samples must be a positive integer"),
+    ({"schema_version": 1,
+      "checks": [{"kind": "polygon_agreement",
+                  "params": {"n": 2, "resolution": 160,
+                             "base": {"type": "constant", "value": 1.0},
+                             "polygon_directions": 8, "tol": 1.0}}]},
+     "tol cannot be set"),
 ], ids=["schema", "empty", "unknown-kind", "eps-frac-range", "lambda-range",
         "eps-fracs-scalar", "eps-fracs-null", "eps-fracs-string",
         "eps-abs-scalar", "eps-abs-nan", "lambdas-scalar", "lambdas-empty",
         "n-string", "R-string", "resolution-float", "mc-samples-zero",
-        "mc-samples-negative", "mc-samples-float"])
+        "mc-samples-negative", "mc-samples-float", "tol"])
 def test_run_config_errors_exit_one(tmp_path, capsys, cfg, needle):
     rc = cli.main(["run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])

@@ -1,6 +1,7 @@
 """The check registry: margins, oracle cross-checks, expected failures, and
 bitwise reproducibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,22 @@ def test_registry_contents():
 def test_run_check_unknown_kind():
     with pytest.raises(KeyError):
         run_check("sharpened_sobolev", {})
+
+
+def test_run_check_rejects_tol():
+    # each kind fixes its tolerance: a failing check cannot be relaxed into
+    # a pass, and a stored result carrying tol cannot be rerun
+    params = {"n": 2, "resolution": 160,
+              "base": {"type": "constant", "value": 1.0},
+              "polygon_directions": 8}
+    res = run_check("polygon_agreement", params)
+    assert not res.passed and res.tol == 1e-4
+    assert res.margin > 0.1                     # the 8-gon's excess
+    for kind in CHECKS:
+        with pytest.raises(ValueError, match="tol cannot be set"):
+            run_check(kind, {**params, "tol": 1.0})
+    with pytest.raises(ValueError, match="tol cannot be set"):
+        rerun({"kind": "polygon_agreement", "params": {**params, "tol": 1.0}})
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +303,25 @@ def test_mc_agreement_check():
     assert res.passed
     assert res.margin > 0.0  # 4 - |z|
     assert res.details["mc_stderr"] > 0.0
+
+
+def test_mc_agreement_zero_stderr_compares_values(monkeypatch):
+    # with standard error 0 the z-score is undefined; the estimate must
+    # still agree with the quadrature value (McEstimate.agrees_with)
+    import bmstab.oracles as oracles_module
+    real = oracles_module.mc_measure
+
+    def doubled(measure, body, **kw):
+        est = real(measure, body, **kw)
+        return dataclasses.replace(est, value=2.0 * est.value, stderr=0.0)
+
+    monkeypatch.setattr(oracles_module, "mc_measure", doubled)
+    res = run_check("mc_agreement",
+                    {"n": 2, "resolution": 160, "measure": GAU,
+                     "base": {"type": "constant", "value": 1.0},
+                     "mc_samples": 1 << 12, "seed": 2024})
+    assert res.margin == 4.0 and res.details["mc_stderr"] == 0.0
+    assert not res.passed
 
 
 def test_polygon_agreement_pass_and_fail():
