@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .inequalities import CHECKS, run_check
+from .inequalities import CHECKS, check_params, run_check
 
 SCHEMA_VERSION = 1
 
@@ -147,9 +147,7 @@ def default_battery():
         checks.append({"kind": "shift_counterexample",
                        "params": {"t": t, "resolution": 256}})
     ball2 = {"type": "constant", "value": 1.0}
-    for psi_name, psi in (("constant", PSI_SUITE[0][1]),
-                          ("second_harmonic", PSI_SUITE[2][1]),
-                          ("random_even", PSI_SUITE[3][1])):
+    for psi_name, psi in PSI_SUITE[:1] + PSI_SUITE[2:]:
         checks.append({"kind": "cone_inequality",
                        "params": {"n": 2, "resolution": 160, "base": ball2,
                                   "psi": psi, "psi_name": psi_name}})
@@ -159,28 +157,21 @@ def default_battery():
                               "psi": PSI_SUITE[2][1],
                               "psi_name": "second_harmonic"}})
     checks.append({"kind": "cone_inequality",
-                   "params": {"n": 3, "resolution": 16,
-                              "base": {"type": "constant", "value": 1.0},
+                   "params": {"n": 3, "resolution": 16, "base": ball2,
                               "psi": PSI_SUITE[2][1],
                               "psi_name": "second_harmonic"}})
-    checks.append({"kind": "polygon_agreement",
-                   "params": {"n": 2, "resolution": 160,
-                              "base": {"type": "constant", "value": 1.0},
-                              "polygon_directions": 720}})
-    checks.append({"kind": "polygon_agreement",
-                   "params": {"n": 2, "resolution": 160,
-                              "base": _perturbed_base(2, 0.1),
-                              "polygon_directions": 720}})
-    checks.append({"kind": "mc_agreement",
-                   "params": {"n": 2, "resolution": 160, "measure": GAU,
-                              "base": _perturbed_base(2, 0.1),
-                              "mc_samples": 1 << 17, "seed": 2024}})
-    checks.append({"kind": "mc_agreement",
-                   "params": {"n": 3, "resolution": 16, "measure": GAU,
-                              "base": {"type": "poly",
-                                       "terms": [[[0, 0, 0], 1.0],
-                                                 [[0, 0, 1], 0.3]]},
-                              "mc_samples": 1 << 17, "seed": 2025}})
+    for base in (ball2, _perturbed_base(2, 0.1)):
+        checks.append({"kind": "polygon_agreement",
+                       "params": {"n": 2, "resolution": 160, "base": base,
+                                  "polygon_directions": 720}})
+    shifted3 = {"type": "poly",
+                "terms": [[[0, 0, 0], 1.0], [[0, 0, 1], 0.3]]}
+    for n, base, seed in ((2, _perturbed_base(2, 0.1), 2024),
+                          (3, shifted3, 2025)):
+        checks.append({"kind": "mc_agreement",
+                       "params": {"n": n, "resolution": _RES[n],
+                                  "measure": GAU, "base": base,
+                                  "mc_samples": 1 << 17, "seed": seed}})
     return checks
 
 
@@ -191,19 +182,6 @@ def default_config():
 # ---------------------------------------------------------------------------
 # config validation and execution
 # ---------------------------------------------------------------------------
-
-# scan parameter lists: the interval every entry must lie in, and what the
-# entries are
-_SCAN_LISTS = {
-    "eps_fracs": (-1.0, 1.0, "fractions of the validity radius"),
-    "eps_abs": (-math.inf, math.inf, "perturbation amplitudes"),
-    "lambdas": (0.0, 1.0, "combination weights"),
-}
-_SCALARS = (("n", int, "a positive integer"),
-            ("resolution", int, "a positive integer"),
-            ("R", (int, float), "a positive finite number"),
-            ("mc_samples", int, "a positive integer"))
-
 
 def validate_config(cfg):
     if not isinstance(cfg, dict):
@@ -218,42 +196,26 @@ def validate_config(cfg):
     for i, item in enumerate(checks):
         if not isinstance(item, dict) or "kind" not in item:
             raise ConfigError(f"checks[{i}] must be an object with a 'kind'")
-        if item["kind"] not in CHECKS:
-            known = ", ".join(sorted(CHECKS))
-            raise ConfigError(
-                f"checks[{i}]: unknown kind {item['kind']!r} (known: {known})")
-        params = item.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"checks[{i}]: params must be an object")
-        for key, kind, what in _SCALARS:
-            v = params.get(key, 1)
-            if not (isinstance(v, kind) and not isinstance(v, bool)
-                    and math.isfinite(v) and v > 0):
-                raise ConfigError(f"checks[{i}]: {key} must be {what}")
-        for key, (lo, hi, what) in _SCAN_LISTS.items():
-            if key not in params:
-                continue
-            vals = params[key]
-            if not (isinstance(vals, list) and vals and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in vals)):
-                raise ConfigError(f"checks[{i}]: {key} must be a non-empty "
-                                  "list of finite numbers")
-            if any(not lo <= v <= hi for v in vals):
-                raise ConfigError(f"checks[{i}]: {key} entries are {what} "
-                                  f"and must lie in [{lo:g}, {hi:g}]")
+        try:
+            check_params(item["kind"], item.get("params", {}))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"checks[{i}]: {exc.args[0]}")
     return cfg
 
 
 def execute(cfg, log=print):
+    validate_config(cfg)
     results = []
     for item in cfg["checks"]:
         kind = item["kind"]
         params = item.get("params", {})
         try:
             res = run_check(kind, params)
+        except KeyError as exc:
+            raise ConfigError(f"check {kind} with params {params!r}: "
+                              f"missing parameter {exc}")
         # FamilyError, NonPositiveSupport and NotConvex are ValueErrors
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"check {kind} with params {params!r}: {exc}")
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
@@ -369,7 +331,6 @@ def cmd_run(args):
             raise ConfigError(f"config is not valid JSON: {exc}")
     else:
         cfg = default_config()
-    validate_config(cfg)
     results = execute(cfg)
     return _finish(results, args.out, svg=args.svg)
 

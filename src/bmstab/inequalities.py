@@ -5,8 +5,9 @@ CheckResult carrying the computed margin, the pass decision at the check
 kind's fixed tolerance (run_check rejects params that set "tol"), and the
 disagreement against whichever independent route is available (family
 kernels, finite differences, closed forms, Monte Carlo, polygons).  Every
-pass decision is made by `_result`, from the margin's sense.  The registry at the bottom lets any result be re-run from its
-stored parameters; reruns are deterministic."""
+pass decision is made by `_result`, from the margin's sense.  check_params
+holds every parameter rule; run_check applies it before a check computes,
+and rerun repeats a result from its stored parameters, bit for bit."""
 
 from __future__ import annotations
 
@@ -18,9 +19,8 @@ import numpy as np
 from . import measures as _measures
 from . import oracles as _oracles
 from . import variation as _variation
-from .bodies import (NonPositiveSupport, PerturbationFamily,
-                     body_from_support, log_combine, make_family,
-                     measure_of_body, quermassintegrals)
+from .bodies import (PerturbationFamily, body_from_support, log_combine,
+                     make_family, measure_of_body, quermassintegrals)
 from .funcspecs import sf_from_spec
 from .sphere import build_grid, sphere_area
 from .variation import variation_at_ball
@@ -135,8 +135,6 @@ def _at_ball(params):
     ball."""
     n = params["n"]
     R = float(params["R"])
-    if not R > 0.0:
-        raise NonPositiveSupport(f"ball radius must be positive, got R={R:g}")
     g = _grid(n, params["resolution"])
     mu = _measures.measure_from_spec(params["measure"])
     psi = _psi(params, n)
@@ -450,14 +448,14 @@ def check_shift_counterexample(params):
     closed = math.pi - (math.pi / 4.0) * (1.0 - math.sqrt(1.0 - t * t))
     closed_gap = abs(ag - closed) / closed
 
-    poly = _polygon(Kg.h, int(params.get("polygon_directions", 1440)))
+    poly = _polygon(Kg.h, params.get("polygon_directions", 1440))
     poly_gap = abs(poly.area - closed) / closed
 
     details = {"area_geometric_mean": ag, "area_closed_form": closed,
                "area_polygon": poly.area, "deficit": math.pi - ag}
     odiff = max(closed_gap, poly_gap)
     if params.get("mc_samples"):
-        est = _oracles.mc_measure(mu, Kg, n_samples=int(params["mc_samples"]),
+        est = _oracles.mc_measure(mu, Kg, n_samples=params["mc_samples"],
                                   seed=int(params.get("seed", 2024)))
         details["area_mc"] = est.value
         details["area_mc_stderr"] = est.stderr
@@ -538,7 +536,7 @@ def check_mc_agreement(params):
     body = body_from_support(_base_sf(params, n), g)
     value = measure_of_body(mu, body)
     est = _oracles.mc_measure(mu, body,
-                              n_samples=int(params.get("mc_samples", 1 << 18)),
+                              n_samples=params.get("mc_samples", 1 << 18),
                               seed=int(params.get("seed", 2024)))
     z = (est.value - value) / est.stderr if est.stderr > 0 else 0.0
     return _result(
@@ -557,7 +555,7 @@ def check_polygon_agreement(params):
     g = _grid(n, params["resolution"])
     body = body_from_support(_base_sf(params, n), g)
     area = quermassintegrals(body)[2]
-    m = int(params.get("polygon_directions", 720))
+    m = params.get("polygon_directions", 720)
     poly = _polygon(body.h, m)
     gap = poly.area - area
     return _result(
@@ -632,12 +630,53 @@ CHECKS = {
 }
 
 
-def run_check(kind, params):
+# scan parameter lists: the interval their entries lie in, and what they are
+_SCAN_LISTS = {
+    "eps_fracs": (-1.0, 1.0, "fractions of the validity radius"),
+    "eps_abs": (-math.inf, math.inf, "perturbation amplitudes"),
+    "lambdas": (0.0, 1.0, "combination weights"),
+}
+_SCALARS = (("n", int, "a positive integer"),
+            ("resolution", int, "a positive integer"),
+            ("R", (int, float), "a positive finite number"),
+            ("mc_samples", int, "a positive integer"),
+            ("polygon_directions", int, "a positive integer"))
+
+
+def check_params(kind, params):
+    """KeyError for an unknown kind, ValueError for any other broken rule;
+    a missing key is the KeyError of the check that reads it."""
     if kind not in CHECKS:
-        raise KeyError(f"unknown check kind {kind!r}")
+        known = ", ".join(sorted(CHECKS))
+        raise KeyError(f"unknown kind {kind!r} (known: {known})")
+    if not isinstance(params, dict):
+        raise ValueError("params must be an object")
     if "tol" in params:
         raise ValueError("tol cannot be set: each check kind fixes its "
                          f"tolerance (got tol={params['tol']!r})")
+    if not isinstance(params.get("expect_failure", False), bool):
+        raise ValueError("expect_failure must be true or false")
+    for key, typ, what in _SCALARS:
+        v = params.get(key, 1)
+        if not (isinstance(v, typ) and not isinstance(v, bool)
+                and math.isfinite(v) and v > 0):
+            raise ValueError(f"{key} must be {what}")
+    for key, (lo, hi, what) in _SCAN_LISTS.items():
+        if key not in params:
+            continue
+        vals = params[key]
+        if not (isinstance(vals, list) and vals and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) for v in vals)):
+            raise ValueError(f"{key} must be a non-empty list of finite "
+                             "numbers")
+        if any(not lo <= v <= hi for v in vals):
+            raise ValueError(f"{key} entries are {what} and must lie in "
+                             f"[{lo:g}, {hi:g}]")
+
+
+def run_check(kind, params):
+    check_params(kind, params)
     return CHECKS[kind](params)
 
 

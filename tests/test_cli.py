@@ -65,84 +65,90 @@ def test_run_failing_check_exit_two(tmp_path, capsys):
     assert "1 failed" in out
 
 
-@pytest.mark.parametrize("cfg,needle", [
-    ({"schema_version": 2, "checks": [{"kind": "ball_dilation"}]},
-     "schema_version"),
-    ({"schema_version": 1, "checks": []}, "non-empty"),
-    ({"schema_version": 1, "checks": [{"kind": "sharpened_sobolev"}]},
-     "unknown kind"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "scan_dim_bm", "params": {"eps_fracs": [1.5]}}]},
+GAUSS_SECOND_2D = {"n": 2, "R": 1.0, "resolution": 160,
+                   "measure": {"kind": "gaussian"},
+                   "psi": {"type": "second_harmonic"},
+                   "psi_name": "second_harmonic"}
+
+# parameter-level errors, (id, kind, params, needle): bmstab run --config,
+# run_check and rerun refuse each with the same message
+PARAM_ERRORS = [
+    ("eps-frac-range", "scan_dim_bm", {"eps_fracs": [1.5]},
      "fractions of the validity radius"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "scan_dim_bm", "params": {"lambdas": [-1, 0.5]}}]},
+    ("lambda-range", "scan_dim_bm", {"lambdas": [-1, 0.5]},
      "combination weights"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "scan_dim_bm", "params": {"eps_fracs": 0.5}}]},
+    ("eps-fracs-scalar", "scan_dim_bm", {"eps_fracs": 0.5},
      "eps_fracs must be a non-empty list of finite numbers"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "scan_dim_bm", "params": {"eps_fracs": None}}]},
+    ("eps-fracs-null", "scan_dim_bm", {"eps_fracs": None},
      "eps_fracs must be a non-empty list of finite numbers"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "scan_dim_bm", "params": {"eps_fracs": ["x"]}}]},
+    ("eps-fracs-string", "scan_dim_bm", {"eps_fracs": ["x"]},
      "eps_fracs must be a non-empty list of finite numbers"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "scan_dim_bm", "params": {"eps_abs": 0.01}}]},
+    ("eps-abs-scalar", "scan_dim_bm", {"eps_abs": 0.01},
      "eps_abs must be a non-empty list of finite numbers"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "scan_dim_bm",
-                  "params": {"eps_abs": [0.01, float("nan")]}}]},
+    ("eps-abs-nan", "scan_dim_bm", {"eps_abs": [0.01, float("nan")]},
      "eps_abs must be a non-empty list of finite numbers"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "scan_dim_bm", "params": {"lambdas": 0.5}}]},
+    ("lambdas-scalar", "scan_dim_bm", {"lambdas": 0.5},
      "lambdas must be a non-empty list of finite numbers"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "scan_dim_bm", "params": {"lambdas": []}}]},
+    ("lambdas-empty", "scan_dim_bm", {"lambdas": []},
      "lambdas must be a non-empty list of finite numbers"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "scan_dim_bm",
-                  "params": {"n": "x", "psi": {"type": "second_harmonic"}}}]},
+    ("n-string", "scan_dim_bm",
+     {"n": "x", "psi": {"type": "second_harmonic"}},
      "n must be a positive integer"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "ball_dilation",
-                  "params": {"n": 2, "R": "1",
-                             "measure": {"kind": "gaussian"}}}]},
+    ("R-string", "ball_dilation",
+     {"n": 2, "R": "1", "measure": {"kind": "gaussian"}},
      "R must be a positive finite number"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "dim_bm_infinitesimal",
-                  "params": {"n": 2, "R": 1.0, "resolution": 16.0,
-                             "measure": {"kind": "gaussian"},
-                             "psi": {"type": "second_harmonic"}}}]},
+    ("resolution-float", "dim_bm_infinitesimal",
+     {"n": 2, "R": 1.0, "resolution": 16.0, "measure": {"kind": "gaussian"},
+      "psi": {"type": "second_harmonic"}},
      "resolution must be a positive integer"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "mc_agreement",
-                  "params": {"n": 2, "R": 1.0, "resolution": 32,
-                             "measure": {"kind": "gaussian"},
-                             "mc_samples": 0}}]},
+    ("mc-samples-zero", "mc_agreement",
+     {"n": 2, "R": 1.0, "resolution": 32, "measure": {"kind": "gaussian"},
+      "mc_samples": 0},
      "mc_samples must be a positive integer"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "mc_agreement",
-                  "params": {"n": 2, "R": 1.0, "resolution": 32,
-                             "measure": {"kind": "gaussian"},
-                             "mc_samples": -3}}]},
+    ("mc-samples-negative", "mc_agreement",
+     {"n": 2, "R": 1.0, "resolution": 32, "measure": {"kind": "gaussian"},
+      "mc_samples": -3},
      "mc_samples must be a positive integer"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "mc_agreement",
-                  "params": {"n": 2, "R": 1.0, "resolution": 32,
-                             "measure": {"kind": "gaussian"},
-                             "mc_samples": 1.5}}]},
+    ("mc-samples-float", "mc_agreement",
+     {"n": 2, "R": 1.0, "resolution": 32, "measure": {"kind": "gaussian"},
+      "mc_samples": 1.5},
      "mc_samples must be a positive integer"),
-    ({"schema_version": 1,
-      "checks": [{"kind": "polygon_agreement",
-                  "params": {"n": 2, "resolution": 160,
-                             "base": {"type": "constant", "value": 1.0},
-                             "polygon_directions": 8, "tol": 1.0}}]},
+    ("tol", "polygon_agreement",
+     {"n": 2, "resolution": 160, "base": {"type": "constant", "value": 1.0},
+      "polygon_directions": 8, "tol": 1.0},
      "tol cannot be set"),
-], ids=["schema", "empty", "unknown-kind", "eps-frac-range", "lambda-range",
-        "eps-fracs-scalar", "eps-fracs-null", "eps-fracs-string",
-        "eps-abs-scalar", "eps-abs-nan", "lambdas-scalar", "lambdas-empty",
-        "n-string", "R-string", "resolution-float", "mc-samples-zero",
-        "mc-samples-negative", "mc-samples-float", "tol"])
+    # full parameter sets: without the rules, each of these computes
+    ("expect-failure-string", "log_bm_infinitesimal",
+     {**GAUSS_SECOND_2D, "expect_failure": "false"},
+     "expect_failure must be true or false"),
+    ("polygon-directions-string", "polygon_agreement",
+     {"n": 2, "resolution": 160, "base": {"type": "constant", "value": 1.0},
+      "polygon_directions": "720"},
+     "polygon_directions must be a positive integer"),
+    ("eps-fracs-beyond-radius", "scan_dim_bm",
+     {**GAUSS_SECOND_2D, "eps_fracs": [-2, 2]},
+     "fractions of the validity radius"),
+]
+
+
+def _one_check(kind, params):
+    return {"schema_version": 1,
+            "checks": [{"kind": kind, "params": params}]}
+
+
+@pytest.mark.parametrize("cfg,needle", [
+    pytest.param({"schema_version": 2, "checks": [{"kind": "ball_dilation"}]},
+                 "schema_version", id="schema"),
+    pytest.param({"schema_version": 1, "checks": []}, "non-empty",
+                 id="empty"),
+    pytest.param({"schema_version": 1,
+                  "checks": [{"kind": "sharpened_sobolev"}]},
+                 "unknown kind", id="unknown-kind"),
+    pytest.param(_one_check("moment_identities",
+                            {"n": 2, "measure": {"kind": "gaussian"}}),
+                 "missing parameter 'R'", id="missing-R"),
+] + [pytest.param(_one_check(kind, params), needle, id=case)
+     for case, kind, params, needle in PARAM_ERRORS])
 def test_run_config_errors_exit_one(tmp_path, capsys, cfg, needle):
     rc = cli.main(["run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
@@ -150,6 +156,44 @@ def test_run_config_errors_exit_one(tmp_path, capsys, cfg, needle):
     err = capsys.readouterr().err
     assert "config error" in err
     assert needle in err
+
+
+@pytest.mark.parametrize("kind,params,needle",
+                         [case[1:] for case in PARAM_ERRORS],
+                         ids=[case[0] for case in PARAM_ERRORS])
+def test_library_calls_refuse_what_the_cli_refuses(monkeypatch, kind, params,
+                                                   needle):
+    # run_check and rerun apply the same rules, before the check computes
+    def computed(_params):
+        raise AssertionError(f"{kind} ran on invalid params")
+
+    monkeypatch.setitem(bmstab.CHECKS, kind, computed)
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        bmstab.run_check(kind, params)
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        bmstab.rerun({"kind": kind, "params": params})
+
+
+def test_bad_check_stops_the_run_before_any_check(tmp_path, capsys):
+    cfg = cli.default_config()
+    cfg["checks"].append({"kind": "polygon_agreement",
+                          "params": {"n": 2, "resolution": 160,
+                                     "base": {"type": "constant",
+                                              "value": 1.0},
+                                     "tol": 1.0}})
+    rc = cli.main(["run", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    last = len(cfg["checks"]) - 1
+    assert f"checks[{last}]: tol cannot be set" in captured.err
+    assert not (tmp_path / "out").exists()
+    # execute validates the whole config itself, for library callers too
+    lines = []
+    with pytest.raises(cli.ConfigError, match="tol cannot be set"):
+        cli.execute(cfg, log=lines.append)
+    assert lines == []
 
 
 def test_unknown_kind_error_lists_known_kinds(tmp_path, capsys):

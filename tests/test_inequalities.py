@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bmstab.bodies import NonPositiveSupport, PerturbationFamily
+from bmstab.bodies import PerturbationFamily
 from bmstab.funcspecs import sf_from_spec
 from bmstab.inequalities import (CHECKS, DEFAULT_MARGIN_TOL, CheckResult,
                                  _result, rerun, run_check)
@@ -98,7 +98,7 @@ def test_infinitesimal_checks_search_no_validity_radius(monkeypatch):
 @pytest.mark.parametrize("kind", ["dim_bm_infinitesimal",
                                   "log_bm_infinitesimal"])
 def test_infinitesimal_checks_reject_nonpositive_radius(kind, R):
-    with pytest.raises(NonPositiveSupport, match="ball radius"):
+    with pytest.raises(ValueError, match="R must be a positive finite number"):
         run_check(kind, {"n": 2, "R": R, "measure": GAU, "resolution": 32,
                          "psi": SECOND})
 
