@@ -17,13 +17,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyder
 
 from . import measures as _measures
 from .sphere import (CurvatureField, PolynomialSF, SphereGrid,
                      SphericalFunction, ball_volume, batch_min_eig,
-                     curvature_matrix, det_poly, poly_mul, sf_product_powers,
-                     sf_sum, sphere_area)
+                     curvature_matrix, det_poly, horner, poly_mul,
+                     sf_product_powers, sf_sum, sphere_area)
 
 
 class NonPositiveSupport(ValueError):
@@ -264,16 +264,16 @@ class PerturbationFamily:
         callers must stay inside the validity radius).  Per chunk of
         _S_CHUNK parameters, det Q(h_s) / w^(n-1) and D(s)^2 / w^2 are exact
         polynomials in t = s - s_c about the chunk's centre s_c (at s = 0
-        they cancel near s = -a), evaluated by Horner's rule."""
+        they cancel near s = -a), evaluated in place by sphere.horner."""
         s_values = np.asarray(s_values, dtype=float)
         out = np.empty(s_values.size)
         w, n = self.grid.weights, self.grid.n
         for lo, t, h, p, q in self._expansions(s_values):
-            D = np.sqrt(polyval(t, q, False))
+            D = np.sqrt(horner(q, t))
             if self.kind == "additive":
-                f = h * polyval(t, p, False)
+                f = h * horner(p, t)
             else:
-                f = h ** n * polyval(t, p, False)
+                f = h ** n * horner(p, t)
                 D = h * D
             A = _measures.radial_profile(measure, D, n, powers=(0,))[0]
             out[lo:lo + _S_CHUNK] = (f * A.reshape(D.shape) * w).sum(axis=1)
@@ -295,8 +295,8 @@ class PerturbationFamily:
         out = np.empty((3, s_values.size))
         w, n = self.grid.weights, self.grid.n
         for lo, t, h, p, q in self._expansions(s_values):
-            P = [polyval(t, polyder(p, k), False) for k in range(3)]
-            q0, q1, q2 = (polyval(t, polyder(q, k), False) for k in range(3))
+            P = [horner(polyder(p, k), t) for k in range(3)]
+            q0, q1, q2 = (horner(polyder(q, k), t) for k in range(3))
             E = np.sqrt(q0)                 # D / w and its derivatives
             E1 = q1 / (2.0 * E)
             D = [E, E1, (q2 - 2.0 * E1 ** 2) / (2.0 * E)]

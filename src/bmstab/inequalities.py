@@ -425,9 +425,7 @@ def check_shift_counterexample(params):
     area(K_2))/2 >= 0 fails once the center moves: symmetry matters.  The
     closed form, the quadrature area, the polygonal area, and (optionally)
     Monte Carlo must all agree."""
-    t = float(params["t"])
-    if not 0.0 < t < 1.0:
-        raise ValueError("shift parameter must lie in (0, 1)")
+    t = params["t"]
     n = 2
     g = _grid(n, params["resolution"])
     mu = _measures.measure_from_spec(params.get("measure",
@@ -456,7 +454,7 @@ def check_shift_counterexample(params):
     odiff = max(closed_gap, poly_gap)
     if params.get("mc_samples"):
         est = _oracles.mc_measure(mu, Kg, n_samples=params["mc_samples"],
-                                  seed=int(params.get("seed", 2024)))
+                                  seed=params.get("seed", 2024))
         details["area_mc"] = est.value
         details["area_mc_stderr"] = est.stderr
         details["mc_z"] = (est.value - closed) / est.stderr
@@ -537,7 +535,7 @@ def check_mc_agreement(params):
     value = measure_of_body(mu, body)
     est = _oracles.mc_measure(mu, body,
                               n_samples=params.get("mc_samples", 1 << 18),
-                              seed=int(params.get("seed", 2024)))
+                              seed=params.get("seed", 2024))
     z = (est.value - value) / est.stderr if est.stderr > 0 else 0.0
     return _result(
         "mc_agreement", params, n, _measure_name(mu), 4.0 - abs(z), 0.0,
@@ -636,11 +634,14 @@ _SCAN_LISTS = {
     "eps_abs": (-math.inf, math.inf, "perturbation amplitudes"),
     "lambdas": (0.0, 1.0, "combination weights"),
 }
-_SCALARS = (("n", int, "a positive integer"),
-            ("resolution", int, "a positive integer"),
-            ("R", (int, float), "a positive finite number"),
-            ("mc_samples", int, "a positive integer"),
-            ("polygon_directions", int, "a positive integer"))
+# scalar parameters: their type, the open interval they lie in, what they are
+_SCALARS = (("n", int, (0, math.inf), "a positive integer"),
+            ("resolution", int, (0, math.inf), "a positive integer"),
+            ("R", (int, float), (0, math.inf), "a positive finite number"),
+            ("mc_samples", int, (0, math.inf), "a positive integer"),
+            ("polygon_directions", int, (0, math.inf), "a positive integer"),
+            ("seed", int, (-1, math.inf), "a non-negative integer"),
+            ("t", (int, float), (0, 1), "a number in (0, 1)"))
 
 
 def check_params(kind, params):
@@ -656,10 +657,10 @@ def check_params(kind, params):
                          f"tolerance (got tol={params['tol']!r})")
     if not isinstance(params.get("expect_failure", False), bool):
         raise ValueError("expect_failure must be true or false")
-    for key, typ, what in _SCALARS:
-        v = params.get(key, 1)
-        if not (isinstance(v, typ) and not isinstance(v, bool)
-                and math.isfinite(v) and v > 0):
+    for key, typ, (lo, hi), what in _SCALARS:
+        v = params.get(key)
+        if key in params and not (isinstance(v, typ)
+                                  and not isinstance(v, bool) and lo < v < hi):
             raise ValueError(f"{key} must be {what}")
     for key, (lo, hi, what) in _SCAN_LISTS.items():
         if key not in params:

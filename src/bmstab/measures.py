@@ -36,6 +36,7 @@ _CHEB_POINTS = 14            # radial_profile's Chebyshev interpolation points
 _CHEB_X = chebyshev.chebpts1(_CHEB_POINTS)
 _CHEB_T = chebyshev.chebvander(_CHEB_X, _CHEB_POINTS - 1).T * (2 / _CHEB_POINTS)
 _CHEB_T[0] *= 0.5
+_CHEB_BLOCK = 16384          # scales per Clenshaw pass: 128 KiB temporaries
 
 # (G7, K15) Gauss-Kronrod pair on [-1, 1]
 _XGK = np.array([
@@ -274,9 +275,13 @@ def radial_profile(measure, D, n, powers=(0,)):
     Chebyshev points of [min D, max D] are interpolated by Clenshaw's
     recurrence if the last two Chebyshev coefficients of every moment sum
     to at most QUAD_TOL in absolute value; otherwise every scale is
-    integrated by adaptive_gk."""
+    integrated by adaptive_gk.  Clenshaw runs over blocks of _CHEB_BLOCK
+    scales that fit in cache, bitwise equal to one whole-array pass."""
     D = np.asarray(D, dtype=float).ravel()
-    if D.size > 2 and D.max() == D.min():
+    if D.size <= 2:
+        return _integrate_profile(measure, D, n, powers)
+    lo, hi = D.min(), D.max()
+    if hi == lo:
         # two copies, not one: adaptive_gk's einsum sums a one-column batch
         # in another order, and the repeated values must be bitwise those
         # of the whole batch
@@ -284,12 +289,16 @@ def radial_profile(measure, D, n, powers=(0,)):
         return np.repeat(one, D.size, axis=1)
     if D.size <= _CHEB_POINTS:
         return _integrate_profile(measure, D, n, powers)
-    mid, half = 0.5 * (D.max() + D.min()), 0.5 * (D.max() - D.min())
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     fit = _integrate_profile(measure, mid + half * _CHEB_X, n, powers)
     coef = (_CHEB_T[:, None, :] * fit).sum(axis=2)          # (K, len(powers))
     if np.any(np.abs(coef[-2]) + np.abs(coef[-1]) > QUAD_TOL):
         return _integrate_profile(measure, D, n, powers)
-    return chebyshev.chebval((D - mid) / half, coef)
+    out = np.empty((len(powers), D.size))
+    for i in range(0, D.size, _CHEB_BLOCK):
+        x = (D[i:i + _CHEB_BLOCK] - mid) / half
+        out[:, i:i + _CHEB_BLOCK] = chebyshev.chebval(x, coef)
+    return out
 
 
 def ball_measure(measure, radius, n):

@@ -574,6 +574,16 @@ def poly_mul(a, b):
     return out
 
 
+def horner(c, t):
+    """Coefficients c (k, ...) at t by in-place Horner: numpy polyval(t, c,
+    False)'s operations in its order, so bitwise equal, also at k = 1."""
+    out = c[-1] + t * 0.0
+    for ck in c[-2::-1]:
+        out *= t
+        out += ck
+    return out
+
+
 def det_poly(mats):
     """Coefficients in t, shape (N (d - 1) + 1, ...), of det(sum_k t^k M_k)
     for d stacks M_k of shape (..., N, N), by Laplace expansion."""

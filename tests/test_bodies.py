@@ -332,6 +332,25 @@ def test_derivatives_along_match_central_differences(
                 assert abs(g2 - fd2) <= 1e-6 * scale, (name, mu.kind, s0)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_derivatives_along_batch_matches_per_s(n, grid2, grid3, lebesgue,
+                                               gaussian):
+    # 101 parameters in four chunks evaluate the polynomials of every degree
+    # at t = s - s_c != 0; one call per parameter evaluates them at t = 0
+    grid = {2: grid2, 3: grid3}[n]
+    ball = PolynomialSF.constant(n, 1.0)
+    for name, _, psi in direction_suite(n):
+        fam = make_family("additive", ball, psi, grid)
+        s_values = np.linspace(-0.9, 0.9, 101) * fam.a
+        for mu in (lebesgue, gaussian):
+            batch = np.array(fam.derivatives_along(mu, s_values))
+            per_s = np.array([[d[0] for d in fam.derivatives_along(mu, [s])]
+                              for s in s_values]).T
+            scale = np.maximum(1.0, np.abs(batch[0]))
+            gap = np.max(np.abs(batch - per_s) / scale)
+            assert gap <= 1e-8, (name, mu.kind, gap)
+
+
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
 def test_derivatives_along_value_matches_measures_along(kind, grid3,
                                                         gaussian):

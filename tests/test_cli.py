@@ -69,6 +69,8 @@ GAUSS_SECOND_2D = {"n": 2, "R": 1.0, "resolution": 160,
                    "measure": {"kind": "gaussian"},
                    "psi": {"type": "second_harmonic"},
                    "psi_name": "second_harmonic"}
+MC_GAUSS_2D = {"n": 2, "R": 1.0, "resolution": 32,
+               "measure": {"kind": "gaussian"}, "mc_samples": 4096}
 
 # parameter-level errors, (id, kind, params, needle): bmstab run --config,
 # run_check and rerun refuse each with the same message
@@ -128,6 +130,21 @@ PARAM_ERRORS = [
     ("eps-fracs-beyond-radius", "scan_dim_bm",
      {**GAUSS_SECOND_2D, "eps_fracs": [-2, 2]},
      "fractions of the validity radius"),
+    ("seed-float", "mc_agreement", {**MC_GAUSS_2D, "seed": 1.5},
+     "seed must be a non-negative integer"),
+    ("seed-string", "mc_agreement", {**MC_GAUSS_2D, "seed": "7"},
+     "seed must be a non-negative integer"),
+    ("seed-bool", "mc_agreement", {**MC_GAUSS_2D, "seed": True},
+     "seed must be a non-negative integer"),
+    ("seed-negative", "shift_counterexample",
+     {"t": 0.3, "resolution": 64, "mc_samples": 4096, "seed": -1},
+     "seed must be a non-negative integer"),
+    ("t-string", "shift_counterexample", {"t": "0.3", "resolution": 64},
+     "t must be a number in (0, 1)"),
+    ("t-one", "shift_counterexample", {"t": 1, "resolution": 64},
+     "t must be a number in (0, 1)"),
+    ("t-nan", "shift_counterexample", {"t": float("nan"), "resolution": 64},
+     "t must be a number in (0, 1)"),
 ]
 
 

@@ -8,15 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from scipy.special import roots_jacobi
 
 from bmstab import sphere
 from bmstab.oracles import central_derivative
 from bmstab.sphere import (GridError, PolynomialSF, ball_volume,
                            batch_min_eig, build_grid, curvature_matrix,
-                           integrate, poincare_ratio, sf_exp, sf_log, sf_mul,
-                           sf_product_powers, sf_ratio, sf_sum, sphere_area,
-                           split_mean)
+                           horner, integrate, poincare_ratio, sf_exp, sf_log,
+                           sf_mul, sf_product_powers, sf_ratio, sf_sum,
+                           sphere_area, split_mean)
 from bmstab.funcspecs import direction_suite, sf_from_spec
 
 
@@ -313,6 +314,20 @@ def _min_eig_stacks(N, rng):
         "negative_definite": -(B @ B.transpose(0, 2, 1) + 1e-3 * np.eye(N)),
         "last_bit_off_diagonal": last_bit,
     }
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_horner_is_bitwise_numpy_polyval(degree):
+    # the family kernel's evaluation shapes: parameters t (S, 1) against a
+    # stack of node polynomials (k, m), including the constant k = 1
+    rng = np.random.default_rng(20261019 + degree)
+    t = rng.uniform(-1.5, 1.5, (32, 1))
+    c = rng.standard_normal((degree + 1, 257))
+    before = c.copy()
+    got = horner(c, t)
+    assert got.shape == (32, 257)
+    assert np.array_equal(got, polyval(t, c, False))
+    assert np.array_equal(c, before)        # the coefficients stay as given
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
