@@ -17,19 +17,20 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .inequalities import CHECKS, check_params, run_check
+from .inequalities import CHECKS, CSV_FIELDS, check_params, run_check
 
 SCHEMA_VERSION = 1
 
-CSV_FIELDS = ["check_id", "kind", "n", "R", "measure", "eps1", "eps2",
-              "lambda", "margin", "tol", "passed", "expected_failure",
-              "oracle_diff", "seed"]
+# margins.svg bar colours by CheckResult.status
+STATUS_COLORS = {"PASS": "#2a8f4e", "XFAIL": "#d69408", "FAIL": "#c03030"}
 
 
 class ConfigError(ValueError):
@@ -218,10 +219,7 @@ def execute(cfg, log=print):
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"check {kind} with params {params!r}: {exc}")
         results.append(res)
-        status = "PASS" if res.passed else "FAIL"
-        if res.expected_failure and res.passed:
-            status = "XFAIL"
-        log(f"[{status}] {res.check_id}  margin={res.margin:+.6e}")
+        log(f"[{res.status}] {res.check_id}  margin={res.margin:+.6e}")
     return results
 
 
@@ -238,27 +236,18 @@ def write_csv(path, results):
 
 
 def write_json(path, results):
+    counts = Counter(r.status for r in results)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "created": datetime.now(timezone.utc).isoformat(),
         "package_version": __version__,
         "summary": {
             "total": len(results),
-            "passed": sum(1 for r in results if r.passed),
-            "failed": sum(1 for r in results if not r.passed),
-            "expected_failures": sum(1 for r in results
-                                     if r.expected_failure),
+            "passed": counts["PASS"] + counts["XFAIL"],
+            "failed": counts["FAIL"],
+            "expected_failures": counts["XFAIL"],
         },
-        "checks": [
-            {
-                "check_id": r.check_id, "kind": r.kind, "n": r.n, "R": r.R,
-                "measure": r.measure, "margin": r.margin, "tol": r.tol,
-                "passed": r.passed, "expected_failure": r.expected_failure,
-                "oracle_diff": r.oracle_diff, "params": r.params,
-                "details": r.details,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=_numpy_json)
@@ -287,16 +276,10 @@ def write_svg(path, results):
         y = 24 + i * rh
         v = _symlog(r.margin) * scale
         x0, x1 = (mid + v, mid) if v < 0 else (mid, mid + v)
-        if r.passed and r.expected_failure:
-            color = "#d69408"
-        elif r.passed:
-            color = "#2a8f4e"
-        else:
-            color = "#c03030"
         label = r.check_id if len(r.check_id) <= 62 else r.check_id[:59] + "..."
         out.append(f'<rect x="{x0:.2f}" y="{y:.1f}" '
                    f'width="{max(x1 - x0, 0.75):.2f}" height="{rh - 4}" '
-                   f'fill="{color}"/>')
+                   f'fill="{STATUS_COLORS[r.status]}"/>')
         out.append(f'<text x="4" y="{y + rh - 6:.1f}" fill="#222">'
                    f'{label}</text>')
     out.append("</svg>")
@@ -307,45 +290,49 @@ def write_svg(path, results):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _finish(results, outdir, svg=False):
-    outdir = Path(outdir)
+def _report(args):
+    """The one path of every report-writing subcommand: args.make_config
+    builds the config, execute runs it, args.table (if any) prints a table
+    of the results, and the reports go to args.out."""
+    results = execute(args.make_config(args))
+    if args.table:
+        args.table(results)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "report.csv", results)
     write_json(outdir / "report.json", results)
-    if svg:
+    if args.svg:
         write_svg(outdir / "margins.svg", results)
-    n_fail = sum(1 for r in results if not r.passed)
+    n_fail = sum(r.status == "FAIL" for r in results)
     print(f"\n{len(results)} checks, {len(results) - n_fail} passed, "
           f"{n_fail} failed -> {outdir}/report.csv")
     return 2 if n_fail else 0
 
 
-def cmd_run(args):
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
-    else:
-        cfg = default_config()
-    results = execute(cfg)
-    return _finish(results, args.out, svg=args.svg)
+def _run_config(args):
+    if not args.config:
+        return default_config()
+    try:
+        with open(args.config) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def cmd_verify_identities(args):
-    cfg = {"schema_version": SCHEMA_VERSION, "checks": identity_battery()}
-    results = execute(cfg)
-    return _finish(results, args.out, svg=args.svg)
+def _identity_config(_args):
+    return {"schema_version": SCHEMA_VERSION, "checks": identity_battery()}
 
 
-def cmd_demo_shift(args):
-    checks = [{"kind": "shift_counterexample",
-               "params": {"t": t, "resolution": args.resolution}}
-              for t in args.t]
-    results = execute({"schema_version": SCHEMA_VERSION, "checks": checks})
+def _shift_config(args):
+    return {"schema_version": SCHEMA_VERSION, "checks": [
+        {"kind": "shift_counterexample",
+         "params": {"t": t, "resolution": args.resolution}}
+        for t in args.t]}
+
+
+def _shift_table(results):
     print("\nshifted-disk geometric mean: area deficit against the "
           "half-and-half chord")
     print(f"{'t':>5} {'area':>12} {'closed form':>12} {'polygon':>12} "
@@ -355,7 +342,6 @@ def cmd_demo_shift(args):
         print(f"{r.params['t']:>5} {d['area_geometric_mean']:>12.8f} "
               f"{d['area_closed_form']:>12.8f} {d['area_polygon']:>12.8f} "
               f"{r.margin:>+12.6f}")
-    return _finish(results, args.out, svg=args.svg)
 
 
 def cmd_list_checks(_args):
@@ -374,27 +360,27 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    pr = sub.add_parser("run", help="run a battery of checks")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", default="bmstab-report",
+                        help="output directory (default: bmstab-report)")
+    report.add_argument("--svg", action="store_true",
+                        help="also write margins.svg")
+    report.set_defaults(func=_report, table=None)
+
+    pr = sub.add_parser("run", parents=[report],
+                        help="run a battery of checks")
     pr.add_argument("--config", help="JSON config (default: built-in battery)")
-    pr.add_argument("--out", default="bmstab-report",
-                    help="output directory (default: bmstab-report)")
-    pr.add_argument("--svg", action="store_true",
-                    help="also write margins.svg")
-    pr.set_defaults(func=cmd_run)
+    pr.set_defaults(make_config=_run_config)
 
-    pv = sub.add_parser("verify-identities",
+    pv = sub.add_parser("verify-identities", parents=[report],
                         help="run the exact-identity residual checks")
-    pv.add_argument("--out", default="bmstab-report")
-    pv.add_argument("--svg", action="store_true")
-    pv.set_defaults(func=cmd_verify_identities)
+    pv.set_defaults(make_config=_identity_config)
 
-    pd = sub.add_parser("demo-shift",
+    pd = sub.add_parser("demo-shift", parents=[report],
                         help="shifted-disk counterexample demonstration")
     pd.add_argument("--t", type=float, nargs="+", default=[0.3, 0.6])
     pd.add_argument("--resolution", type=int, default=256)
-    pd.add_argument("--out", default="bmstab-report")
-    pd.add_argument("--svg", action="store_true")
-    pd.set_defaults(func=cmd_demo_shift)
+    pd.set_defaults(make_config=_shift_config, table=_shift_table)
 
     pl = sub.add_parser("list-checks", help="list registered check kinds")
     pl.set_defaults(func=cmd_list_checks)

@@ -46,6 +46,12 @@ def _measure_name(mu):
     return f"{kind}({inner})"
 
 
+# the columns of report.csv, in order: the keys of CheckResult.to_row
+CSV_FIELDS = ["check_id", "kind", "n", "R", "measure", "eps1", "eps2",
+              "lambda", "margin", "tol", "passed", "expected_failure",
+              "oracle_diff", "seed"]
+
+
 @dataclass
 class CheckResult:
     check_id: str
@@ -60,6 +66,13 @@ class CheckResult:
     expected_failure: bool = False
     oracle_diff: float | None = None
     details: dict = field(default_factory=dict)
+
+    @property
+    def status(self):
+        """PASS, FAIL, or XFAIL for an expected failure that materialized."""
+        if not self.passed:
+            return "FAIL"
+        return "XFAIL" if self.expected_failure else "PASS"
 
     def to_row(self):
         """Flat record for tabular reports."""
