@@ -29,7 +29,6 @@ from .inequalities import CHECKS, CSV_FIELDS, check_params, run_check
 
 SCHEMA_VERSION = 1
 
-# margins.svg bar colours by CheckResult.status
 STATUS_COLORS = {"PASS": "#2a8f4e", "XFAIL": "#d69408", "FAIL": "#c03030"}
 
 
@@ -54,21 +53,28 @@ GAU = {"kind": "gaussian"}
 EP1 = {"kind": "exp_power", "p": 1}
 EP3 = {"kind": "exp_power", "p": 3}
 
-PSI_SUITE = [
-    ("constant", {"type": "constant", "value": 1.0}),
-    ("first_harmonic", {"type": "first_harmonic"}),
-    ("second_harmonic", {"type": "second_harmonic"}),
-    ("random_even", {"type": "random_even", "seed": 20240817,
-                     "amplitude": 1.0}),
-]
+PSI = {
+    "constant": {"type": "constant", "value": 1.0},
+    "first_harmonic": {"type": "first_harmonic"},
+    "second_harmonic": {"type": "second_harmonic"},
+    "random_even": {"type": "random_even", "seed": 20240817,
+                    "amplitude": 1.0},
+}
 
 _RES = {2: 160, 3: 16, 4: 10}
 
 
-def _perturbed_base(n, eps=0.1):
+def _perturbed_base(eps):
     return {"type": "sum", "parts": [
         [1.0, {"type": "constant", "value": 1.0}],
         [eps, {"type": "second_harmonic"}]]}
+
+
+def _ball_check(kind, n, R, mu, psi_name):
+    """A check along the direction PSI[psi_name] at the ball of radius R."""
+    return {"kind": kind,
+            "params": {"n": n, "R": R, "measure": mu, "resolution": _RES[n],
+                       "psi": PSI[psi_name], "psi_name": psi_name}}
 
 
 def identity_battery():
@@ -80,11 +86,9 @@ def identity_battery():
                                "params": {"n": n, "R": R, "measure": mu}})
     for n in (2, 3):
         for mu in (LEB, GAU, EP3):
-            for name, psi in PSI_SUITE[:1] + PSI_SUITE[2:3]:
-                checks.append({"kind": "second_variation_routes",
-                               "params": {"n": n, "R": 1.1, "measure": mu,
-                                          "resolution": _RES[n], "psi": psi,
-                                          "psi_name": name}})
+            for name in ("constant", "second_harmonic"):
+                checks.append(_ball_check("second_variation_routes", n, 1.1,
+                                          mu, name))
     bases = {
         2: {"type": "sum", "parts": [
             [1.0, {"type": "constant", "value": 1.0}],
@@ -107,26 +111,16 @@ def default_battery():
     checks = identity_battery()
     for n in (2, 3):
         for mu in (LEB, GAU, EP3):
-            for name, psi in PSI_SUITE:
-                checks.append({"kind": "dim_bm_infinitesimal",
-                               "params": {"n": n, "R": 1.0, "measure": mu,
-                                          "resolution": _RES[n], "psi": psi,
-                                          "psi_name": name}})
+            for name in PSI:
+                checks.append(_ball_check("dim_bm_infinitesimal", n, 1.0, mu,
+                                          name))
                 if name != "first_harmonic":
-                    checks.append({"kind": "log_bm_infinitesimal",
-                                   "params": {"n": n, "R": 1.0, "measure": mu,
-                                              "resolution": _RES[n],
-                                              "psi": psi, "psi_name": name}})
-            checks.append({"kind": "dim_bm_decomposition",
-                           "params": {"n": n, "R": 1.0, "measure": mu,
-                                      "resolution": _RES[n],
-                                      "psi": PSI_SUITE[3][1],
-                                      "psi_name": "random_even"}})
-            checks.append({"kind": "logbm_ball_form",
-                           "params": {"n": n, "R": 0.8, "measure": mu,
-                                      "resolution": _RES[n],
-                                      "psi": PSI_SUITE[2][1],
-                                      "psi_name": "second_harmonic"}})
+                    checks.append(_ball_check("log_bm_infinitesimal", n, 1.0,
+                                              mu, name))
+            checks.append(_ball_check("dim_bm_decomposition", n, 1.0, mu,
+                                      "random_even"))
+            checks.append(_ball_check("logbm_ball_form", n, 0.8, mu,
+                                      "second_harmonic"))
     for n in (2, 3, 4):
         for R in (0.7, 1.0, 1.5):
             for mu in (LEB, GAU, EP3):
@@ -134,40 +128,29 @@ def default_battery():
                                "params": {"n": n, "R": R, "measure": mu}})
     for n in (2, 3):
         for mu in (LEB, GAU):
-            checks.append({"kind": "scan_dim_bm",
-                           "params": {"n": n, "R": 1.0, "measure": mu,
-                                      "resolution": _RES[n],
-                                      "psi": PSI_SUITE[2][1],
-                                      "psi_name": "second_harmonic"}})
-            checks.append({"kind": "scan_log_bm",
-                           "params": {"n": n, "R": 1.0, "measure": mu,
-                                      "resolution": _RES[n],
-                                      "psi": PSI_SUITE[3][1],
-                                      "psi_name": "random_even"}})
+            checks.append(_ball_check("scan_dim_bm", n, 1.0, mu,
+                                      "second_harmonic"))
+            checks.append(_ball_check("scan_log_bm", n, 1.0, mu,
+                                      "random_even"))
     for t in (0.3, 0.6):
         checks.append({"kind": "shift_counterexample",
                        "params": {"t": t, "resolution": 256}})
-    ball2 = {"type": "constant", "value": 1.0}
-    for psi_name, psi in PSI_SUITE[:1] + PSI_SUITE[2:]:
+    ball = PSI["constant"]
+    for n, base, name in ((2, ball, "constant"),
+                          (2, ball, "second_harmonic"),
+                          (2, ball, "random_even"),
+                          (2, _perturbed_base(0.08), "second_harmonic"),
+                          (3, ball, "second_harmonic")):
         checks.append({"kind": "cone_inequality",
-                       "params": {"n": 2, "resolution": 160, "base": ball2,
-                                  "psi": psi, "psi_name": psi_name}})
-    checks.append({"kind": "cone_inequality",
-                   "params": {"n": 2, "resolution": 160,
-                              "base": _perturbed_base(2, 0.08),
-                              "psi": PSI_SUITE[2][1],
-                              "psi_name": "second_harmonic"}})
-    checks.append({"kind": "cone_inequality",
-                   "params": {"n": 3, "resolution": 16, "base": ball2,
-                              "psi": PSI_SUITE[2][1],
-                              "psi_name": "second_harmonic"}})
-    for base in (ball2, _perturbed_base(2, 0.1)):
+                       "params": {"n": n, "resolution": _RES[n], "base": base,
+                                  "psi": PSI[name], "psi_name": name}})
+    for base in (ball, _perturbed_base(0.1)):
         checks.append({"kind": "polygon_agreement",
                        "params": {"n": 2, "resolution": 160, "base": base,
                                   "polygon_directions": 720}})
     shifted3 = {"type": "poly",
                 "terms": [[[0, 0, 0], 1.0], [[0, 0, 1], 0.3]]}
-    for n, base, seed in ((2, _perturbed_base(2, 0.1), 2024),
+    for n, base, seed in ((2, _perturbed_base(0.1), 2024),
                           (3, shifted3, 2025)):
         checks.append({"kind": "mc_agreement",
                        "params": {"n": n, "resolution": _RES[n],
@@ -277,6 +260,10 @@ def write_svg(path, results):
         v = _symlog(r.margin) * scale
         x0, x1 = (mid + v, mid) if v < 0 else (mid, mid + v)
         label = r.check_id if len(r.check_id) <= 62 else r.check_id[:59] + "..."
+        # escaped after the cut, so that no entity is cut in half
+        # (xml.sax.saxutils.escape would import urllib.request: 5 MiB)
+        label = (label.replace("&", "&amp;").replace("<", "&lt;")
+                 .replace(">", "&gt;"))
         out.append(f'<rect x="{x0:.2f}" y="{y:.1f}" '
                    f'width="{max(x1 - x0, 0.75):.2f}" height="{rh - 4}" '
                    f'fill="{STATUS_COLORS[r.status]}"/>')
@@ -291,9 +278,8 @@ def write_svg(path, results):
 # ---------------------------------------------------------------------------
 
 def _report(args):
-    """The one path of every report-writing subcommand: args.make_config
-    builds the config, execute runs it, args.table (if any) prints a table
-    of the results, and the reports go to args.out."""
+    """Every report-writing subcommand: args.make_config's config through
+    execute, then args.table (if any) and the reports in args.out."""
     results = execute(args.make_config(args))
     if args.table:
         args.table(results)

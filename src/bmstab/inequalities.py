@@ -54,6 +54,8 @@ CSV_FIELDS = ["check_id", "kind", "n", "R", "measure", "eps1", "eps2",
 
 @dataclass
 class CheckResult:
+    """One check's report record: its fields are the JSON record, to_row
+    the CSV_FIELDS cells, and status the verdict."""
     check_id: str
     kind: str
     n: int
@@ -75,17 +77,18 @@ class CheckResult:
         return "XFAIL" if self.expected_failure else "PASS"
 
     def to_row(self):
-        """Flat record for tabular reports."""
-        p = self.params
+        """Flat record for tabular reports; eps1, eps2 and lambda are the
+        worst combination of a scan, empty for other checks."""
+        p, worst = self.params, self.details.get("worst", {})
         return {
             "check_id": self.check_id,
             "kind": self.kind,
             "n": self.n,
             "R": "" if self.R is None else repr(float(self.R)),
             "measure": self.measure,
-            "eps1": repr(p["eps1"]) if "eps1" in p else "",
-            "eps2": repr(p["eps2"]) if "eps2" in p else "",
-            "lambda": repr(p["lambda"]) if "lambda" in p else "",
+            "eps1": repr(worst["eps1"]) if worst else "",
+            "eps2": repr(worst["eps2"]) if worst else "",
+            "lambda": repr(worst["lambda"]) if worst else "",
             "margin": repr(float(self.margin)),
             "tol": repr(float(self.tol)),
             "passed": str(bool(self.passed)),
@@ -96,15 +99,16 @@ class CheckResult:
         }
 
 
-def _mk_id(kind, params):
+def _mk_id(kind, params, measure):
+    """kind|key=value|... over the identifying params: a measure as its
+    report column names it, a base by its spec type."""
     bits = [kind]
-    for key in ("n", "R", "measure", "psi_name", "family", "t", "seed",
-                "resolution"):
-        if key in params and params[key] is not None:
-            v = params[key]
-            if isinstance(v, dict):
-                v = v.get("kind", "?")
-            bits.append(f"{key}={v}")
+    for key in ("n", "R", "measure", "base", "psi_name", "family", "t",
+                "seed", "resolution"):
+        v = params.get(key)
+        if v is not None:
+            v = measure if key == "measure" else v
+            bits.append(f"{key}={v.get('type') if isinstance(v, dict) else v}")
     return "|".join(bits)
 
 
@@ -123,10 +127,10 @@ def _result(kind, params, n, measure, margin, tol, sense, *, R=None,
     else:
         ok = margin <= tol
     return CheckResult(
-        check_id=_mk_id(kind, params), kind=kind, n=n, measure=measure,
-        margin=margin, tol=tol, passed=bool(ok and extra_ok), params=params,
-        R=R, expected_failure=expected_failure, oracle_diff=oracle_diff,
-        details={**(details or {}), "sense": sense})
+        check_id=_mk_id(kind, params, measure), kind=kind, n=n,
+        measure=measure, margin=margin, tol=tol, passed=bool(ok and extra_ok),
+        params=params, R=R, expected_failure=expected_failure,
+        oracle_diff=oracle_diff, details={**(details or {}), "sense": sense})
 
 
 def _psi(params, n):
@@ -334,10 +338,11 @@ def _base_sf(params, n):
 def _scan(kind, params, psi, combine, normalize=False,
           expected_failure=False):
     """combine(gamma(s_bar), gamma(e1), gamma(e2), lambda) for every pair of
-    family members e1 <= e2 and every lambda, with s_bar = lambda e1 +
-    (1 - lambda) e2; normalize divides by gamma^{1/n} at the member nearest
-    s = 0.  The worst margin decides; the lambda in {0, 1} margins, which
-    read the same table entry on both sides, give the oracle_diff."""
+    distinct family members e1, e2 and every lambda, with s_bar = lambda e1
+    + (1 - lambda) e2; normalize divides by gamma^{1/n} at the member
+    nearest s = 0.  The worst margin over 0 < lambda < 1 decides (the rest
+    compare a member with itself); the lambda in {0, 1} margins, which read
+    the same table entry on both sides, give the oracle_diff."""
     n = params["n"]
     g = _grid(n, params["resolution"])
     mu = _measures.measure_from_spec(params["measure"])
@@ -358,10 +363,11 @@ def _scan(kind, params, psi, combine, normalize=False,
     else:
         fracs = params.get("eps_fracs", _DEFAULT_EPS_FRACS)
         eps = [float(f) * fam.a for f in fracs]
+    eps = list(dict.fromkeys(eps))
     combos = []
     svals = set(eps)
     for i, e1 in enumerate(eps):
-        for e2 in eps[i:]:
+        for e2 in eps[i + 1:]:
             for lam in lambdas:
                 sbar = lam * e1 + (1.0 - lam) * e2
                 svals.add(sbar)
@@ -376,13 +382,14 @@ def _scan(kind, params, psi, combine, normalize=False,
     margins = np.array(raw)
     if normalize:
         margins = margins / lut[min(lut, key=abs)] ** (1.0 / n)
-    worst = int(np.argmin(margins))
-    endpoint = [m for c, m in zip(combos, raw) if c[2] in (0.0, 1.0)]
+    inside = np.array([0.0 < c[2] < 1.0 for c in combos])
+    worst = int(np.flatnonzero(inside)[np.argmin(margins[inside])])
+    endpoint = [abs(m) for c, m in zip(combos, raw) if c[2] in (0.0, 1.0)]
     return _result(
         kind, params, n, _measure_name(mu), float(margins[worst]),
         DEFAULT_MARGIN_TOL, "ge", R=params.get("R"),
         expected_failure=expected_failure,
-        oracle_diff=max(abs(v) for v in endpoint) if endpoint else None,
+        oracle_diff=max(endpoint, default=None),
         details={"validity_radius": fam.a, "combos": len(combos),
                  "worst": {"eps1": combos[worst][0],
                            "eps2": combos[worst][1],
@@ -687,6 +694,12 @@ def check_params(kind, params):
         if any(not lo <= v <= hi for v in vals):
             raise ValueError(f"{key} entries are {what} and must lie in "
                              f"[{lo:g}, {hi:g}]")
+    # a scan compares distinct members at a weight strictly inside (0, 1)
+    for key in ("eps_fracs", "eps_abs"):
+        if key in params and len(set(params[key])) < 2:
+            raise ValueError(f"{key} needs two distinct sizes")
+    if "lambdas" in params and not any(0 < v < 1 for v in params["lambdas"]):
+        raise ValueError("lambdas needs a weight strictly inside (0, 1)")
 
 
 def run_check(kind, params):

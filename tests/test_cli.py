@@ -2,12 +2,14 @@
 determinism of the written artifacts."""
 
 import csv
+import dataclasses
 import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,12 @@ PARAM_ERRORS = [
      "lambdas must be a non-empty list of finite numbers"),
     ("lambdas-empty", "scan_dim_bm", {"lambdas": []},
      "lambdas must be a non-empty list of finite numbers"),
+    ("eps-fracs-one-size", "scan_dim_bm", {"eps_fracs": [0.5]},
+     "eps_fracs needs two distinct sizes"),
+    ("eps-abs-repeated-size", "scan_dim_bm", {"eps_abs": [0.01, 0.01]},
+     "eps_abs needs two distinct sizes"),
+    ("lambdas-endpoints-only", "scan_dim_bm", {"lambdas": [0.0, 1.0]},
+     "lambdas needs a weight strictly inside (0, 1)"),
     ("n-string", "scan_dim_bm",
      {"n": "x", "psi": {"type": "second_harmonic"}},
      "n must be a positive integer"),
@@ -244,7 +252,7 @@ def test_run_eps_abs_beyond_radius_exit_one(tmp_path, capsys):
                                   "measure": {"kind": "gaussian"},
                                   "psi": {"type": "second_harmonic"},
                                   "psi_name": "second_harmonic",
-                                  "eps_abs": [5.0]}}]}
+                                  "eps_abs": [0.01, 5.0]}}]}
     rc = cli.main(["run", "--config", write_config(tmp_path, cfg),
                    "--out", str(tmp_path / "out")])
     assert rc == 1
@@ -308,6 +316,21 @@ def test_reports_deterministic(tmp_path, capsys):
     assert a_json == b_json
 
 
+def test_json_summary_counts_statuses(tmp_path):
+    def result(passed, expected_failure):
+        return bmstab.CheckResult("c", "k", 2, "lebesgue", 0.0, 0.0,
+                                  passed, expected_failure=expected_failure)
+
+    results = [result(True, False), result(True, True), result(False, True)]
+    cli.write_json(tmp_path / "report.json", results)
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["summary"] == {"total": 3, "passed": 2, "failed": 1,
+                                  "expected_failures": 1}
+    # each record holds every CheckResult field, and nothing else
+    fields = {f.name for f in dataclasses.fields(bmstab.CheckResult)}
+    assert all(set(c) == fields for c in payload["checks"])
+
+
 def test_svg_report_contents(tmp_path, capsys):
     cli.main(["run", "--config", write_config(tmp_path, SMALL_CONFIG),
               "--out", str(tmp_path / "out"), "--svg"])
@@ -318,6 +341,25 @@ def test_svg_report_contents(tmp_path, capsys):
     assert "#2a8f4e" in svg  # pass bars
     assert "#d69408" in svg  # expected-failure bar
     assert "moment_identities" in svg
+
+
+def test_svg_escapes_labels(tmp_path, capsys):
+    # markup characters in an id, and an id long enough to be cut: the
+    # label is escaped after the cut, so no entity is cut in half
+    checks = [{"kind": "moment_identities",
+               "params": {"n": 2, "R": 1.0, "measure": {"kind": "gaussian"},
+                          "psi_name": name}}
+              for name in ("a<b&c", "&" * 40)]
+    cfg = {"schema_version": 1, "checks": checks}
+    rc = cli.main(["run", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out"), "--svg"])
+    assert rc == 0
+    capsys.readouterr()
+    root = ET.parse(tmp_path / "out" / "margins.svg").getroot()
+    labels = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+    prefix = "moment_identities|n=2|R=1.0|measure=gaussian|psi_name="
+    assert prefix + "a<b&c" in labels
+    assert (prefix + "&" * 40)[:59] + "..." in labels
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +377,10 @@ def test_list_checks(capsys):
 
 def test_demo_shift_table(tmp_path, capsys):
     rc = cli.main(["demo-shift", "--t", "0.3", "--resolution", "128",
-                   "--out", str(tmp_path / "out")])
+                   "--out", str(tmp_path / "out"), "--svg"])
     assert rc == 0
+    assert (tmp_path / "out" / "report.csv").is_file()
+    ET.parse(tmp_path / "out" / "margins.svg")
     out = capsys.readouterr().out
     assert "[XFAIL]" in out
     assert "area deficit" in out
@@ -463,16 +507,20 @@ def test_thread_cap_applies_on_package_import():
     assert out == "1"
 
 
-def test_battery_margins_match_reference():
+@pytest.fixture(scope="module")
+def battery_results():
+    return cli.execute(cli.default_config(), log=lambda *a: None)
+
+
+def test_battery_margins_match_reference(battery_results):
     # tests/data/battery_margins.json holds the default battery's margins and
     # pass flags from per-scale radial quadrature with per-parameter
     # curvature matrices; the Chebyshev radial profile and the s-polynomial
     # family kernel may move a margin by rounding only
     ref = json.loads((Path(__file__).parent / "data" / "battery_margins.json")
                      .read_text())
-    results = cli.execute(cli.default_config(), log=lambda *a: None)
-    assert [r.check_id for r in results] == [cid for cid, _, _ in ref]
-    for res, (cid, margin, passed) in zip(results, ref):
+    assert [r.check_id for r in battery_results] == [c for c, _, _ in ref]
+    for res, (cid, margin, passed) in zip(battery_results, ref):
         assert res.passed == passed, cid
         assert abs(res.margin - margin) <= 1e-12 * max(1.0, abs(margin)), cid
 
@@ -486,3 +534,33 @@ def test_battery_infinitesimal_oracles_agree():
     for item in items:
         res = cli.run_check(item["kind"], item["params"])
         assert res.oracle_diff <= 1e-10, res.check_id
+
+
+def test_battery_check_ids_are_unique(battery_results):
+    ids = [r.check_id for r in battery_results]
+    assert len(ids) == 139
+    assert len(set(ids)) == len(ids)
+    # the run log's second field is the id
+    assert all(len(cid.split()) == 1 for cid in ids)
+
+
+def test_battery_dim_scans_report_their_slack(battery_results):
+    # distinct members at 0 < lambda < 1: not the rounding noise of a member
+    # compared with itself
+    scans = [r for r in battery_results if r.kind == "scan_dim_bm"]
+    assert len(scans) == 4
+    for r in scans:
+        assert r.margin > 1e-5, r.check_id
+        assert r.oracle_diff == 0.0, r.check_id
+
+
+def test_scan_rows_hold_their_worst_combination(battery_results):
+    for r in battery_results:
+        row = r.to_row()
+        cells = [row["eps1"], row["eps2"], row["lambda"]]
+        if r.kind.startswith("scan_"):
+            w = r.details["worst"]
+            assert cells == [repr(w["eps1"]), repr(w["eps2"]),
+                             repr(w["lambda"])], r.check_id
+        else:
+            assert cells == ["", "", ""], r.check_id

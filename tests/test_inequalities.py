@@ -204,7 +204,7 @@ def test_scan_dim_bm_endpoints_exact():
                     {"n": 2, "R": 1.0, "measure": GAU, "resolution": 160,
                      "psi": SECOND, "psi_name": "second_harmonic"})
     assert res.passed
-    assert res.details["combos"] == 105
+    assert res.details["combos"] == 75  # 15 distinct pairs x 5 lambdas
     assert res.oracle_diff == 0.0  # lambda in {0,1} margins are exact
     assert res.margin >= -1e-12
 
@@ -215,8 +215,14 @@ def test_scan_dim_bm_eps_abs_and_radius_guard():
               "eps_abs": [0.01, 0.02], "lambdas": [0.0, 0.5, 1.0]}
     res = run_check("scan_dim_bm", params)
     assert res.passed
+    # one pair of distinct members: the margin is the slack at lambda = 1/2,
+    # not the zero of lambda in {0, 1}
+    assert res.details["combos"] == 3
+    assert res.details["worst"] == {"eps1": 0.01, "eps2": 0.02, "lambda": 0.5}
+    assert res.margin > 1e-9
+    assert res.oracle_diff == 0.0
     with pytest.raises(ValueError, match="validity radius"):
-        run_check("scan_dim_bm", {**params, "eps_abs": [2.0]})
+        run_check("scan_dim_bm", {**params, "eps_abs": [0.01, 2.0]})
 
 
 def test_scan_log_bm_multiplicative():
@@ -402,6 +408,18 @@ def test_check_id_stable():
     res = run_check("moment_identities", {"n": 2, "R": 1.0, "measure": GAU})
     assert res.check_id == "moment_identities|n=2|R=1.0|measure=gaussian"
     assert isinstance(res, CheckResult)
+    # a measure by its full name, as in the measure column; a base by type
+    ep1 = run_check("moment_identities",
+                    {"n": 2, "R": 1.0, "measure": {"kind": "exp_power",
+                                                   "p": 1}})
+    assert ep1.measure == "exp_power(p=1.0)"
+    assert ep1.check_id == ("moment_identities|n=2|R=1.0"
+                            "|measure=exp_power(p=1.0)")
+    poly = run_check("polygon_agreement",
+                     {"n": 2, "resolution": 64,
+                      "base": {"type": "constant", "value": 1.0}})
+    assert poly.check_id == ("polygon_agreement|n=2|base=constant"
+                             "|resolution=64")
 
 
 @pytest.mark.parametrize("sense,expected_failure,want", [
@@ -417,6 +435,8 @@ def test_pass_rule_truth_table(sense, expected_failure, want):
         res = _result("probe", params, 2, "lebesgue", margin, tol, sense,
                       expected_failure=expected_failure)
         assert res.passed is ok, (margin, sense, expected_failure)
+        assert res.status == ("FAIL" if not ok else
+                              "XFAIL" if expected_failure else "PASS")
         assert res.check_id == "probe|n=2|R=1.0"
         assert res.kind == "probe"
         assert res.details["sense"] == sense
