@@ -22,8 +22,8 @@ from numpy.polynomial.polynomial import polyder
 from . import measures as _measures
 from .sphere import (CurvatureField, PolynomialSF, SphereGrid,
                      SphericalFunction, ball_volume, batch_min_eig,
-                     curvature_matrix, det_poly, horner, poly_mul,
-                     sf_product_powers, sf_sum, sphere_area)
+                     curvature_matrix, det_poly, horner, poly_mul, sf_exp,
+                     sf_product_powers, sf_ratio, sf_sum, sphere_area)
 
 
 class NonPositiveSupport(ValueError):
@@ -160,14 +160,15 @@ def _leibniz(a, b):
 
 @dataclass
 class PerturbationFamily:
-    """One-parameter family of support candidates.
+    """One-parameter family of support candidates along the initial
+    velocity psi = direction, dh_s/ds at s = 0 for both kinds:
 
     additive:        h_s = h + s psi
-    multiplicative:  h_s = h * phi^s   (phi strictly positive)
+    multiplicative:  h_s = h e^{s psi / h} = h phi^s,  phi = e^{psi / h}
 
     At each grid node Q(h_s) = w(s) (C0 + s C1 + s^2 C2) and
     D(s)^2 = w(s)^2 |u0 + s u1|^2, with coefficients computed at
-    construction from the curvature fields Q0 = Q(h) and Q1 = Q(direction).
+    construction from the curvature fields Q0 = Q(h) and Q1 = Q(psi | phi).
     Additive: w = 1, C0 = Q0, C1 = Q1, C2 = 0, u = (h, grad h), (psi, grad psi).
     Multiplicative: w = h_s, u = (1, w_h), (0, w_phi) with w_f = grad f / f,
     and with frames E, C0 = Q0 / h, C2 = (E w_phi)(E w_phi)^T and
@@ -191,19 +192,22 @@ class PerturbationFamily:
     search_trace: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        """Node values v0, v1 of base and direction, the stacks u0, u1, the
-        coefficients C0, C1, C2 of Q(h_s) and the validity floor, from the
-        curvature field of the validated base body and one of the
-        direction.  A multiplicative direction must be strictly positive at
-        the nodes."""
+        """Node values v0, v1 of base and direction (phi for multiplicative
+        families), the stacks u0, u1, the coefficients C0, C1, C2 of Q(h_s)
+        and the validity floor, from the curvature field of the validated
+        base body and one of psi or phi.  phi must be strictly positive at
+        the nodes: e^{psi / h} underflows to 0 where psi / h < -745."""
         if self.kind not in ("additive", "multiplicative"):
             raise FamilyError(f"unknown family kind {self.kind!r}")
         g = self.grid
         f0 = body_from_support(self.base, g).curvature
-        f1 = curvature_matrix(self.direction, g)
+        d = self.direction
+        if self.kind == "multiplicative":
+            d = self.phi = sf_exp(sf_ratio(d, self.base))
+        f1 = curvature_matrix(d, g)
         if self.kind == "multiplicative" and np.any(f1.val <= 0.0):
-            raise FamilyError(
-                "multiplicative direction must be strictly positive")
+            raise FamilyError("e^{psi/h} underflows to 0 at a node: the "
+                              "multiplicative ratio must be strictly positive")
         self.floor = VALIDITY_EIG_FLOOR * float(np.min(f0.min_eig))
         self.v0, self.v1 = f0.val, f1.val
         if self.kind == "additive":
@@ -227,7 +231,7 @@ class PerturbationFamily:
     def support_at(self, s):
         if self.kind == "additive":
             return sf_sum([(1.0, self.base), (float(s), self.direction)])
-        return sf_product_powers([(self.base, 1.0), (self.direction, float(s))])
+        return sf_product_powers([(self.base, 1.0), (self.phi, float(s))])
 
     def body_at(self, s):
         if abs(s) > self.a:

@@ -103,8 +103,8 @@ def _mk_id(kind, params, measure):
     """kind|key=value|... over the identifying params: a measure as its
     report column names it, a base by its spec type."""
     bits = [kind]
-    for key in ("n", "R", "measure", "base", "psi_name", "family", "t",
-                "seed", "resolution"):
+    for key in ("n", "R", "measure", "base", "psi_name", "t", "seed",
+                "resolution"):
         v = params.get(key)
         if v is not None:
             v = measure if key == "measure" else v
@@ -173,6 +173,21 @@ def _polygon(h, m):
     return _oracles.wulff_polygon(dirs, h.values(dirs))
 
 
+CHECKS, _KEYS = {}, {}  # kind -> check function, and the keys it accepts
+_BALL = "n R resolution measure psi"
+_SCAN = _BALL + " base eps_fracs eps_abs lambdas"
+
+
+def _check(keys):
+    """Register check_<kind> as kind, accepting the params keys it reads,
+    named in the string keys, and psi_name, which labels any check id."""
+    def register(fn):
+        kind = fn.__name__.removeprefix("check_")
+        CHECKS[kind], _KEYS[kind] = fn, {"psi_name", *keys.split()}
+        return fn
+    return register
+
+
 # ---------------------------------------------------------------------------
 # infinitesimal checks at a centered ball
 # ---------------------------------------------------------------------------
@@ -184,15 +199,14 @@ def _ball_kernel(kind, R, psi, g, mu, var):
     relative to the larger of the two and 1e-2 max(1, |g(0)|).  The
     derivatives at s = 0 hold inside any radius: no radius search."""
     ball = sf_from_spec({"type": "constant", "value": R}, psi.n)
-    g2 = var.g2
-    if kind == "multiplicative":
-        psi, g2 = _variation.log_direction(ball, psi), var.g2_mult
+    g2 = var.g2_mult if kind == "multiplicative" else var.g2
     fam = PerturbationFamily(kind=kind, base=ball, direction=psi, grid=g)
     g2k = float(fam.derivatives_along(mu, [0.0])[2][0])
     floor = 1e-2 * max(1.0, abs(var.g0))
     return g2k, abs(g2 - g2k) / max(abs(g2), abs(g2k), floor)
 
 
+@_check(_BALL)
 def check_dim_bm_infinitesimal(params):
     """(1 - 1/n) g'(0)^2 - g''(0) g(0) >= 0 along h_s = R + s psi.
 
@@ -212,6 +226,7 @@ def check_dim_bm_infinitesimal(params):
                  "raw_margin": raw, "psi_parity": psi.parity()})
 
 
+@_check(_BALL + " expect_failure")
 def check_log_bm_infinitesimal(params):
     """g'(0)^2 - g''_mult(0) g(0) >= 0 (concavity of log gamma along the
     geometric family through the ball); stated for even directions."""
@@ -229,6 +244,7 @@ def check_log_bm_infinitesimal(params):
                  "psi_parity": psi.parity()})
 
 
+@_check(_BALL)
 def check_dim_bm_decomposition(params):
     """Split of the dimensional margin into the two named quadratic forms:
 
@@ -252,6 +268,7 @@ def check_dim_bm_decomposition(params):
         details={"B1": B1, "B2": B2, "variation_margin_normalized": normalized})
 
 
+@_check("n R measure")
 def check_ball_dilation(params):
     """Dimensional concavity along pure dilations: with G(r) = gamma(r B),
     G''(R) G(R) <= (1 - 1/n) G'(R)^2, via closed-form growth derivatives."""
@@ -280,6 +297,7 @@ def check_ball_dilation(params):
                  "raw_margin": margin})
 
 
+@_check(_BALL + " expect_failure")
 def check_logbm_ball_form(params):
     """Quadratic-form shape of the log concavity margin at the ball:
 
@@ -335,22 +353,19 @@ def _base_sf(params, n):
     return sf_from_spec({"type": "constant", "value": float(params["R"])}, n)
 
 
-def _scan(kind, params, psi, combine, normalize=False,
+def _scan(kind, family, params, psi, combine, normalize=False,
           expected_failure=False):
     """combine(gamma(s_bar), gamma(e1), gamma(e2), lambda) for every pair of
-    distinct family members e1, e2 and every lambda, with s_bar = lambda e1
-    + (1 - lambda) e2; normalize divides by gamma^{1/n} at the member
-    nearest s = 0.  The worst margin over 0 < lambda < 1 decides (the rest
-    compare a member with itself); the lambda in {0, 1} margins, which read
-    the same table entry on both sides, give the oracle_diff."""
+    distinct members e1, e2 of the family of kind `family` along psi and
+    every lambda, with s_bar = lambda e1 + (1 - lambda) e2; normalize
+    divides by gamma^{1/n} at the member nearest s = 0.  The worst margin
+    over 0 < lambda < 1 decides (the rest compare a member with itself); the
+    lambda in {0, 1} margins, which read the same table entry on both
+    sides, give the oracle_diff."""
     n = params["n"]
     g = _grid(n, params["resolution"])
     mu = _measures.measure_from_spec(params["measure"])
-    base = _base_sf(params, n)
-    if params.get("family", "additive") == "multiplicative":
-        fam = _variation.mult_family_through(base, psi, g)
-    else:
-        fam = make_family("additive", base, psi, g)
+    fam = make_family(family, _base_sf(params, n), psi, g)
     lambdas = params.get("lambdas", _DEFAULT_LAMBDAS)
     if "eps_abs" in params:
         eps = [float(e) for e in params["eps_abs"]]
@@ -397,30 +412,26 @@ def _scan(kind, params, psi, combine, normalize=False,
                  "psi_parity": psi.parity()})
 
 
+@_check(_SCAN)
 def check_scan_dim_bm(params):
     """Dimensional concavity along a family: for support combinations of two
     members, gamma^{1/n} is at least the chord value.  lambda in {0, 1}
     must give a bitwise-zero margin (same table entry on both sides)."""
     n = params["n"]
-    if params.get("family", "additive") != "additive":
-        raise ValueError("dimensional scans combine additively")
 
     def combine(g_bar, g1, g2, lam):
         return (g_bar ** (1.0 / n)
                 - lam * g1 ** (1.0 / n) - (1.0 - lam) * g2 ** (1.0 / n))
 
-    return _scan("scan_dim_bm", params, _psi(params, n), combine,
+    return _scan("scan_dim_bm", "additive", params, _psi(params, n), combine,
                  normalize=True)
 
 
+@_check(_SCAN + " expect_failure")
 def check_scan_log_bm(params):
     """Log concavity along a multiplicative family: log gamma at the
     geometric combination dominates the chord, for even directions on a
     symmetric base."""
-    params = dict(params)
-    params.setdefault("family", "multiplicative")
-    if params["family"] != "multiplicative":
-        raise ValueError("log scans combine geometrically")
     psi = _psi(params, params["n"])
     expected_failure = _expected_failure(params, psi, "log scans are")
 
@@ -428,7 +439,7 @@ def check_scan_log_bm(params):
         return (math.log(g_bar)
                 - lam * math.log(g1) - (1.0 - lam) * math.log(g2))
 
-    return _scan("scan_log_bm", params, psi, combine,
+    return _scan("scan_log_bm", "multiplicative", params, psi, combine,
                  expected_failure=expected_failure)
 
 
@@ -436,6 +447,7 @@ def check_scan_log_bm(params):
 # shifted-ball counterexample (planar, lebesgue)
 # ---------------------------------------------------------------------------
 
+@_check("t resolution measure polygon_directions mc_samples seed")
 def check_shift_counterexample(params):
     """Geometric mean of a shifted disk and the unit disk loses area:
 
@@ -491,6 +503,7 @@ def check_shift_counterexample(params):
 # cone-measure form
 # ---------------------------------------------------------------------------
 
+@_check("n R resolution base psi expect_failure")
 def check_cone_inequality(params):
     """Normalized cone weight dVbar = h det Q du / (n V_n(K)).  For even
     directions on a symmetric body:
@@ -544,6 +557,7 @@ def check_cone_inequality(params):
 # oracle agreement checks
 # ---------------------------------------------------------------------------
 
+@_check("n R resolution measure base mc_samples seed")
 def check_mc_agreement(params):
     """Quadrature measure of a body against the Monte Carlo estimate;
     margin is the z-score gap 4 - |z|, and the estimate must agree with the
@@ -566,6 +580,7 @@ def check_mc_agreement(params):
                  "refined": est.refined})
 
 
+@_check("n R resolution base polygon_directions")
 def check_polygon_agreement(params):
     """Planar area from the curvature route against the exact circumscribed
     polygon at m directions; the polygon is larger by O(1/m^2)."""
@@ -587,6 +602,7 @@ def check_polygon_agreement(params):
 # identity residual checks
 # ---------------------------------------------------------------------------
 
+@_check("n R measure")
 def check_moment_identities(params):
     """Residuals of f(D) = n A + D B and f'(D) = (n+1) B + D C."""
     n = params["n"]
@@ -599,6 +615,7 @@ def check_moment_identities(params):
         details={"residual_value": r1, "residual_slope": r2})
 
 
+@_check("n R resolution base psi omega")
 def check_divergence_identities(params):
     """Pointwise divergence-free residual of the cofactor rows plus the two
     integration-by-parts symmetries, for a polynomial support function."""
@@ -615,6 +632,7 @@ def check_divergence_identities(params):
                  "ibp_trilinear": r2})
 
 
+@_check(_BALL)
 def check_second_variation_routes(params):
     """Agreement of the moment-route and profile-route second variations at
     the ball (these use disjoint measure data)."""
@@ -629,24 +647,6 @@ def check_second_variation_routes(params):
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
-
-CHECKS = {
-    "dim_bm_infinitesimal": check_dim_bm_infinitesimal,
-    "log_bm_infinitesimal": check_log_bm_infinitesimal,
-    "dim_bm_decomposition": check_dim_bm_decomposition,
-    "ball_dilation": check_ball_dilation,
-    "logbm_ball_form": check_logbm_ball_form,
-    "scan_dim_bm": check_scan_dim_bm,
-    "scan_log_bm": check_scan_log_bm,
-    "shift_counterexample": check_shift_counterexample,
-    "cone_inequality": check_cone_inequality,
-    "mc_agreement": check_mc_agreement,
-    "polygon_agreement": check_polygon_agreement,
-    "moment_identities": check_moment_identities,
-    "divergence_identities": check_divergence_identities,
-    "second_variation_routes": check_second_variation_routes,
-}
-
 
 # scan parameter lists: the interval their entries lie in, and what they are
 _SCAN_LISTS = {
@@ -665,8 +665,9 @@ _SCALARS = (("n", int, (0, math.inf), "a positive integer"),
 
 
 def check_params(kind, params):
-    """KeyError for an unknown kind, ValueError for any other broken rule;
-    a missing key is the KeyError of the check that reads it."""
+    """KeyError for an unknown kind, ValueError for any other broken rule,
+    including a key the kind's check does not read; a missing key is the
+    KeyError of the check that reads it."""
     if kind not in CHECKS:
         known = ", ".join(sorted(CHECKS))
         raise KeyError(f"unknown kind {kind!r} (known: {known})")
@@ -700,6 +701,14 @@ def check_params(kind, params):
             raise ValueError(f"{key} needs two distinct sizes")
     if "lambdas" in params and not any(0 < v < 1 for v in params["lambdas"]):
         raise ValueError("lambdas needs a weight strictly inside (0, 1)")
+    name = params.get("psi_name", "psi")   # check ids hold no whitespace
+    if not (isinstance(name, str) and name.split() == [name]):
+        raise ValueError("psi_name must be a non-empty string without "
+                         "whitespace")
+    unknown = sorted(set(params) - _KEYS[kind])
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} for {kind} (accepted: "
+                         f"{', '.join(sorted(_KEYS[kind]))})")
 
 
 def run_check(kind, params):

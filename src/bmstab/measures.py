@@ -87,14 +87,15 @@ def adaptive_gk(fvec, a, b):
     fvec maps an array of abscissae (T,) to values (T, B); the same panel
     subdivision is shared by the whole batch and refined until every batch
     member's accumulated error estimate falls below the absolute tolerance
-    QUAD_TOL.  Returns an array of shape (B,)."""
+    QUAD_TOL.  Returns an array of shape (B,), each column summed in node
+    order whatever B is."""
 
     def panel(lo, hi):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         vals = fvec(mid + half * _KRONROD_NODES)            # (15, B)
-        k = half * np.einsum("t,tb->b", _KRONROD_W, vals)
-        g = half * np.einsum("t,tb->b", _GAUSS_W, vals[_GAUSS_MASK])
+        k = half * np.cumsum(_KRONROD_W[:, None] * vals, 0)[-1]
+        g = half * np.cumsum(_GAUSS_W[:, None] * vals[_GAUSS_MASK], 0)[-1]
         return [lo, hi, k, np.abs(k - g)]
 
     panels = [panel(a, b)]
@@ -269,26 +270,21 @@ def radial_profile(measure, D, n, powers=(0,)):
     """Vectorized moments over an array of scales D.
 
     powers selects which of (A, B, C) to compute: 0 -> A, 1 -> B, 2 -> C.
-    Returns an array of shape (len(powers), len(D)).  When every scale is
-    the same, that one scale is integrated by adaptive_gk and repeated.
-    Over more than _CHEB_POINTS scales, the moments at _CHEB_POINTS
-    Chebyshev points of [min D, max D] are interpolated by Clenshaw's
-    recurrence if the last two Chebyshev coefficients of every moment sum
-    to at most QUAD_TOL in absolute value; otherwise every scale is
-    integrated by adaptive_gk.  Clenshaw runs over blocks of _CHEB_BLOCK
-    scales that fit in cache, bitwise equal to one whole-array pass."""
+    Returns an array of shape (len(powers), len(D)).  Up to _CHEB_POINTS
+    scales are integrated by adaptive_gk; over more, one repeated scale is
+    integrated once, and otherwise the moments at _CHEB_POINTS Chebyshev
+    points of [min D, max D] are interpolated by Clenshaw's recurrence if
+    the last two Chebyshev coefficients of every moment sum to at most
+    QUAD_TOL in absolute value (else every scale is integrated).  Clenshaw
+    runs over blocks of _CHEB_BLOCK scales that fit in cache, bitwise equal
+    to one whole-array pass."""
     D = np.asarray(D, dtype=float).ravel()
-    if D.size <= 2:
+    if D.size <= _CHEB_POINTS:
         return _integrate_profile(measure, D, n, powers)
     lo, hi = D.min(), D.max()
     if hi == lo:
-        # two copies, not one: adaptive_gk's einsum sums a one-column batch
-        # in another order, and the repeated values must be bitwise those
-        # of the whole batch
-        one = _integrate_profile(measure, D[:2], n, powers)[:, :1]
+        one = _integrate_profile(measure, D[:1], n, powers)
         return np.repeat(one, D.size, axis=1)
-    if D.size <= _CHEB_POINTS:
-        return _integrate_profile(measure, D, n, powers)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     fit = _integrate_profile(measure, mid + half * _CHEB_X, n, powers)
     coef = (_CHEB_T[:, None, :] * fit).sum(axis=2)          # (K, len(powers))

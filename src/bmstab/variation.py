@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as _measures
-from .bodies import make_family, measure_of_body
-from .sphere import curvature_matrix, det_poly, sf_exp, sf_ratio, sphere_area
+from .bodies import measure_of_body
+from .sphere import curvature_matrix, det_poly, sphere_area
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +194,6 @@ def variation_at_ball(measure, R, psi, grid):
                            int_psi_sq=I2, int_grad_sq=J2, g0=g0, g1=g1,
                            g2_moment=g2_moment, g2_profile=g2_profile,
                            log_corr=log_corr)
-
-
-def log_direction(h, psi):
-    """phi = e^{psi/h}: the family h phi^s has d h_s/ds|_0 = psi."""
-    return sf_exp(sf_ratio(psi, h))
-
-
-def mult_family_through(h, psi, grid):
-    """Multiplicative family h phi^s with phi = log_direction(h, psi)."""
-    return make_family("multiplicative", h, log_direction(h, psi), grid)
 
 
 def g_eval(family, measure, s):

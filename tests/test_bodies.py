@@ -16,9 +16,8 @@ from bmstab.bodies import (_S_CHUNK, VALIDITY_EIG_FLOOR, FamilyError,
 from bmstab.funcspecs import direction_suite, sf_from_spec
 from bmstab.oracles import central_derivative
 from bmstab.sphere import (PolynomialSF, SphericalFunction, build_grid,
-                           curvature_matrix, integrate, sf_exp, sf_ratio,
-                           sf_sum)
-from bmstab.variation import mult_family_through, variation_at_ball
+                           curvature_matrix, integrate, sf_sum)
+from bmstab.variation import variation_at_ball
 
 
 def perturbed_disk(eps, k=2):
@@ -186,8 +185,8 @@ def _node_fields(fam, s_values):
 
 def test_multiplicative_family_fields(grid3):
     base = PolynomialSF(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.1})
-    phi = PolynomialSF(3, {(0, 0, 0): 1.0, (0, 2, 0): 0.08})
-    fam = make_family("multiplicative", base, phi, grid3)
+    psi = PolynomialSF(3, {(0, 2, 0): 0.08})
+    fam = make_family("multiplicative", base, psi, grid3)
     s_values = np.array([-0.5, 0.0, 0.8]) * fam.a
     vals, grads, Q = _node_fields(fam, s_values)
     for i, s in enumerate(s_values):
@@ -196,29 +195,26 @@ def test_multiplicative_family_fields(grid3):
         assert np.max(np.abs(grads[i] - direct.curvature.grad)) < 1e-10
         # Q(s) = h_s (C0 + s C1 + s^2 C2) against the body's own curvature
         assert np.max(np.abs(Q[i] - direct.curvature.Q)) < 1e-11
-    # h_s = h * phi^s pointwise
-    want = base.values(grid3.nodes)[None, :] \
-        * phi.values(grid3.nodes)[None, :] ** s_values[:, None]
+    # h_s = h e^{s psi / h} pointwise
+    h, p = base.values(grid3.nodes), psi.values(grid3.nodes)
+    want = h[None, :] * np.exp(s_values[:, None] * (p / h)[None, :])
     assert np.max(np.abs(vals - want)) < 1e-11
 
 
-def _family_case(kind, n, name):
-    """A family through a perturbed ball along a named direction; the
-    multiplicative direction is exp(psi / h), as in the log scans."""
+def _family_case(n, name):
+    """The base and initial velocity of a family through a perturbed ball
+    along a named direction."""
     base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
                    (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
     spec = ({"type": "random_even", "seed": 20240817} if name == "random_even"
             else {"type": name})
-    psi = sf_from_spec(spec, n)
-    if kind == "multiplicative":
-        return base, sf_exp(sf_ratio(psi, base))
-    return base, psi
+    return base, sf_from_spec(spec, n)
 
 
 def test_measures_along_matches_per_s(grid2, grid3, gaussian):
     for kind in ("additive", "multiplicative"):
         for grid in (grid2, grid3):
-            base, direction = _family_case(kind, grid.n, "second_harmonic")
+            base, direction = _family_case(grid.n, "second_harmonic")
             fam = make_family(kind, base, direction, grid)
             s_values = np.linspace(-0.6, 0.6, 7) * fam.a
             gam = fam.measures_along(gaussian, s_values)
@@ -246,9 +242,7 @@ def test_measures_along_matches_direct_quadrature_per_s(
     base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
                    (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
     for name, _, psi in direction_suite(n):
-        direction = (sf_exp(sf_ratio(psi, base)) if kind == "multiplicative"
-                     else psi)
-        fam = make_family(kind, base, direction, grid)
+        fam = make_family(kind, base, psi, grid)
         s_values = np.linspace(-0.95, 0.95, 5) * fam.a
         bodies_at = [fam.body_at(float(s)) for s in s_values]
         for mu in (lebesgue, gaussian, exp1):
@@ -263,7 +257,7 @@ def test_measures_along_integrates_chebyshev_points_per_chunk(
         kind, gk_widths, grid3, gaussian):
     # each chunk of parameters sends _CHEB_POINTS scales to adaptive_gk,
     # not one per (parameter, node)
-    base, direction = _family_case(kind, 3, "second_harmonic")
+    base, direction = _family_case(3, "second_harmonic")
     fam = make_family(kind, base, direction, grid3)
     fam.measures_along(gaussian, np.linspace(-0.9, 0.9, 2 * _S_CHUNK) * fam.a)
     assert gk_widths == [measures_module._CHEB_POINTS] * 2
@@ -278,7 +272,7 @@ def test_derivatives_along_match_variation_at_ball(n, grid2, grid3, grid4,
     ball = PolynomialSF.constant(n, 1.0)
     for name, _, psi in direction_suite(n):
         fam_add = make_family("additive", ball, psi, grid)
-        fam_mul = mult_family_through(ball, psi, grid)
+        fam_mul = make_family("multiplicative", ball, psi, grid)
         for mu in (lebesgue, gaussian, exp3):
             var = variation_at_ball(mu, 1.0, psi, grid)
             got = [d[0] for d in fam_add.derivatives_along(mu, [0.0])]
@@ -317,9 +311,7 @@ def test_derivatives_along_match_central_differences(
     base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
                    (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
     for name, _, psi in direction_suite(n):
-        direction = (sf_exp(sf_ratio(psi, base)) if kind == "multiplicative"
-                     else psi)
-        fam = make_family(kind, base, direction, grid)
+        fam = make_family(kind, base, psi, grid)
         for mu in (lebesgue, gaussian, exp3):
             for s0 in (-0.6 * fam.a, 0.6 * fam.a):
                 g, g1, g2 = (d[0] for d in fam.derivatives_along(mu, [s0]))
@@ -356,7 +348,7 @@ def test_derivatives_along_value_matches_measures_along(kind, grid3,
                                                         gaussian):
     # g over 101 parameters, four chunks, is measures_along's value up to
     # rounding: its moments A come from a batch that also holds B and C
-    base, direction = _family_case(kind, 3, "second_harmonic")
+    base, direction = _family_case(3, "second_harmonic")
     fam = make_family(kind, base, direction, grid3)
     s_values = np.linspace(-0.9, 0.9, 101) * fam.a
     g = fam.derivatives_along(gaussian, s_values)[0]
@@ -372,7 +364,7 @@ def test_family_validity_holds_on_dense_s_grid(kind, n, name, grid2, grid3):
     # 401 parameters in [-a, a] the support stays positive and the exact
     # curvature eigenvalue stays above the floor
     grid = {2: grid2, 3: grid3}[n]
-    base, direction = _family_case(kind, n, name)
+    base, direction = _family_case(n, name)
     fam = make_family(kind, base, direction, grid)
     base_min_eig = body_from_support(base, grid).min_curvature_eig
     floor = VALIDITY_EIG_FLOOR * base_min_eig
@@ -413,9 +405,7 @@ def test_family_radius_equals_eigvalsh_bisection(kind, n, amplitude, grid2,
     base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
                    (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
     for name, _, psi in direction_suite(n, amplitude=amplitude):
-        direction = (sf_exp(sf_ratio(psi, base)) if kind == "multiplicative"
-                     else psi)
-        fam = make_family(kind, base, direction, grid)
+        fam = make_family(kind, base, psi, grid)
         assert fam.a == _reference_radius(fam), name
 
 
@@ -431,7 +421,7 @@ def test_additive_family_computes_base_curvature_once(monkeypatch, grid3):
         return real(h, grid)
 
     monkeypatch.setattr(bodies_module, "curvature_matrix", counting)
-    base, psi = _family_case("additive", 3, "random_even")
+    base, psi = _family_case(3, "random_even")
     fam = make_family("additive", base, psi, grid3)
     assert len(calls) == 2
     assert calls[0] is base and calls[1] is psi
@@ -456,17 +446,17 @@ class _CountingSF(SphericalFunction):
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
 def test_one_node_evaluation_per_support_function(kind, grid3, gaussian):
     # a body, a family's base and a family's direction each evaluate their
-    # derivative bundle once on the grid; the multiplicative direction
-    # exp(psi) does not reference the base
-    base, psi = _family_case("additive", 3, "random_even")
+    # derivative bundle once on the grid; a multiplicative family evaluates
+    # its base once more, in its ratio e^{psi / h}
+    base, psi = _family_case(3, "random_even")
     h = _CountingSF(base)
     body_from_support(h, grid3)
     assert h.calls == 1
-    h = _CountingSF(base)
-    d = _CountingSF(psi if kind == "additive" else sf_exp(psi))
+    h, d = _CountingSF(base), _CountingSF(psi)
     fam = make_family(kind, h, d, grid3)
     fam.measures_along(gaussian, np.array([-0.5, 0.5]) * fam.a)
-    assert (h.calls, d.calls) == (1, 1)
+    assert (h.calls, d.calls) == ({"additive": 1, "multiplicative": 2}[kind],
+                                  1)
 
 
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
@@ -475,7 +465,7 @@ def test_family_coefficients_skip_direction_det_and_eigenvalues(
     # the coefficients read only Q, values and gradients of the direction;
     # the smallest eigenvalues are formed once, validating the base body
     import bmstab.sphere as sphere_module
-    base, direction = _family_case(kind, 3, "random_even")
+    base, direction = _family_case(3, "random_even")
     calls = []
     for name in ("det_poly", "batch_min_eig"):
         def counting(Q, name=name, real=getattr(sphere_module, name)):
@@ -489,7 +479,7 @@ def test_family_coefficients_skip_direction_det_and_eigenvalues(
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
 def test_directly_built_family_validates_its_base(kind, grid2):
     # without make_family the base is still a body, checked before the
-    # direction (cos 2theta is not a valid multiplicative direction)
+    # direction is read
     direction = PolynomialSF.cos_harmonic(2)
     nonconvex = sf_sum([(1.0, PolynomialSF.constant(2, 1.0)),
                         (0.9, sf_from_spec({"type": "second_harmonic"}, 2))])
@@ -505,11 +495,12 @@ def test_directly_built_family_validates_its_base(kind, grid2):
 
 
 def test_nonpositive_multiplicative_direction_raises(grid2):
+    # e^{psi / h} = e^{-1000} underflows to 0 at every node
     base = PolynomialSF.constant(2, 1.0)
-    direction = PolynomialSF.cos_harmonic(2)      # negative at 45 degrees
-    with pytest.raises(FamilyError, match="strictly positive"):
+    direction = PolynomialSF.constant(2, -1000.0)
+    with pytest.raises(FamilyError, match="underflows"):
         make_family("multiplicative", base, direction, grid2)
-    with pytest.raises(FamilyError, match="strictly positive"):
+    with pytest.raises(FamilyError, match="underflows"):
         PerturbationFamily(kind="multiplicative", base=base,
                            direction=direction, grid=grid2)
 

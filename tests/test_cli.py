@@ -153,6 +153,30 @@ PARAM_ERRORS = [
      "t must be a number in (0, 1)"),
     ("t-nan", "shift_counterexample", {"t": float("nan"), "resolution": 64},
      "t must be a number in (0, 1)"),
+    # a key the kind's check does not read, and a psi_name that would put
+    # whitespace in the check id
+    ("lambdas-misspelt", "scan_dim_bm", {**GAUSS_SECOND_2D, "lamdas": [0.5]},
+     "unknown key 'lamdas' for scan_dim_bm (accepted: R, base, eps_abs, "
+     "eps_fracs, lambdas, measure, n, psi, psi_name, resolution)"),
+    ("family-dim-scan", "scan_dim_bm",
+     {**GAUSS_SECOND_2D, "family": "multiplicative"},
+     "unknown key 'family' for scan_dim_bm"),
+    ("family-log-scan", "scan_log_bm",
+     {**GAUSS_SECOND_2D, "family": "multiplicative"},
+     "unknown key 'family' for scan_log_bm"),
+    ("expect-failure-shift", "shift_counterexample",
+     {"t": 0.3, "resolution": 64, "expect_failure": True},
+     "unknown key 'expect_failure' for shift_counterexample"),
+    ("psi-name-space", "scan_dim_bm",
+     {**GAUSS_SECOND_2D, "psi_name": "second harmonic"},
+     "psi_name must be a non-empty string without whitespace"),
+    ("psi-name-empty", "dim_bm_infinitesimal",
+     {**GAUSS_SECOND_2D, "psi_name": ""},
+     "psi_name must be a non-empty string without whitespace"),
+    ("psi-name-number", "cone_inequality",
+     {"n": 2, "resolution": 160, "psi": {"type": "second_harmonic"},
+      "psi_name": 2},
+     "psi_name must be a non-empty string without whitespace"),
 ]
 
 

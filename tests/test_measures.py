@@ -108,12 +108,28 @@ def test_radial_profile_kinked_profile_falls_back_to_direct(gk_widths):
     assert np.array_equal(got, _direct_profile(kinked, D, 3, (0,)))
 
 
+def test_adaptive_gk_column_does_not_depend_on_batch_width():
+    # polynomials of degree 10, on which both rules are exact, take one
+    # panel: a column's sums are bitwise the same alone as in a batch of 40
+    rng = np.random.default_rng(5)
+    C = rng.normal(size=(11, 40)) * 10.0 ** rng.uniform(-3, 0, size=(1, 40))
+
+    def batch(cols):
+        return lambda t: np.polynomial.polynomial.polyval(t[:, None], cols,
+                                                          tensor=False)
+
+    wide = measures_module.adaptive_gk(batch(C), 0.0, 1.0)
+    for j in range(C.shape[1]):
+        one = measures_module.adaptive_gk(batch(C[:, j:j + 1]), 0.0, 1.0)
+        assert one[0] == wide[j], j
+
+
 def test_radial_profile_zero_width_range_is_integrated(gk_widths, gaussian):
     # no interpolant over a single scale: it is integrated directly, as a
-    # batch of two, and repeated, bitwise as if every scale were integrated
+    # batch of one, and repeated, bitwise as if every scale were integrated
     D = np.full(40, 1.3)
     got = radial_profile(gaussian, D, 3, powers=(0, 1))
-    assert gk_widths == [2 * 2]
+    assert gk_widths == [2]
     assert np.array_equal(got, _direct_profile(gaussian, D, 3, (0, 1)))
     assert np.all(got == got[:, :1])
     for spec in ALL_KINDS:

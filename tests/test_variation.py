@@ -10,8 +10,8 @@ from bmstab.measures import make_measure
 from bmstab.oracles import central_derivative
 from bmstab.sphere import PolynomialSF, build_grid, curvature_matrix, sf_sum
 from bmstab.variation import (cheng_yau_residual, cofactor_field, g_eval,
-                              ibp_residuals, mult_family_through,
-                              second_cofactor_field, variation_at_ball)
+                              ibp_residuals, second_cofactor_field,
+                              variation_at_ball)
 
 
 def random_symmetric(rng, N, scale=1.0):
@@ -278,7 +278,8 @@ def test_g_prime_multiplicative_away_from_zero(grid2, exp1):
     # at s0 the multiplicative family moves along h_s0 log(phi)
     base = sf_sum([(1.0, PolynomialSF.constant(2, 1.0)),
                    (0.05, PolynomialSF.cos_harmonic(2))])
-    fam = mult_family_through(base, PolynomialSF.cos_harmonic(2), grid2)
+    fam = make_family("multiplicative", base, PolynomialSF.cos_harmonic(2),
+                      grid2)
     s0 = 0.3 * fam.a
     analytic = fam.derivatives_along(exp1, [s0])[1][0]
     fd = central_derivative(lambda s: fam.measures_along(exp1, s), s0,
@@ -309,7 +310,7 @@ def test_log_correction_at_ball(grid2, gaussian):
     ball = PolynomialSF.constant(2, R)
     psi = PolynomialSF.cos_harmonic(2)
     got = _log_correction(gaussian, make_family("additive", ball, psi, grid2),
-                          mult_family_through(ball, psi, grid2))
+                          make_family("multiplicative", ball, psi, grid2))
     want = R ** 0 * math.exp(-R * R / 2) * math.pi  # int cos^2 = pi
     assert got == pytest.approx(want, rel=1e-10)
     var = variation_at_ball(gaussian, R, psi, grid2)
@@ -323,7 +324,7 @@ def test_log_correction_general_body_vs_double_fd(grid2, gaussian):
                    (0.06, PolynomialSF.cos_harmonic(2))])
     psi = PolynomialSF.cos_harmonic(2)
     fam_add = make_family("additive", base, psi, grid2)
-    fam_mul = mult_family_through(base, psi, grid2)
+    fam_mul = make_family("multiplicative", base, psi, grid2)
     step = 2e-3
     g2_add = central_derivative(
         lambda ss: [g_eval(fam_add, gaussian, s) for s in ss], 0.0,
@@ -335,11 +336,12 @@ def test_log_correction_general_body_vs_double_fd(grid2, gaussian):
     assert corr == pytest.approx(g2_mul - g2_add, rel=1e-4)
 
 
-def test_mult_family_initial_speed(grid2):
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_mult_family_initial_speed(kind, grid2):
     base = sf_sum([(1.0, PolynomialSF.constant(2, 1.0)),
                    (0.05, PolynomialSF.cos_harmonic(2))])
     psi = PolynomialSF.cos_harmonic(2)
-    fam = mult_family_through(base, psi, grid2)
+    fam = make_family(kind, base, psi, grid2)
     # d h_s / ds at s=0 equals psi
     eps = 1e-6
     hp = fam.support_at(eps).values(grid2.nodes)
