@@ -182,7 +182,14 @@ class PerturbationFamily:
     concave (additive) or log-concave (multiplicative) in s, so checking
     s = +-a covers the whole interval.  It is the exact smallest eigenvalue
     for additive families and, as C2 >= 0, a lower bound for multiplicative
-    ones.  Nothing between nodes is checked."""
+    ones.  Nothing between nodes is checked.
+
+    A family whose node data (v0, v1, u0, u1, C0, C1, C2) are bitwise the
+    same at every node, as a ball's dilation is, is node-uniform: its
+    kernels and radius search evaluate node 0 only, and meet the grid
+    weights in the final sum.  A chunk of at most _CHEB_POINTS scales still
+    reaches radial_profile as the full (S, m) batch, so it takes the same
+    branch, and every result is bitwise that of evaluating every node."""
 
     kind: str
     base: SphericalFunction
@@ -214,17 +221,21 @@ class PerturbationFamily:
             self.u0 = np.column_stack([f0.val, f0.grad])
             self.u1 = np.column_stack([f1.val, f1.grad])
             self.C0, self.C1, self.C2 = f0.Q, f1.Q, 0.0
-            return
-        g0 = f0.grad / f0.val[:, None]
-        g1 = f1.grad / f1.val[:, None]
-        self.u0 = np.column_stack([np.ones(g.count), g0])
-        self.u1 = np.column_stack([np.zeros(g.count), g1])
-        Eh, Ed = (np.einsum("map,mp->ma", g.frames, v) for v in (g0, g1))
-        cross = np.einsum("ma,mb->mab", Eh, Ed)
-        self.C2 = np.einsum("ma,mb->mab", Ed, Ed)
-        self.C0 = f0.Q / f0.val[:, None, None]
-        self.C1 = (f1.Q / f1.val[:, None, None] - np.eye(g.n - 1)
-                   + cross + cross.transpose(0, 2, 1) - self.C2)
+        else:
+            g0 = f0.grad / f0.val[:, None]
+            g1 = f1.grad / f1.val[:, None]
+            self.u0 = np.column_stack([np.ones(g.count), g0])
+            self.u1 = np.column_stack([np.zeros(g.count), g1])
+            Eh, Ed = (np.einsum("map,mp->ma", g.frames, v) for v in (g0, g1))
+            cross = np.einsum("ma,mb->mab", Eh, Ed)
+            self.C2 = np.einsum("ma,mb->mab", Ed, Ed)
+            self.C0 = f0.Q / f0.val[:, None, None]
+            self.C1 = (f1.Q / f1.val[:, None, None] - np.eye(g.n - 1)
+                       + cross + cross.transpose(0, 2, 1) - self.C2)
+        bits = [np.ascontiguousarray(x).view(np.uint64) for x in (
+            self.v0, self.v1, self.u0, self.u1, self.C0, self.C1, self.C2)]
+        uniform = all(np.all(b == b[:1]) for b in bits)
+        self._nodes = slice(0, 1) if uniform else slice(None)
 
     # -- supports ---------------------------------------------------------
 
@@ -241,17 +252,26 @@ class PerturbationFamily:
 
     # -- batched node fields ------------------------------------------------
 
+    def _node(self, x):
+        # x at the evaluated nodes: node 0 alone for a node-uniform family
+        return x[self._nodes] if np.ndim(x) else x
+
     def _values(self, s):
-        # h_s at the nodes, (S, m), for parameters s shaped (S, 1, 1, 1)
+        # h_s at the evaluated nodes for parameters s shaped (S, 1, 1, 1)
+        v0, v1 = self._node(self.v0), self._node(self.v1)
         if self.kind == "additive":
-            return self.v0 + s[..., 0, 0] * self.v1
-        return self.v0 * self.v1 ** s[..., 0, 0]
+            return v0 + s[..., 0, 0] * v1
+        return v0 * v1 ** s[..., 0, 0]
 
     def _expansions(self, s_values):
         # per chunk of _S_CHUNK parameters about its centre s_c: the chunk's
-        # start, t = s - s_c shaped (S, 1), h_s at the nodes, and the node
-        # coefficients in t of det Q(h_s) / w^(n-1) and of D(s)^2 / w^2
-        u0, u1, C0, C1, C2 = self.u0, self.u1, self.C0, self.C1, self.C2
+        # start, t = s - s_c shaped (S, 1), h_s at the evaluated nodes, and
+        # their coefficients in t of det Q(h_s) / w^(n-1) and of D(s)^2 / w^2
+        if s_values.ndim != 1:
+            raise ValueError(
+                f"s_values must be 1-D, got shape {s_values.shape}")
+        u0, u1, C0, C1, C2 = (self._node(x) for x in (
+            self.u0, self.u1, self.C0, self.C1, self.C2))
         for lo in range(0, s_values.size, _S_CHUNK):
             sl = s_values[lo:lo + _S_CHUNK]
             sc = 0.5 * (sl.min() + sl.max())
@@ -263,12 +283,21 @@ class PerturbationFamily:
             h = self._values(sl.reshape(-1, 1, 1, 1))
             yield lo, (sl - sc)[:, None], h, det_poly(mats), q
 
+    def _profile(self, measure, D, powers):
+        # radial moments at scales D, shaped (len(powers),) + D.shape, by
+        # the branch of radial_profile that the full (S, m) batch takes
+        if D.size <= _measures._CHEB_POINTS:
+            D = np.broadcast_to(D, (D.shape[0], self.grid.count))
+        A = _measures.radial_profile(measure, D, self.grid.n, powers)
+        return A.reshape((len(powers),) + D.shape)
+
     def measures_along(self, measure, s_values):
-        """gamma(K_{h_s}) for a batch of parameters (no per-s validation;
+        """gamma(K_{h_s}) for a 1-D batch of parameters (no per-s validation;
         callers must stay inside the validity radius).  Per chunk of
         _S_CHUNK parameters, det Q(h_s) / w^(n-1) and D(s)^2 / w^2 are exact
         polynomials in t = s - s_c about the chunk's centre s_c (at s = 0
-        they cancel near s = -a), evaluated in place by sphere.horner."""
+        they cancel near s = -a), evaluated in place by sphere.horner, at
+        node 0 only for a node-uniform family (_CHEB_POINTS guard above)."""
         s_values = np.asarray(s_values, dtype=float)
         out = np.empty(s_values.size)
         w, n = self.grid.weights, self.grid.n
@@ -279,8 +308,8 @@ class PerturbationFamily:
             else:
                 f = h ** n * horner(p, t)
                 D = h * D
-            A = _measures.radial_profile(measure, D, n, powers=(0,))[0]
-            out[lo:lo + _S_CHUNK] = (f * A.reshape(D.shape) * w).sum(axis=1)
+            A = self._profile(measure, D, (0,))[0]
+            out[lo:lo + _S_CHUNK] = (f * A * w).sum(axis=1)
         return out
 
     def derivatives_along(self, measure, s_values):
@@ -294,10 +323,12 @@ class PerturbationFamily:
             g'' = sum w (H'' A + 2 H' B D' + H (C D'^2 + B D'')).
 
         Multiplicative families differentiate through the factors w(s) = h_s,
-        with h_s' = h_s log phi."""
+        with h_s' = h_s log phi.  Node-uniform families take the one-node
+        path of measures_along, with its _CHEB_POINTS guard."""
         s_values = np.asarray(s_values, dtype=float)
         out = np.empty((3, s_values.size))
         w, n = self.grid.weights, self.grid.n
+        v1 = self._node(self.v1)
         for lo, t, h, p, q in self._expansions(s_values):
             P = [horner(polyder(p, k), t) for k in range(3)]
             q0, q1, q2 = (horner(polyder(q, k), t) for k in range(3))
@@ -305,13 +336,12 @@ class PerturbationFamily:
             E1 = q1 / (2.0 * E)
             D = [E, E1, (q2 - 2.0 * E1 ** 2) / (2.0 * E)]
             if self.kind == "additive":
-                H = _leibniz([h, self.v1, 0.0], P)
+                H = _leibniz([h, v1, 0.0], P)
             else:
-                L = np.log(self.v1)
+                L = np.log(v1)
                 H = _leibniz([h ** n * (n * L) ** k for k in range(3)], P)
                 D = _leibniz([h * L ** k for k in range(3)], D)
-            A, B, C = _measures.radial_profile(
-                measure, D[0], n, powers=(0, 1, 2)).reshape((3,) + h.shape)
+            A, B, C = self._profile(measure, D[0], (0, 1, 2))
             terms = _leibniz(H, [A, B * D[1], C * D[1] ** 2 + B * D[2]])
             out[:, lo:lo + _S_CHUNK] = (np.stack(terms) * w).sum(axis=2)
         return out[0], out[1], out[2]
@@ -319,10 +349,11 @@ class PerturbationFamily:
     # -- validity -----------------------------------------------------------
 
     def _valid_on(self, bound):
-        # the predicate for |s| <= bound, evaluated at s = +-bound only
+        # the predicate for |s| <= bound, evaluated at s = +-bound only, and
+        # at node 0 only for a node-uniform family
         s = np.array([-bound, bound]).reshape(2, 1, 1, 1)
         vals = self._values(s)
-        lam = batch_min_eig(self.C0 + s * self.C1)
+        lam = batch_min_eig(self._node(self.C0) + s * self._node(self.C1))
         w = vals if self.kind == "multiplicative" else 1.0
         return bool(np.all(vals > 0.0) and np.all(w * lam >= self.floor))
 

@@ -1,6 +1,7 @@
 """Bodies from support functions, set combinations, quermassintegrals, and
 perturbation families."""
 
+import copy
 import math
 
 import numpy as np
@@ -354,6 +355,55 @@ def test_derivatives_along_value_matches_measures_along(kind, grid3,
     g = fam.derivatives_along(gaussian, s_values)[0]
     gam = fam.measures_along(gaussian, s_values)
     assert np.max(np.abs(g - gam) / gam) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_node_uniform_family_is_bitwise_the_all_node_path(
+        kind, n, lebesgue, gaussian, exp3):
+    # a ball dilation carries the same data at every node, so the kernel
+    # evaluates node 0 only; forcing every node must change no bit, on both
+    # sides of radial_profile's _CHEB_POINTS branch and of the _S_CHUNK
+    # edges, and through its direct fallback (exp3 past the tail test)
+    grid = build_grid(n, {2: 32, 3: 8, 4: 4}[n])
+    fam = make_family(kind, PolynomialSF.constant(n, 1.0),
+                      PolynomialSF.constant(n, 0.7), grid)
+    assert fam._nodes == slice(0, 1)
+    every = copy.copy(fam)
+    every._nodes = slice(None)
+    for S in (1, 2, 14, 15, 32, 33, 256):
+        s_values = np.linspace(-0.9, 0.8, S) * fam.a
+        for mu in (lebesgue, gaussian, exp3):
+            assert np.array_equal(fam.measures_along(mu, s_values),
+                                  every.measures_along(mu, s_values)), (
+                S, mu.kind)
+            assert np.array_equal(fam.derivatives_along(mu, s_values),
+                                  every.derivatives_along(mu, s_values)), (
+                S, mu.kind)
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_perturbed_base_takes_the_all_node_path(kind, grid3):
+    # a constant psi on a base that is not a ball: the nodes differ
+    base, _ = _family_case(3, "second_harmonic")
+    fam = make_family(kind, base, PolynomialSF.constant(3, 0.7), grid3)
+    assert fam._nodes == slice(None)
+
+
+@pytest.mark.parametrize("method", ["measures_along", "derivatives_along"])
+def test_family_parameters_must_be_one_dimensional(method, grid2, lebesgue):
+    fam = make_family("additive", PolynomialSF.constant(2, 1.0),
+                      PolynomialSF.cos_harmonic(2), grid2)
+    along = getattr(fam, method)
+    with pytest.raises(ValueError, match=r"1-D, got shape \(\)"):
+        along(lebesgue, 0.1)
+    with pytest.raises(ValueError, match=r"1-D, got shape \(2, 2\)"):
+        along(lebesgue, np.full((2, 2), 0.1))
+    got = np.array(along(lebesgue, [0.1, -0.1]))
+    assert got.shape[-1] == 2
+    assert np.array_equal(got, along(lebesgue, np.array([0.1, -0.1])))
+    empty = np.array(along(lebesgue, []))
+    assert empty.size == 0 and empty.shape[-1] == 0
 
 
 @pytest.mark.parametrize("name", ["second_harmonic", "random_even"])
