@@ -11,8 +11,6 @@ import numpy as np
 
 from .sphere import PolynomialSF, sf_exp, sf_sum
 
-SPEC_VERSION = 1
-
 
 def _tuple_alpha(alpha):
     return tuple(int(a) for a in alpha)
@@ -56,7 +54,6 @@ def sf_from_spec(spec, n):
                            float(spec.get("amplitude", 1.0)))
     else:
         raise ValueError(f"unknown function spec type {kind!r}")
-    out.spec = spec
     return out
 
 

@@ -137,16 +137,6 @@ def _psi(params, n):
     return sf_from_spec(params["psi"], n)
 
 
-def _expected_failure(params, psi, statement):
-    """The expect_failure flag, which a direction that is not even must
-    carry: the statement is asserted for even directions only."""
-    expected_failure = bool(params.get("expect_failure", False))
-    if psi.parity() != "even" and not expected_failure:
-        raise ValueError(f"{statement} asserted for even directions; "
-                         "pass expect_failure for odd ones")
-    return expected_failure
-
-
 def _at_ball(params):
     """(n, R, grid, measure, psi, variation) for a direction at a centered
     ball."""
@@ -226,19 +216,18 @@ def check_dim_bm_infinitesimal(params):
                  "raw_margin": raw, "psi_parity": psi.parity()})
 
 
-@_check(_BALL + " expect_failure")
+@_check(_BALL)
 def check_log_bm_infinitesimal(params):
     """g'(0)^2 - g''_mult(0) g(0) >= 0 (concavity of log gamma along the
-    geometric family through the ball); stated for even directions."""
+    geometric family through the ball); stated for even directions, an
+    expected failure along any other."""
     n, R, g, mu, psi, var = _at_ball(params)
-    expected_failure = _expected_failure(
-        params, psi, "log concavity at the ball is")
     margin = (var.g1 ** 2 - var.g2_mult * var.g0) / var.g0 ** 2
     g2k, kernel = _ball_kernel("multiplicative", R, psi, g, mu, var)
     return _result(
         "log_bm_infinitesimal", params, n, _measure_name(mu), margin,
-        DEFAULT_MARGIN_TOL, "ge", R=R, expected_failure=expected_failure,
-        oracle_diff=kernel,
+        DEFAULT_MARGIN_TOL, "ge", R=R,
+        expected_failure=psi.parity() != "even", oracle_diff=kernel,
         details={"g0": var.g0, "g1": var.g1, "g2_mult": var.g2_mult,
                  "g2_mult_kernel": g2k, "log_corr": var.log_corr,
                  "psi_parity": psi.parity()})
@@ -297,16 +286,15 @@ def check_ball_dilation(params):
                  "raw_margin": margin})
 
 
-@_check(_BALL + " expect_failure")
+@_check(_BALL)
 def check_logbm_ball_form(params):
     """Quadratic-form shape of the log concavity margin at the ball:
 
         A (n f + R f') I2/|S| - A f J2/|S|  <=  f^2 (I0/|S|)^2
 
-    for even directions, split into mean and oscillation contributions."""
+    for even directions (an expected failure along any other), split into
+    mean and oscillation contributions."""
     n, R, g, mu, psi, var = _at_ball(params)
-    expected_failure = _expected_failure(params, psi,
-                                         "the ball-form bound is")
     S = sphere_area(n)
     A, fR, fpR = var.A, var.fR, var.fpR
     I0, I2, J2 = var.int_psi, var.int_psi_sq, var.int_grad_sq
@@ -330,8 +318,8 @@ def check_logbm_ball_form(params):
                  and profile_ratio >= 1.0 / n - 1e-12)
     return _result(
         "logbm_ball_form", params, n, _measure_name(mu), margin,
-        DEFAULT_MARGIN_TOL, "ge", R=R, expected_failure=expected_failure,
-        oracle_diff=identity_gap,
+        DEFAULT_MARGIN_TOL, "ge", R=R,
+        expected_failure=psi.parity() != "even", oracle_diff=identity_gap,
         details={"lhs": lhs, "rhs": rhs, "contrib_mean": contrib_mean,
                  "contrib_osc": contrib_osc, "psi_parity": psi.parity(),
                  "rayleigh_osc": rayleigh_osc,
@@ -427,27 +415,26 @@ def check_scan_dim_bm(params):
                  normalize=True)
 
 
-@_check(_SCAN + " expect_failure")
+@_check(_SCAN)
 def check_scan_log_bm(params):
     """Log concavity along a multiplicative family: log gamma at the
     geometric combination dominates the chord, for even directions on a
-    symmetric base."""
+    symmetric base; an expected failure along any other direction."""
     psi = _psi(params, params["n"])
-    expected_failure = _expected_failure(params, psi, "log scans are")
 
     def combine(g_bar, g1, g2, lam):
         return (math.log(g_bar)
                 - lam * math.log(g1) - (1.0 - lam) * math.log(g2))
 
     return _scan("scan_log_bm", "multiplicative", params, psi, combine,
-                 expected_failure=expected_failure)
+                 expected_failure=psi.parity() != "even")
 
 
 # ---------------------------------------------------------------------------
 # shifted-ball counterexample (planar, lebesgue)
 # ---------------------------------------------------------------------------
 
-@_check("t resolution measure polygon_directions mc_samples seed")
+@_check("t resolution polygon_directions mc_samples seed")
 def check_shift_counterexample(params):
     """Geometric mean of a shifted disk and the unit disk loses area:
 
@@ -460,10 +447,7 @@ def check_shift_counterexample(params):
     t = params["t"]
     n = 2
     g = _grid(n, params["resolution"])
-    mu = _measures.measure_from_spec(params.get("measure",
-                                                {"kind": "lebesgue"}))
-    if mu.kind != "lebesgue":
-        raise ValueError("the closed form is for unweighted area")
+    mu = _measures.make_measure("lebesgue")
     h1 = sf_from_spec({"type": "sum", "parts": [
         [1.0, {"type": "constant", "value": 1.0}],
         [t, {"type": "first_harmonic"}]]}, n)
@@ -503,10 +487,10 @@ def check_shift_counterexample(params):
 # cone-measure form
 # ---------------------------------------------------------------------------
 
-@_check("n R resolution base psi expect_failure")
+@_check("n R resolution base psi")
 def check_cone_inequality(params):
     """Normalized cone weight dVbar = h det Q du / (n V_n(K)).  For even
-    directions on a symmetric body:
+    directions on a symmetric body (an expected failure along any other):
 
       int psi^2 (1 + h tr Q^{-1}) / h^2 dVbar - n (int psi/h dVbar)^2
           <=  int <Q^{-1} grad psi, grad psi> / h dVbar.
@@ -516,8 +500,6 @@ def check_cone_inequality(params):
     n = params["n"]
     g = _grid(n, params["resolution"])
     psi = _psi(params, n)
-    expected_failure = _expected_failure(params, psi,
-                                         "the cone-measure bound is")
     body = body_from_support(_base_sf(params, n), g)
     w = g.weights
     h = body.hvals
@@ -546,7 +528,7 @@ def check_cone_inequality(params):
                          - n * mean_sq_ratio)
     return _result(
         "cone_inequality", params, n, "cone", margin, DEFAULT_MARGIN_TOL,
-        "ge", R=params.get("R"), expected_failure=expected_failure,
+        "ge", R=params.get("R"), expected_failure=psi.parity() != "even",
         oracle_diff=abs(weight_total - 1.0),
         details={"lhs": lhs, "rhs": rhs, "cs_margin": cs_margin,
                  "weak_margin": weak_margin, "weight_total": weight_total,
@@ -676,8 +658,6 @@ def check_params(kind, params):
     if "tol" in params:
         raise ValueError("tol cannot be set: each check kind fixes its "
                          f"tolerance (got tol={params['tol']!r})")
-    if not isinstance(params.get("expect_failure", False), bool):
-        raise ValueError("expect_failure must be true or false")
     for key, typ, (lo, hi), what in _SCALARS:
         v = params.get(key)
         if key in params and not (isinstance(v, typ)
@@ -701,6 +681,13 @@ def check_params(kind, params):
             raise ValueError(f"{key} needs two distinct sizes")
     if "lambdas" in params and not any(0 < v < 1 for v in params["lambdas"]):
         raise ValueError("lambdas needs a weight strictly inside (0, 1)")
+    if "eps_fracs" in params and "eps_abs" in params:
+        raise ValueError("give eps_fracs or eps_abs, not both")
+    # a base sets the body, so an R beside it would only label the result
+    if "R" in params and "base" in params:
+        raise ValueError("give R or base, not both")
+    if kind == "polygon_agreement" and params.get("n", 2) != 2:
+        raise ValueError("polygon_agreement is planar: n must be 2")
     name = params.get("psi_name", "psi")   # check ids hold no whitespace
     if not (isinstance(name, str) and name.split() == [name]):
         raise ValueError("psi_name must be a non-empty string without "

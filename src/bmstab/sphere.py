@@ -31,7 +31,7 @@ the last coordinate, computed by Golub-Welsch.  The module needs numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -171,7 +171,6 @@ class SphericalFunction:
     derivatives of its homogeneous extensions."""
 
     n: int
-    spec: dict | None = None      # set by funcspecs.sf_from_spec
 
     # -- representation hooks -------------------------------------------
 
@@ -555,7 +554,6 @@ class CurvatureField:
     val: np.ndarray         # (m,)
     grad: np.ndarray        # (m, n)
     Q: np.ndarray           # (m, n-1, n-1)
-    grid: SphereGrid = field(repr=False)
 
     @cached_property
     def det(self):
@@ -628,7 +626,7 @@ def curvature_matrix(h, grid):
     Q = frame_hessian(d.hess, grid.frames)
     diag = np.arange(grid.n - 1)
     Q[:, diag, diag] += d.val[:, None]
-    return CurvatureField(val=d.val, grad=d.grad, Q=Q, grid=grid)
+    return CurvatureField(val=d.val, grad=d.grad, Q=Q)
 
 
 def split_mean(psi, grid):

@@ -276,7 +276,7 @@ def test_criterion_09_negative_demonstrations():
         "n": 2, "resolution": 160,
         "base": {"type": "constant", "value": 1.0},
         "psi": {"type": "cos_harmonic", "k": 1},
-        "psi_name": "first_harmonic", "expect_failure": True})
+        "psi_name": "first_harmonic"})
     assert cone.passed and cone.expected_failure
     assert abs(cone.margin - (-0.5)) <= 1e-8
     report(9, True,

@@ -73,6 +73,11 @@ GAUSS_SECOND_2D = {"n": 2, "R": 1.0, "resolution": 160,
                    "psi_name": "second_harmonic"}
 MC_GAUSS_2D = {"n": 2, "R": 1.0, "resolution": 32,
                "measure": {"kind": "gaussian"}, "mc_samples": 4096}
+LEB_FIRST_2D = {"n": 2, "R": 1.0, "resolution": 64,
+                "measure": {"kind": "lebesgue"},
+                "psi": {"type": "first_harmonic"},
+                "psi_name": "first_harmonic"}
+UNIT_DISK = {"type": "constant", "value": 1.0}
 
 # parameter-level errors, (id, kind, params, needle): bmstab run --config,
 # run_check and rerun refuse each with the same message
@@ -128,9 +133,15 @@ PARAM_ERRORS = [
       "polygon_directions": 8, "tol": 1.0},
      "tol cannot be set"),
     # full parameter sets: without the rules, each of these computes
-    ("expect-failure-string", "log_bm_infinitesimal",
-     {**GAUSS_SECOND_2D, "expect_failure": "false"},
-     "expect_failure must be true or false"),
+    ("polygon-n-3", "polygon_agreement",
+     {"n": 3, "resolution": 160, "base": UNIT_DISK},
+     "polygon_agreement is planar: n must be 2"),
+    ("eps-fracs-and-abs", "scan_dim_bm",
+     {**GAUSS_SECOND_2D, "eps_abs": [0.01, 0.02], "eps_fracs": [-0.9, 0.9]},
+     "give eps_fracs or eps_abs, not both"),
+    ("R-and-base", "mc_agreement", {**MC_GAUSS_2D, "R": 5.0,
+                                    "base": UNIT_DISK},
+     "give R or base, not both"),
     ("polygon-directions-string", "polygon_agreement",
      {"n": 2, "resolution": 160, "base": {"type": "constant", "value": 1.0},
       "polygon_directions": "720"},
@@ -167,6 +178,24 @@ PARAM_ERRORS = [
     ("expect-failure-shift", "shift_counterexample",
      {"t": 0.3, "resolution": 64, "expect_failure": True},
      "unknown key 'expect_failure' for shift_counterexample"),
+    # expected failures follow psi's parity, and the shifted disk's closed
+    # form is for Lebesgue area: no key sets either
+    ("expect-failure-log-bm", "log_bm_infinitesimal",
+     {**LEB_FIRST_2D, "expect_failure": True},
+     "unknown key 'expect_failure' for log_bm_infinitesimal"),
+    ("expect-failure-ball-form", "logbm_ball_form",
+     {**LEB_FIRST_2D, "expect_failure": True},
+     "unknown key 'expect_failure' for logbm_ball_form"),
+    ("expect-failure-log-scan", "scan_log_bm",
+     {**LEB_FIRST_2D, "expect_failure": True},
+     "unknown key 'expect_failure' for scan_log_bm"),
+    ("expect-failure-cone", "cone_inequality",
+     {"n": 2, "resolution": 64, "base": UNIT_DISK,
+      "psi": {"type": "first_harmonic"}, "expect_failure": True},
+     "unknown key 'expect_failure' for cone_inequality"),
+    ("measure-shift", "shift_counterexample",
+     {"t": 0.3, "resolution": 64, "measure": {"kind": "lebesgue"}},
+     "unknown key 'measure' for shift_counterexample"),
     ("psi-name-space", "scan_dim_bm",
      {**GAUSS_SECOND_2D, "psi_name": "second harmonic"},
      "psi_name must be a non-empty string without whitespace"),
@@ -243,6 +272,23 @@ def test_bad_check_stops_the_run_before_any_check(tmp_path, capsys):
     with pytest.raises(cli.ConfigError, match="tol cannot be set"):
         cli.execute(cfg, log=lines.append)
     assert lines == []
+
+
+def test_shift_measure_stops_the_run_before_any_check(tmp_path, capsys):
+    # at the shifted disk a measure used to fail only when the check ran,
+    # after the checks before it had run and logged
+    cfg = {"schema_version": 1, "checks": [
+        SMALL_CONFIG["checks"][0],
+        {"kind": "shift_counterexample",
+         "params": {"t": 0.3, "resolution": 64,
+                    "measure": {"kind": "gaussian"}}}]}
+    rc = cli.main(["run", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "checks[1]: unknown key 'measure'" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_kind_error_lists_known_kinds(tmp_path, capsys):

@@ -143,16 +143,38 @@ def test_log_bm_infinitesimal_even(measure):
     assert res.margin >= -DEFAULT_MARGIN_TOL
 
 
-def test_log_bm_odd_requires_expect_failure():
+def test_log_bm_odd_direction_is_expected_failure():
+    # the statement is for even directions: psi's parity sets the expected
+    # failure, and no config key can
     params = {"n": 2, "R": 1.0, "measure": LEB, "resolution": 160,
               "psi": FIRST, "psi_name": "first_harmonic"}
-    with pytest.raises(ValueError):
-        run_check("log_bm_infinitesimal", params)
-    res = run_check("log_bm_infinitesimal",
-                    {**params, "expect_failure": True})
-    assert res.passed and res.expected_failure
+    res = run_check("log_bm_infinitesimal", params)
+    assert res.passed and res.expected_failure and res.status == "XFAIL"
     # lebesgue + first harmonic: the normalized margin is exactly -1
     assert res.margin == pytest.approx(-1.0, abs=1e-10)
+    with pytest.raises(ValueError, match="unknown key 'expect_failure'"):
+        run_check("log_bm_infinitesimal", {**params, "expect_failure": True})
+
+
+@pytest.mark.parametrize("kind,measure,psi,status,margin", [
+    ("logbm_ball_form", LEB, FIRST, "XFAIL", -0.25),
+    ("scan_log_bm", LEB, FIRST, "XFAIL", None),
+    # odd, but the violation does not materialize: still a failure
+    ("logbm_ball_form", GAU, FIRST, "FAIL", None),
+    # neither even nor odd is not even either
+    ("log_bm_infinitesimal", LEB,
+     {"type": "sum", "parts": [[1.0, SECOND], [1e-3, FIRST]]}, "FAIL", None),
+], ids=["ball-form-odd", "log-scan-odd", "ball-form-odd-gaussian",
+        "log-bm-mixed"])
+def test_expected_failure_follows_psi_parity(kind, measure, psi, status,
+                                             margin):
+    res = run_check(kind, {"n": 2, "R": 1.0, "measure": measure,
+                           "resolution": 64, "psi": psi})
+    assert res.expected_failure
+    assert res.details["psi_parity"] != "even"
+    assert res.status == status
+    if margin is not None:
+        assert res.margin == pytest.approx(margin, abs=1e-10)
 
 
 def test_dim_bm_decomposition_identity():
@@ -290,7 +312,7 @@ def test_cone_inequality_odd_direction_fails():
                     {"n": 2, "resolution": 160,
                      "base": {"type": "constant", "value": 1.0},
                      "psi": {"type": "cos_harmonic", "k": 1},
-                     "psi_name": "first_harmonic", "expect_failure": True})
+                     "psi_name": "first_harmonic"})
     assert res.passed and res.expected_failure
     assert res.margin == pytest.approx(-0.5, abs=1e-8)
 
