@@ -5,11 +5,14 @@ The Monte Carlo route samples a ball uniformly and classifies points
 against the support function directly, the polygon route intersects
 half-planes exactly, and the finite-difference helpers only evaluate the
 callables they are given; none of them uses the spherical quadrature or the
-radial-moment machinery; mc_measure's lower bound on the net maximum is
-_net_max over the cell centres.  One datum is still borrowed from the route
-under test: mc_measure sizes its uncertainty band with max |Q| of the body's
-curvature matrices at the quadrature nodes (body.curvature.Q).  ROADMAP.md,
-item 1, takes that scale from the support function's own sup bound instead.
+radial-moment machinery.  mc_measure's lower bound on the net maximum is
+_net_max over the cell centres, and a sample near the boundary meets only
+the net directions of the cells whose upper bound reaches that lower bound
+(_candidate_max), never the whole net.  One datum is still borrowed from
+the route under test: mc_measure sizes its uncertainty band with max |Q| of
+the body's curvature matrices at the quadrature nodes (body.curvature.Q).
+ROADMAP.md, item 1, takes that scale from the support function's own sup
+bound instead.
 Agreement between these estimates and the main formulas is what the
 verification suite leans on."""
 
@@ -98,20 +101,32 @@ def _coarse_directions(n):
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
+def _farthest_points(dirs, k):
+    # greedy farthest-point sampling: each pick maximises the least chord
+    # distance to the picks before it, starting from dirs[0]
+    idx = [0]
+    nearest = dirs @ dirs[0]
+    for _ in range(k - 1):
+        idx.append(int(np.argmin(nearest)))
+        np.maximum(nearest, dirs @ dirs[idx[-1]], out=nearest)
+    return np.array(idx)
+
+
 def _net_cells(h, dirs, hdirs):
     """Split the net into cells around _COARSE of its own directions c_k.
 
     Per cell: c_k, h(c_k) (the net's value), g_k = grad1 h(c_k), <g_k, c_k>,
     the chord radius t_k >= |u_j - c_k| and the slack
     e_k >= h(c_k) + <g_k, u_j - c_k> - h_j over the cell's directions u_j,
-    read from the net's own values (nothing is assumed between them)."""
+    read from the net's own values (nothing is assumed between them), and
+    the net indices of its members in ascending order."""
     m, n = dirs.shape
     if n == 2:
         idx = np.arange(0, m, m // _COARSE)
     elif n == 3:
         idx = np.unique(np.argmax(_fibonacci_sphere(_COARSE) @ dirs.T, axis=1))
     else:
-        idx = np.arange(_COARSE)
+        idx = _farthest_points(dirs, _COARSE)
     C, hC = dirs[idx], hdirs[idx]
     G = h.grad1(C)
     cell = np.argmax(dirs @ C.T, axis=1)
@@ -121,65 +136,103 @@ def _net_cells(h, dirs, hdirs):
     np.maximum.at(t, cell, np.linalg.norm(d, axis=1))
     e = np.zeros(len(idx))
     np.maximum.at(e, cell, hC[cell] + np.sum(G[cell] * d, axis=1) - hdirs)
-    return C, hC, G, np.sum(G * C, axis=1), t * (1.0 + 1e-9), e
+    members = [np.flatnonzero(cell == k) for k in range(len(idx))]
+    return (C, hC, G, np.sum(G * C, axis=1), t * (1.0 + 1e-9), e, members)
 
 
-def _net_hi(X, cells):
-    """Row-wise hi >= max_j <x, u_j> - h_j from the cells alone,
-    _ROW_BLOCK rows at a time.
+def _cell_hi(rows, cells):
+    """Per-cell bounds hi_k >= max_{u_j in cell k} <x, u_j> - h_j, one row
+    per sample.
 
     For u_j in cell k write u_j - c_k = a c_k + w with -t_k^2/2 <= a <= 0,
     |w| <= t_k; with v = x - g_k,
         <x, u_j> - h_j <= <x, c_k> - h(c_k) + <v, u_j - c_k> + e_k
                        <= <x, c_k> - h(c_k) + t_k |v_perp|
-                          + t_k^2/2 max(0, -<v, c_k>) + e_k,
-    whose maximum over k is hi."""
-    C, hC, G, gc, t, e = cells
-    g2 = np.sum(G * G, axis=1)
-    half_t2 = 0.5 * t * t
+                          + t_k^2/2 max(0, -<v, c_k>) + e_k = hi_k."""
+    C, hC, G, gc, t, e = cells[:6]
+    xc = rows @ C.T
+    w = rows @ G.T
+    vc = xc - gc                                    # <v, c_k>
+    w *= -2.0
+    w += np.sum(rows * rows, axis=1)[:, None]
+    w += np.sum(G * G, axis=1)                      # |v|^2
+    w -= vc * vc
+    np.maximum(w, 0.0, out=w)
+    np.sqrt(w, out=w)
+    w *= t                                          # t_k |v_perp|
+    np.negative(vc, out=vc)
+    np.maximum(vc, 0.0, out=vc)
+    vc *= 0.5 * t * t
+    w += vc
+    w += e
+    xc -= hC
+    xc += w
+    return xc
+
+
+def _net_hi(X, cells):
+    """Row-wise hi >= max_j <x, u_j> - h_j: the largest of the _cell_hi
+    bounds, _ROW_BLOCK rows at a time."""
     hi = np.empty(len(X))
     for a in range(0, len(X), _ROW_BLOCK):
-        rows = X[a:a + _ROW_BLOCK]
-        xc = rows @ C.T
-        w = rows @ G.T
-        vc = xc - gc                                # <v, c_k>
-        w *= -2.0
-        w += np.sum(rows * rows, axis=1)[:, None]
-        w += g2                                     # |v|^2
-        w -= vc * vc
-        np.maximum(w, 0.0, out=w)
-        np.sqrt(w, out=w)
-        w *= t                                      # t_k |v_perp|
-        np.negative(vc, out=vc)
-        np.maximum(vc, 0.0, out=vc)
-        vc *= half_t2
-        w += vc
-        w += e
-        xc -= hC
-        xc += w
-        np.max(xc, axis=1, out=hi[a:a + _ROW_BLOCK])
+        np.max(_cell_hi(X[a:a + _ROW_BLOCK], cells), axis=1,
+               out=hi[a:a + _ROW_BLOCK])
     return hi
 
 
-def _net_max(X, dirs, hdirs):
-    """Row-wise max and argmax of X @ dirs.T - hdirs, formed _ROW_BLOCK rows
-    at a time.  No block has a single row: numpy sends a one-row product to
-    gemv, whose last bits can differ from the rows of a gemm product."""
+def _net_max(X, dirs, hdirs, block=_ROW_BLOCK):
+    """Row-wise max and argmax of X @ dirs.T - hdirs, formed `block` rows
+    at a time.  No product has a single row or a single column: numpy sends
+    those to gemv, whose last bits can differ from the entries of a gemm
+    product, so a lone row or direction is doubled."""
+    cols = len(dirs)
+    if cols == 1:
+        dirs, hdirs = np.repeat(dirs, 2, axis=0), np.repeat(hdirs, 2)
     m = len(X)
     gmax = np.empty(m)
     imax = np.empty(m, dtype=np.intp)
     start = 0
     while start < m:
-        stop = m if m - start <= _ROW_BLOCK + 1 else start + _ROW_BLOCK
+        stop = m if m - start <= block + 1 else start + block
         rows = X[start:stop]
         if len(rows) == 1:
             rows = np.repeat(rows, 2, axis=0)
         P = rows @ dirs.T
         P -= hdirs
-        k = np.argmax(P, axis=1)[:stop - start]
+        P = P[:stop - start, :cols]
+        k = np.argmax(P, axis=1)
         imax[start:stop] = k
         gmax[start:stop] = P[np.arange(len(k)), k]
         start = stop
+    return gmax, imax
+
+
+def _candidate_max(X, floor, cells, dirs, hdirs):
+    """Row-wise max and argmax of X @ dirs.T - hdirs over the candidate
+    cells only: those whose _cell_hi bound reaches the row's `floor`, a
+    lower bound on its maximum.  The other cells hold no entry that large,
+    so the max is the dense one, and ties go to the lowest net index, as in
+    np.argmax.  Each cell meets its candidate rows through _net_max in
+    products of at most _ROW_BLOCK x len(dirs) entries, which gemm forms
+    entry by entry as it would the dense product: the results are bitwise
+    those of the dense product."""
+    cand = np.empty((len(X), len(cells[0])), dtype=bool)
+    for a in range(0, len(X), _ROW_BLOCK):
+        np.greater_equal(_cell_hi(X[a:a + _ROW_BLOCK], cells),
+                         floor[a:a + _ROW_BLOCK, None],
+                         out=cand[a:a + _ROW_BLOCK])
+    gmax = np.full(len(X), -np.inf)
+    imax = np.zeros(len(X), dtype=np.intp)
+    for k, members in enumerate(cells[6]):
+        rows = np.flatnonzero(cand[:, k])
+        if len(rows) == 0:
+            continue
+        g, j = _net_max(X[rows], dirs[members], hdirs[members],
+                        _ROW_BLOCK * len(dirs) // max(2, len(members)))
+        j = members[j]
+        win = (g > gmax[rows]) | ((g == gmax[rows]) & (j < imax[rows]))
+        gmax[rows[win]] = g[win]
+        imax[rows[win]] = j[win]
     return gmax, imax
 
 
@@ -240,11 +293,14 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     from _COARSE cells of the net (_net_cells), lower bound first: _net_max
     over the 64 centres (net directions) above band + eps places a sample
     outside, and only the others get the upper bound _net_hi (chord radius
-    and slack per cell), below -band - eps inside.  Only the undecided ones
-    meet the full net, _ROW_BLOCK rows at a time, and each row's best net
+    and slack per cell), below -band - eps inside.  The undecided ones meet
+    only the members of their candidate cells, those whose per-cell upper
+    bound reaches the lower bound (_candidate_max; a median of 6 of the 64
+    cells on criterion 10's shifted body at n = 3), and each row's best net
     direction starts its polish, whose Newton steps are taken for all
     polished rows at once.  The estimates are bitwise those of the full
-    MC_BATCH x len(dirs) product, which is never formed."""
+    MC_BATCH x len(dirs) product, no part of which outside the candidate
+    cells is formed."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     h = body.h
@@ -286,11 +342,15 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
         inside = radii < r_in
         shell = np.flatnonzero(~inside)
         # lo above band + eps places a row outside; only the others need hi
-        maybe = shell[_net_max(X[shell], *cells[:2])[0] <= band + eps]
+        lo = _net_max(X[shell], *cells[:2])[0]
+        keep = lo <= band + eps
+        maybe, lo = shell[keep], lo[keep]
         certain_in = _net_hi(X[maybe], cells) < -band - eps
         inside[maybe[certain_in]] = True
         near = maybe[~certain_in]
-        gmax, i0 = _net_max(X[near], dirs, hdirs)
+        # a cell whose bound + eps stays below lo - eps cannot hold the max
+        gmax, i0 = _candidate_max(X[near], lo[~certain_in] - 2.0 * eps,
+                                  cells, dirs, hdirs)
         unsure = np.abs(gmax) <= band
         if np.any(unsure):
             refined += int(np.sum(unsure))

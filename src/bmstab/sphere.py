@@ -143,18 +143,34 @@ class _RadialPoly:
                 out[key] = out.get(key, 0.0) + c * m
         return _RadialPoly(self.n, out)
 
-    def eval(self, pts):
+    def eval(self, pts, powers=None):
+        """The sum at pts (k, n).  The calls on one point set may share a
+        dict `powers`, which then keeps |x| and each pts[:, j] ** a and
+        |x| ** m, so that each is formed once; without it a power is
+        dropped after its term."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if any(m for _, m in self.terms):   # polynomial values need no |x|
-            r = np.sqrt(np.sum(pts * pts, axis=1))
+        keep = powers is not None
+        powers = powers if keep else {}
+
+        def power(j, a):
+            # j = n stands for |x|
+            p = powers.get((j, a))
+            if p is None:
+                if j == self.n and "r" not in powers:
+                    powers["r"] = np.sqrt(np.sum(pts * pts, axis=1))
+                p = (powers["r"] if j == self.n else pts[:, j]) ** a
+                if keep:
+                    powers[(j, a)] = p
+            return p
+
         out = np.zeros(pts.shape[0])
         for (alpha, m), c in self.terms.items():
             term = np.full(pts.shape[0], c)
             for j, a in enumerate(alpha):
                 if a:
-                    term = term * pts[:, j] ** a
+                    term = term * power(j, a)
             if m:
-                term = term * r ** m
+                term = term * power(self.n, m)
             out += term
         return out
 
@@ -327,14 +343,15 @@ class PolynomialSF(SphericalFunction):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m, n = U.shape
         derivs = self._derivs(0, 2)
-        val = derivs[()].eval(U)
+        powers = {}
+        val = derivs[()].eval(U, powers)
         grad = np.empty((m, n))
         for i in range(n):
-            grad[:, i] = derivs[(i,)].eval(U)
+            grad[:, i] = derivs[(i,)].eval(U, powers)
         hess = np.empty((m, n, n))
         for i in range(n):
             for j in range(i, n):
-                hij = derivs[(i, j)].eval(U)
+                hij = derivs[(i, j)].eval(U, powers)
                 hess[:, i, j] = hij
                 hess[:, j, i] = hij
         return D2(val, grad, hess)
@@ -345,11 +362,12 @@ class PolynomialSF(SphericalFunction):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m, n = U.shape
         derivs = self._derivs(1, 3)
+        powers = {}
         out = np.empty((m, n, n, n))
         for i in range(n):
             for j in range(i, n):
                 for k in range(j, n):
-                    t = derivs[(i, j, k)].eval(U)
+                    t = derivs[(i, j, k)].eval(U, powers)
                     for perm in {(i, j, k), (i, k, j), (j, i, k),
                                  (j, k, i), (k, i, j), (k, j, i)}:
                         out[:, perm[0], perm[1], perm[2]] = t

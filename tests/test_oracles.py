@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ import bmstab
 from bmstab.bodies import ball_body, body_from_support
 from bmstab.measures import make_measure
 from bmstab.oracles import (_ROW_BLOCK, MC_BATCH, McEstimate, PlanarPolygon,
-                            _coarse_directions, _convex_hull_ccw, _net_cells,
-                            _net_hi, _net_max, _polish_support_max,
-                            central_derivative, mc_measure, wulff_polygon)
+                            _candidate_max, _coarse_directions,
+                            _convex_hull_ccw, _net_cells, _net_hi, _net_max,
+                            _polish_support_max, central_derivative,
+                            mc_measure, wulff_polygon)
 from bmstab.sphere import PolynomialSF, build_grid, sf_sum
 from test_sphere import _tangent_frame
 
@@ -370,25 +372,30 @@ def _bracket_case(case):
     return body.h, dirs, hdirs, R_b
 
 
-@pytest.mark.parametrize("case", ["disk", "bump", "shift3", "battery3",
-                                  "ball4", "dented", "one_cell"])
-def test_mc_net_bounds_bracket_the_dense_net_max(case):
-    h, dirs, hdirs, R_b = _bracket_case(case)
-    n = dirs.shape[1]
-    cells = _net_cells(h, dirs, hdirs)
-    assert len(cells[0]) == 64
-    rng = np.random.default_rng(17)
-    C, G = cells[0], cells[2]
+def _bracket_points(cells, R_b):
     # uniform in the sampled ball, close to each cell's boundary point g_k,
-    # and along the inner normal g_k - s c_k
+    # and along the inner normal g_k - s c_k (for the disk, s = 1 is the
+    # origin, where every net direction ties)
+    C, G = cells[0], cells[2]
+    n = C.shape[1]
+    rng = np.random.default_rng(17)
     Z = rng.standard_normal((8192, n))
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
     uniform = Z * R_b * rng.random((8192, 1)) ** (1.0 / n)
     near = (np.repeat(G, 32, axis=0)
             + 0.02 * rng.standard_normal((32 * len(G), n)))
-    s = np.linspace(0.0, 2.0, 32)[None, :, None]
+    s = np.linspace(0.0, 2.0, 33)[None, :, None]
     inward = (G[:, None, :] - s * C[:, None, :]).reshape(-1, n)
-    X = np.concatenate([uniform, near, inward])
+    return np.concatenate([uniform, near, inward])
+
+
+@pytest.mark.parametrize("case", ["disk", "bump", "shift3", "battery3",
+                                  "ball4", "dented", "one_cell"])
+def test_mc_net_bounds_bracket_the_dense_net_max(case):
+    h, dirs, hdirs, R_b = _bracket_case(case)
+    cells = _net_cells(h, dirs, hdirs)
+    assert len(cells[0]) == 64
+    X = _bracket_points(cells, R_b)
     lo, hi = _net_max(X, *cells[:2])[0], _net_hi(X, cells)
     gmax = _dense_net_max(X, dirs, hdirs)
     eps = 1e-7 * R_b
@@ -411,6 +418,85 @@ def test_mc_net_max_one_row_block_matches_a_larger_block():
             one, i_one = _net_max(X[i:i + 1], *net)
             assert one.shape == (1,)
             assert one[0] == block[i] and i_one[0] == i_block[i], (rows, i)
+
+
+def _dense_max_argmax(X, dirs, hdirs):
+    # the dense product in 64-row blocks: gemm, and np.argmax takes the
+    # lowest index on ties
+    gmax, imax = np.empty(len(X)), np.empty(len(X), dtype=np.intp)
+    for a in range(0, len(X), 64):
+        P = X[a:a + 64] @ dirs.T - hdirs
+        gmax[a:a + 64], imax[a:a + 64] = np.max(P, axis=1), np.argmax(P, 1)
+    return gmax, imax
+
+
+def _candidates_of_dense(X, cells, dirs, hdirs, R_b):
+    # mc_measure's call: floor = the centres' lower bound - 2 eps
+    floor = _net_max(X, *cells[:2])[0] - 2e-7 * R_b
+    return _candidate_max(X, floor, cells, dirs, hdirs)
+
+
+@pytest.mark.parametrize("case", ["disk", "dented", "one_cell", "shift3",
+                                  "battery3", "ball4"])
+def test_mc_candidate_cells_match_the_dense_max_bitwise(case):
+    h, dirs, hdirs, R_b = _bracket_case(case)
+    cells = _net_cells(h, dirs, hdirs)
+    X = _bracket_points(cells, R_b)
+    gmax, imax = _candidates_of_dense(X, cells, dirs, hdirs, R_b)
+    want, i_want = _dense_max_argmax(X, dirs, hdirs)
+    assert np.array_equal(gmax, want)
+    assert np.array_equal(imax, i_want)
+    if case == "disk":
+        # the origin ties every direction; the lowest index wins
+        origin = np.flatnonzero(np.all(X == 0.0, axis=1))
+        assert len(origin) > 0 and np.all(imax[origin] == 0)
+
+
+def test_mc_candidate_cells_lone_row_and_lone_column_match_dense():
+    # lone rows: one sample at a time, so every cell product has one row.
+    # Lone columns: a 64-direction disk net, one direction per cell
+    h, dirs, hdirs, R_b = _bracket_case("shift3")
+    cells = _net_cells(h, dirs, hdirs)
+    X = _bracket_points(cells, R_b)[::97]
+    want, i_want = _dense_max_argmax(X, dirs, hdirs)
+    for i in range(len(X)):
+        got, i_got = _candidates_of_dense(X[i:i + 1], cells, dirs, hdirs, R_b)
+        assert got[0] == want[i] and i_got[0] == i_want[i], i
+    h, dirs, hdirs, R_b = _bracket_case("disk")
+    dirs, hdirs = dirs[::16], hdirs[::16]
+    cells = _net_cells(h, dirs, hdirs)
+    assert all(len(members) == 1 for members in cells[6])
+    X = _bracket_points(cells, R_b)
+    gmax, imax = _candidates_of_dense(X, cells, dirs, hdirs, R_b)
+    want, i_want = _dense_max_argmax(X, dirs, hdirs)
+    assert np.array_equal(gmax, want)
+    assert np.array_equal(imax, i_want)
+
+
+def _traced_mc_batch(measure, body, seed):
+    tracemalloc.start()
+    try:
+        est = mc_measure(measure, body, n_samples=MC_BATCH, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return est, peak / 2 ** 20
+
+
+def test_mc_batch_traced_peak_is_bounded(exp1, gaussian):
+    # a near-boundary sample meets only its candidate cells, so no
+    # _ROW_BLOCK x len(dirs) block of the whole net is formed.  One batch of
+    # criterion 10's shifted body (n = 3) peaks at 7.7 MiB (22.2 when every
+    # such row met the full net); the n = 4 batch at 27.3 MiB (40.0), with
+    # its estimate unchanged
+    est, peak = _traced_mc_batch(
+        exp1, _near_ball(3, 10, 0.15, "first_harmonic"), seed=3)
+    assert est.value == 2.000046092746024 and est.refined == 580
+    assert peak < 12.0
+    est, peak = _traced_mc_batch(
+        gaussian, _near_ball(4, 8, 0.2, "second_harmonic"), seed=5)
+    assert est.value == 3.483768838688837 and est.refined == 8083
+    assert peak < 32.0
 
 
 def test_mc_bounding_radius_covers_the_body(exp1):

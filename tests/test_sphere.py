@@ -474,3 +474,23 @@ def test_third_derivatives_symmetric(grid3):
     assert np.max(np.abs(T - np.transpose(T, (0, 2, 1, 3)))) < 1e-12
     assert np.max(np.abs(T - np.transpose(T, (0, 1, 3, 2)))) < 1e-12
     assert np.max(np.abs(T - np.transpose(T, (0, 3, 2, 1)))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shared_power_table_is_bitwise_the_per_term_powers(n):
+    # one d2_ext0 or third1 call forms each power of a coordinate and of |x|
+    # once; every entry equals the derivative evaluated on its own, whose
+    # powers are formed term by term
+    rng = np.random.default_rng(3)
+    U = rng.standard_normal((500, n))
+    for _, _, f in direction_suite(n):
+        d, derivs = f.d2_ext0(U), f._derivs(0, 2)
+        T, derivs3 = f.third1(U), f._derivs(1, 3)
+        assert np.array_equal(d.val, derivs[()].eval(U))
+        for i in range(n):
+            assert np.array_equal(d.grad[:, i], derivs[(i,)].eval(U))
+            for j in range(i, n):
+                assert np.array_equal(d.hess[:, i, j], derivs[(i, j)].eval(U))
+                for k in range(j, n):
+                    assert np.array_equal(T[:, i, j, k],
+                                          derivs3[(i, j, k)].eval(U))
