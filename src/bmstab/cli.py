@@ -84,11 +84,6 @@ def identity_battery():
             for mu in (LEB, GAU, EP1, EP3):
                 checks.append({"kind": "moment_identities",
                                "params": {"n": n, "R": R, "measure": mu}})
-    for n in (2, 3):
-        for mu in (LEB, GAU, EP3):
-            for name in ("constant", "second_harmonic"):
-                checks.append(_ball_check("second_variation_routes", n, 1.1,
-                                          mu, name))
     bases = {
         2: {"type": "sum", "parts": [
             [1.0, {"type": "constant", "value": 1.0}],
@@ -117,10 +112,6 @@ def default_battery():
                 if name != "first_harmonic":
                     checks.append(_ball_check("log_bm_infinitesimal", n, 1.0,
                                               mu, name))
-            checks.append(_ball_check("dim_bm_decomposition", n, 1.0, mu,
-                                      "random_even"))
-            checks.append(_ball_check("logbm_ball_form", n, 0.8, mu,
-                                      "second_harmonic"))
     for n in (2, 3, 4):
         for R in (0.7, 1.0, 1.5):
             for mu in (LEB, GAU, EP3):

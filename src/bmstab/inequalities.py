@@ -148,13 +148,6 @@ def _at_ball(params):
     return n, R, g, mu, psi, variation_at_ball(mu, R, psi, g)
 
 
-def _ball_form_gap(margin, raw, lhs, rhs, R, n):
-    """The variation-route margin raw normalized by |S|^2 R^{2n-2}, and its
-    gap to the ball-form margin lhs - rhs relative to the larger side."""
-    normalized = raw / (sphere_area(n) ** 2 * R ** (2 * n - 2))
-    return normalized, abs(margin - normalized) / max(abs(lhs), abs(rhs), 1.0)
-
-
 def _polygon(h, m):
     """Circumscribed polygon of the support h at m equally spaced planar
     directions."""
@@ -201,10 +194,20 @@ def check_dim_bm_infinitesimal(params):
     """(1 - 1/n) g'(0)^2 - g''(0) g(0) >= 0 along h_s = R + s psi.
 
     The margin is divided by g(0)^2, so it reads -n (g^{1/n})'' / g^{1/n}
-    at s = 0: zero, up to rounding, along translations."""
+    at s = 0: zero, up to rounding, along translations.  details carry
+    raw_margin and its split into two quadratic forms,
+
+        B1 = (A f / |S|) ((n-1) I2 - J2) + (A R f' / |S|) I2,
+        B2 = ((n-1)/n) f^2 (I0 / |S|)^2,
+
+    with B2 - B1 = raw_margin / (|S|^2 R^{2n-2})."""
     n, R, g, mu, psi, var = _at_ball(params)
     raw = (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0
     margin = raw / var.g0 ** 2
+    S, A, fR, fpR = sphere_area(n), var.A, var.fR, var.fpR
+    I2, J2 = var.int_psi_sq, var.int_grad_sq
+    B1 = (A * fR / S) * ((n - 1) * I2 - J2) + (A * R * fpR / S) * I2
+    B2 = (n - 1) / n * fR ** 2 * (var.int_psi / S) ** 2
 
     g2k, kernel = _ball_kernel("additive", R, psi, g, mu, var)
     route = var.route_gap / max(abs(var.g2), 1e-2 * max(1.0, abs(var.g0)))
@@ -213,16 +216,38 @@ def check_dim_bm_infinitesimal(params):
         DEFAULT_MARGIN_TOL, "ge", R=R, oracle_diff=max(route, kernel),
         details={"g0": var.g0, "g1": var.g1, "g2": var.g2,
                  "g2_profile": var.g2_profile, "g2_kernel": g2k,
-                 "raw_margin": raw, "psi_parity": psi.parity()})
+                 "raw_margin": raw, "B1": B1, "B2": B2,
+                 "psi_parity": psi.parity()})
 
 
 @_check(_BALL)
 def check_log_bm_infinitesimal(params):
     """g'(0)^2 - g''_mult(0) g(0) >= 0 (concavity of log gamma along the
     geometric family through the ball); stated for even directions, an
-    expected failure along any other."""
+    expected failure along any other.  details carry the ball form
+
+        lhs = A (n f + R f') I2/|S| - A f J2/|S|  <=  f^2 (I0/|S|)^2 = rhs,
+
+    with rhs - lhs = (g'(0)^2 - g''_mult(0) g(0)) / (|S|^2 R^{2n-2}), its
+    split into the mean and oscillation parts of psi (contrib_mean,
+    contrib_osc), and sufficient_condition for the oscillation part: the
+    zero-mean component's Rayleigh quotient rayleigh_osc is at least 2n and
+    profile_ratio = f / (n f + R f') at least 1/n."""
     n, R, g, mu, psi, var = _at_ball(params)
     margin = (var.g1 ** 2 - var.g2_mult * var.g0) / var.g0 ** 2
+    S, A, fR, fpR = sphere_area(n), var.A, var.fR, var.fpR
+    I2, J2, alpha = var.int_psi_sq, var.int_grad_sq, n * fR + R * fpR
+    lhs = A * alpha * I2 / S - A * fR * J2 / S
+    mean = var.int_psi / S
+    rhs = fR ** 2 * mean ** 2
+    I2_osc = I2 - mean ** 2 * S
+    contrib_mean = (fR ** 2 - A * alpha) * mean ** 2
+    contrib_osc = (A * fR * J2 - A * alpha * I2_osc) / S
+    rayleigh_osc = J2 / I2_osc if I2_osc > 1e-300 else float("inf")
+    profile_ratio = fR / alpha if abs(alpha) > 1e-300 else float("inf")
+    sufficient = bool(rayleigh_osc >= 2 * n - 1e-8
+                      and profile_ratio >= 1.0 / n - 1e-12)
+
     g2k, kernel = _ball_kernel("multiplicative", R, psi, g, mu, var)
     return _result(
         "log_bm_infinitesimal", params, n, _measure_name(mu), margin,
@@ -230,31 +255,11 @@ def check_log_bm_infinitesimal(params):
         expected_failure=psi.parity() != "even", oracle_diff=kernel,
         details={"g0": var.g0, "g1": var.g1, "g2_mult": var.g2_mult,
                  "g2_mult_kernel": g2k, "log_corr": var.log_corr,
+                 "lhs": lhs, "rhs": rhs, "contrib_mean": contrib_mean,
+                 "contrib_osc": contrib_osc, "rayleigh_osc": rayleigh_osc,
+                 "profile_ratio": profile_ratio,
+                 "sufficient_condition": sufficient,
                  "psi_parity": psi.parity()})
-
-
-@_check(_BALL)
-def check_dim_bm_decomposition(params):
-    """Split of the dimensional margin into the two named quadratic forms:
-
-        B1 = (A f / |S|) ((n-1) I2 - J2) + (A R f' / |S|) I2,
-        B2 = ((n-1)/n) f^2 (I0 / |S|)^2,
-
-    margin = B2 - B1 >= 0; cross-checked against the variation route, which
-    it must reproduce up to rounding after normalizing by |S|^2 R^{2n-2}."""
-    n, R, g, mu, psi, var = _at_ball(params)
-    S = sphere_area(n)
-    A, fR, fpR = var.A, var.fR, var.fpR
-    I0, I2, J2 = var.int_psi, var.int_psi_sq, var.int_grad_sq
-    B1 = (A * fR / S) * ((n - 1) * I2 - J2) + (A * R * fpR / S) * I2
-    B2 = (n - 1) / n * fR ** 2 * (I0 / S) ** 2
-    margin = B2 - B1
-    normalized, identity_gap = _ball_form_gap(
-        margin, (n - 1) / n * var.g1 ** 2 - var.g2 * var.g0, B1, B2, R, n)
-    return _result(
-        "dim_bm_decomposition", params, n, _measure_name(mu), margin,
-        DEFAULT_MARGIN_TOL, "ge", R=R, oracle_diff=identity_gap,
-        details={"B1": B1, "B2": B2, "variation_margin_normalized": normalized})
 
 
 @_check("n R measure")
@@ -284,47 +289,6 @@ def check_ball_dilation(params):
         DEFAULT_MARGIN_TOL, "ge", R=R, oracle_diff=odiff,
         details={"G": G, "G1": G1, "G2": G2, "G1_fd": fd1, "G2_fd": fd2,
                  "raw_margin": margin})
-
-
-@_check(_BALL)
-def check_logbm_ball_form(params):
-    """Quadratic-form shape of the log concavity margin at the ball:
-
-        A (n f + R f') I2/|S| - A f J2/|S|  <=  f^2 (I0/|S|)^2
-
-    for even directions (an expected failure along any other), split into
-    mean and oscillation contributions."""
-    n, R, g, mu, psi, var = _at_ball(params)
-    S = sphere_area(n)
-    A, fR, fpR = var.A, var.fR, var.fpR
-    I0, I2, J2 = var.int_psi, var.int_psi_sq, var.int_grad_sq
-    lhs = A * (n * fR + R * fpR) * I2 / S - A * fR * J2 / S
-    rhs = fR ** 2 * (I0 / S) ** 2
-    margin = rhs - lhs
-    _, identity_gap = _ball_form_gap(
-        margin, var.g1 ** 2 - var.g2_mult * var.g0, lhs, rhs, R, n)
-    # mean / oscillation split of the direction
-    mean = I0 / S
-    I2_osc = I2 - mean ** 2 * S
-    J2_osc = J2
-    contrib_mean = (fR ** 2 - A * (n * fR + R * fpR)) * mean ** 2
-    contrib_osc = (A * fR * J2_osc - A * (n * fR + R * fpR) * I2_osc) / S
-    # sufficient-condition chain for the oscillation part: spectral gap of
-    # the zero-mean component at least 2n, and the profile ratio at least 1/n
-    rayleigh_osc = J2_osc / I2_osc if I2_osc > 1e-300 else float("inf")
-    profile_ratio = (fR / (n * fR + R * fpR)
-                     if abs(n * fR + R * fpR) > 1e-300 else float("inf"))
-    case1 = bool(rayleigh_osc >= 2 * n - 1e-8
-                 and profile_ratio >= 1.0 / n - 1e-12)
-    return _result(
-        "logbm_ball_form", params, n, _measure_name(mu), margin,
-        DEFAULT_MARGIN_TOL, "ge", R=R,
-        expected_failure=psi.parity() != "even", oracle_diff=identity_gap,
-        details={"lhs": lhs, "rhs": rhs, "contrib_mean": contrib_mean,
-                 "contrib_osc": contrib_osc, "psi_parity": psi.parity(),
-                 "rayleigh_osc": rayleigh_osc,
-                 "profile_ratio": profile_ratio,
-                 "sufficient_condition": case1})
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +576,6 @@ def check_divergence_identities(params):
         1e-11, "le", R=params.get("R"),
         details={"cofactor_divergence": cy, "ibp_linear": r1,
                  "ibp_trilinear": r2})
-
-
-@_check(_BALL)
-def check_second_variation_routes(params):
-    """Agreement of the moment-route and profile-route second variations at
-    the ball (these use disjoint measure data)."""
-    n, R, g, mu, psi, var = _at_ball(params)
-    rel = var.route_gap / max(abs(var.g2_moment), abs(var.g2_profile), 1e-30)
-    return _result(
-        "second_variation_routes", params, n, _measure_name(mu), rel,
-        1e-10, "le", R=R,
-        details={"g2_moment": var.g2_moment, "g2_profile": var.g2_profile})
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,8 @@ class VariationAtBall:
       moment route:  radial moments (A, B, C) at scale R only;
       profile route: density value f(R) and slope f'(R) only.
 
-    Both routes' inputs are kept (A, fR, fpR) for the ball-form checks.
+    Both routes' inputs (A, fR, fpR) are kept: the two infinitesimal checks
+    form their ball-form details (B1, B2; lhs, rhs) from them.
     """
     n: int
     R: float

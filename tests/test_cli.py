@@ -183,9 +183,6 @@ PARAM_ERRORS = [
     ("expect-failure-log-bm", "log_bm_infinitesimal",
      {**LEB_FIRST_2D, "expect_failure": True},
      "unknown key 'expect_failure' for log_bm_infinitesimal"),
-    ("expect-failure-ball-form", "logbm_ball_form",
-     {**LEB_FIRST_2D, "expect_failure": True},
-     "unknown key 'expect_failure' for logbm_ball_form"),
     ("expect-failure-log-scan", "scan_log_bm",
      {**LEB_FIRST_2D, "expect_failure": True},
      "unknown key 'expect_failure' for scan_log_bm"),
@@ -440,7 +437,7 @@ def test_list_checks(capsys):
     rc = cli.main(["list-checks"])
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-    assert len(lines) == 14
+    assert len(lines) == 11
     names = {l.split()[0] for l in lines}
     assert names == set(cli.CHECKS)
 
@@ -462,7 +459,7 @@ def test_verify_identities_battery(tmp_path, capsys):
     rc = cli.main(["verify-identities", "--out", str(tmp_path / "out")])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "39 checks, 39 passed, 0 failed" in out
+    assert "27 checks, 27 passed, 0 failed" in out
 
 
 def test_version_flag(capsys):
@@ -510,9 +507,7 @@ def test_every_check_kind_is_cross_checked(first_battery_results):
 SENSE_STATEMENTS = {
     "dim_bm_infinitesimal": ("ge", "g''(0) g(0) >= 0"),
     "log_bm_infinitesimal": ("ge", "g''_mult(0) g(0) >= 0"),
-    "dim_bm_decomposition": ("ge", "margin = B2 - B1 >= 0"),
     "ball_dilation": ("ge", "G''(R) G(R) <= (1 - 1/n) G'(R)^2"),
-    "logbm_ball_form": ("ge", "<= f^2 (I0/|S|)^2"),
     "scan_dim_bm": ("ge", "is at least the chord value"),
     "scan_log_bm": ("ge", "dominates the chord"),
     "shift_counterexample": ("ge", "area(K_2))/2 >= 0 fails"),
@@ -521,7 +516,6 @@ SENSE_STATEMENTS = {
     "polygon_agreement": ("le", "the polygon is larger by O(1/m^2)"),
     "moment_identities": ("le", "Residuals of"),
     "divergence_identities": ("le", "residual"),
-    "second_variation_routes": ("le", "Agreement of"),
 }
 
 
@@ -536,7 +530,7 @@ def test_every_check_records_the_sense_of_its_statement(first_battery_results):
 def test_identity_battery_is_valid():
     cfg = {"schema_version": 1, "checks": cli.identity_battery()}
     cli.validate_config(cfg)
-    assert len(cfg["checks"]) == 39
+    assert len(cfg["checks"]) == 27
 
 
 def test_validate_config_rejects_non_dict():
@@ -608,7 +602,7 @@ def test_battery_infinitesimal_oracles_agree():
 
 def test_battery_check_ids_are_unique(battery_results):
     ids = [r.check_id for r in battery_results]
-    assert len(ids) == 139
+    assert len(ids) == 115
     assert len(set(ids)) == len(ids)
     # the run log's second field is the id
     assert all(len(cid.split()) == 1 for cid in ids)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bmstab.bodies import PerturbationFamily
+from bmstab.cli import default_battery
 from bmstab.funcspecs import sf_from_spec
 from bmstab.inequalities import (CHECKS, DEFAULT_MARGIN_TOL, CheckResult,
                                  _result, rerun, run_check)
@@ -25,7 +26,7 @@ RAND = {"type": "random_even", "seed": 20240817, "amplitude": 1.0}
 
 
 def test_registry_contents():
-    assert len(CHECKS) == 14
+    assert len(CHECKS) == 11
     for kind, fn in CHECKS.items():
         assert callable(fn)
         assert fn.__doc__, f"{kind} has no docstring"
@@ -156,38 +157,47 @@ def test_log_bm_odd_direction_is_expected_failure():
         run_check("log_bm_infinitesimal", {**params, "expect_failure": True})
 
 
-@pytest.mark.parametrize("kind,measure,psi,status,margin", [
-    ("logbm_ball_form", LEB, FIRST, "XFAIL", -0.25),
+@pytest.mark.parametrize("kind,measure,psi,status,ball_form_margin", [
+    ("log_bm_infinitesimal", LEB, FIRST, "XFAIL", -0.25),
     ("scan_log_bm", LEB, FIRST, "XFAIL", None),
-    # odd, but the violation does not materialize: still a failure
-    ("logbm_ball_form", GAU, FIRST, "FAIL", None),
     # neither even nor odd is not even either
     ("log_bm_infinitesimal", LEB,
      {"type": "sum", "parts": [[1.0, SECOND], [1e-3, FIRST]]}, "FAIL", None),
-], ids=["ball-form-odd", "log-scan-odd", "ball-form-odd-gaussian",
-        "log-bm-mixed"])
+], ids=["ball-form-odd", "log-scan-odd", "log-bm-mixed"])
 def test_expected_failure_follows_psi_parity(kind, measure, psi, status,
-                                             margin):
+                                             ball_form_margin):
     res = run_check(kind, {"n": 2, "R": 1.0, "measure": measure,
                            "resolution": 64, "psi": psi})
     assert res.expected_failure
     assert res.details["psi_parity"] != "even"
     assert res.status == status
-    if margin is not None:
-        assert res.margin == pytest.approx(margin, abs=1e-10)
+    if ball_form_margin is not None:
+        d = res.details
+        assert d["rhs"] - d["lhs"] == pytest.approx(ball_form_margin,
+                                                    abs=1e-10)
 
 
-def test_dim_bm_decomposition_identity():
-    res = run_check("dim_bm_decomposition",
-                    {"n": 2, "R": 1.0, "measure": GAU, "resolution": 160,
-                     "psi": RAND, "psi_name": "random_even"})
-    assert res.passed
-    assert res.oracle_diff < 1e-11  # B2-B1 reconstruction of the margin
-    assert "B1" in res.details and "B2" in res.details
-
-
-def test_logbm_ball_form_fields():
-    res = run_check("logbm_ball_form",
+def test_ball_forms_restate_the_infinitesimal_margins():
+    # the 42 infinitesimal rows of the default battery: B2 - B1 and
+    # rhs - lhs are the raw margins over |S|^2 R^{2n-2}
+    items = [c for c in default_battery()
+             if c["kind"] in ("dim_bm_infinitesimal", "log_bm_infinitesimal")]
+    assert len(items) == 42
+    for item in items:
+        p = item["params"]
+        res = run_check(item["kind"], p)
+        d = res.details
+        scale = sphere_area(p["n"]) ** 2 * p["R"] ** (2 * p["n"] - 2)
+        if res.kind == "dim_bm_infinitesimal":
+            lhs, rhs, raw = d["B1"], d["B2"], d["raw_margin"]
+        else:
+            lhs, rhs = d["lhs"], d["rhs"]
+            raw = d["g1"] ** 2 - d["g2_mult"] * d["g0"]
+        bound = 1e-11 * max(abs(lhs), abs(rhs), 1.0)
+        assert abs((rhs - lhs) - raw / scale) <= bound, res.check_id
+    # the sufficient condition for the oscillation part: the second
+    # harmonic's spectral gap 2n, and the Gaussian profile ratio above 1/n
+    res = run_check("log_bm_infinitesimal",
                     {"n": 2, "R": 0.8, "measure": GAU, "resolution": 160,
                      "psi": SECOND, "psi_name": "second_harmonic"})
     assert res.passed
@@ -379,14 +389,6 @@ def test_moment_identities_check(measure):
                             {"n": n, "R": R, "measure": measure})
             assert res.passed
             assert res.margin < 1e-10
-
-
-def test_second_variation_routes_check():
-    res = run_check("second_variation_routes",
-                    {"n": 3, "R": 1.1, "measure": EP3, "resolution": 16,
-                     "psi": SECOND, "psi_name": "second_harmonic"})
-    assert res.passed
-    assert res.margin < 1e-10
 
 
 def test_divergence_identities_check():

@@ -508,8 +508,10 @@ def test_mc_bounding_radius_covers_the_body(exp1):
     assert est.radius >= 1.15
 
 
+# VmHWM is the probe's own peak: ru_maxrss would carry over the high-water
+# mark of the process that started it
 _MEMORY_PROBE = """
-import json, resource
+import json
 import bmstab as bm
 from bmstab.oracles import MC_BATCH, mc_measure
 gau = bm.make_measure("gaussian")
@@ -518,7 +520,9 @@ for n, res in ((3, 10), (4, 8)):
     K = bm.ball_body(1.0, bm.build_grid(n, res))
     est = mc_measure(gau, K, n_samples=MC_BATCH, seed=5)
     out[n] = [est.value, est.stderr, bm.measure_of_body(gau, K)]
-out["maxrss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with open("/proc/self/status") as fh:
+    out["vmhwm_kib"] = next(int(line.split()[1]) for line in fh
+                            if line.startswith("VmHWM:"))
 print(json.dumps(out))
 """
 
@@ -533,7 +537,7 @@ def test_mc_measure_memory_is_bounded_through_n4():
     out = json.loads(subprocess.run(
         [sys.executable, "-c", _MEMORY_PROBE], env=env, check=True,
         capture_output=True, text=True).stdout)
-    assert out["maxrss_kib"] < 1 << 20
+    assert out["vmhwm_kib"] < 1 << 20
     for n in ("3", "4"):
         value, stderr, quad = out[n]
         assert stderr > 0

@@ -231,11 +231,13 @@ def test_g_second_ball_closed_forms(grid2, lebesgue, gaussian):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("mkind", ["lebesgue", "gaussian", "exp_power"])
-def test_second_variation_routes_agree(n, mkind):
+@pytest.mark.parametrize("mkind,p", [("lebesgue", None), ("gaussian", None),
+                                     ("exp_power", 1), ("exp_power", 3)],
+                         ids=["lebesgue", "gaussian", "exp_power",
+                              "exp_power3"])
+def test_second_variation_routes_agree(n, mkind, p):
     g = build_grid(n, 160 if n == 2 else 16)
-    mu = make_measure(kind=mkind, p=1) if mkind == "exp_power" \
-        else make_measure(kind=mkind)
+    mu = make_measure(kind=mkind, p=p)
     rng = np.random.default_rng(7 * n)
     if n == 2:
         psi = sf_sum([(rng.normal(), PolynomialSF.constant(2, 1.0)),
@@ -245,7 +247,7 @@ def test_second_variation_routes_agree(n, mkind):
         psi = PolynomialSF(3, {(0, 0, 0): rng.normal(),
                                (1, 1, 0): rng.normal(),
                                (0, 0, 2): rng.normal()})
-    for R in (0.7, 1.0, 1.6):
+    for R in (0.7, 1.0, 1.1, 1.6):
         var = variation_at_ball(mu, R, psi, g)
         scale = max(abs(var.g2_moment), abs(var.g2_profile), 1e-12)
         assert abs(var.g2_moment - var.g2_profile) / scale < 1e-10
