@@ -177,24 +177,42 @@ def test_expected_failure_follows_psi_parity(kind, measure, psi, status,
                                                     abs=1e-10)
 
 
-def test_ball_forms_restate_the_infinitesimal_margins():
-    # the 42 infinitesimal rows of the default battery: B2 - B1 and
-    # rhs - lhs are the raw margins over |S|^2 R^{2n-2}
-    items = [c for c in default_battery()
-             if c["kind"] in ("dim_bm_infinitesimal", "log_bm_infinitesimal")]
-    assert len(items) == 42
+def _battery_rows(kind):
+    return [c for c in default_battery() if c["kind"] == kind]
+
+
+def _ball_scale(p):
+    return sphere_area(p["n"]) ** 2 * p["R"] ** (2 * p["n"] - 2)
+
+
+def test_dim_bm_decomposition_identity():
+    # the 24 dim_bm_infinitesimal rows of the default battery: B2 - B1 is
+    # the raw margin over |S|^2 R^{2n-2}
+    items = _battery_rows("dim_bm_infinitesimal")
+    assert len(items) == 24
     for item in items:
         p = item["params"]
         res = run_check(item["kind"], p)
         d = res.details
-        scale = sphere_area(p["n"]) ** 2 * p["R"] ** (2 * p["n"] - 2)
-        if res.kind == "dim_bm_infinitesimal":
-            lhs, rhs, raw = d["B1"], d["B2"], d["raw_margin"]
-        else:
-            lhs, rhs = d["lhs"], d["rhs"]
-            raw = d["g1"] ** 2 - d["g2_mult"] * d["g0"]
+        lhs, rhs = d["B1"], d["B2"]
         bound = 1e-11 * max(abs(lhs), abs(rhs), 1.0)
-        assert abs((rhs - lhs) - raw / scale) <= bound, res.check_id
+        assert abs((rhs - lhs) - d["raw_margin"] / _ball_scale(p)) <= bound, \
+            res.check_id
+
+
+def test_logbm_ball_form_fields():
+    # the 18 log_bm_infinitesimal rows of the default battery: rhs - lhs
+    # is the raw margin over |S|^2 R^{2n-2}
+    items = _battery_rows("log_bm_infinitesimal")
+    assert len(items) == 18
+    for item in items:
+        p = item["params"]
+        res = run_check(item["kind"], p)
+        d = res.details
+        lhs, rhs = d["lhs"], d["rhs"]
+        raw = d["g1"] ** 2 - d["g2_mult"] * d["g0"]
+        bound = 1e-11 * max(abs(lhs), abs(rhs), 1.0)
+        assert abs((rhs - lhs) - raw / _ball_scale(p)) <= bound, res.check_id
     # the sufficient condition for the oscillation part: the second
     # harmonic's spectral gap 2n, and the Gaussian profile ratio above 1/n
     res = run_check("log_bm_infinitesimal",
