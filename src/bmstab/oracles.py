@@ -5,10 +5,14 @@ The Monte Carlo route samples a ball uniformly and classifies points
 against the support function directly, the polygon route intersects
 half-planes exactly, and the finite-difference helpers only evaluate the
 callables they are given; none of them uses the spherical quadrature or the
-radial-moment machinery.  mc_measure's lower bound on the net maximum is
-_net_max over the cell centres, and a sample near the boundary meets only
-the net directions of the cells whose upper bound reaches that lower bound
-(_candidate_max), never the whole net.  One datum is still borrowed from
+radial-moment machinery.  mc_measure first settles a sample by the inner
+and outer radius of its direction bin (_bin_radii, from the polar-body
+identity rho_K = 1 / h_{K polar} on the net's dual points u_j / h_j; only
+planar nets are split into bins, each of half-angle at most pi/2).  Its
+lower bound on the net maximum is _net_max over the cell centres, and a
+sample near the boundary meets only the net directions of the cells whose
+upper bound reaches that lower bound (_candidate_max), never the whole
+net.  One datum is still borrowed from
 the route under test: mc_measure sizes its uncertainty band with max |Q| of
 the body's curvature matrices at the quadrature nodes (body.curvature.Q).
 ROADMAP.md, item 1, takes that scale from the support function's own sup
@@ -71,6 +75,7 @@ class McEstimate:
     refined: int
     seed: int
     radius: float | None = None     # of the sampled ball, from the net
+    bounded: int = 0                # rows that reached the cell bounds
 
     def agrees_with(self, reference):
         # within four standard errors; the absolute floor covers the
@@ -99,6 +104,85 @@ def _coarse_directions(n):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1234)))
     u = rng.standard_normal((8192, n))
     return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def _unit_rows(Z):
+    """Scale the rows of Z to unit length in place.  The squares are summed
+    column by column into one buffer, in the order of numpy's row reduction
+    up to 7 columns (sequential there), so up to n = 7 the result is bitwise
+    Z / np.linalg.norm(Z, axis=1, keepdims=True) with no (rows, n)
+    temporary."""
+    s = np.square(Z[:, 0])
+    t = np.empty_like(s)
+    for k in range(1, Z.shape[1]):
+        np.square(Z[:, k], out=t)
+        s += t
+    np.sqrt(s, out=s)
+    Z /= s[:, None]
+    return Z
+
+
+def _bin_of(Z, bins):
+    """Direction bin of each unit row of Z: `bins` equal arcs by angle from
+    -pi (planar), or the one bin 0."""
+    if bins == 1:
+        return 0
+    t = np.arctan2(Z[:, 1], Z[:, 0])
+    t += math.pi
+    t *= bins / (2 * math.pi)
+    b = t.astype(np.intp)
+    np.minimum(b, bins - 1, out=b)      # the angle pi itself
+    return b
+
+
+def _bin_radii(dirs, hdirs, s):
+    """Per-bin radii r_in <= r_out: a sample r z with z in bin b (_bin_of)
+    has net maximum g = max_j <r z, u_j> - h_j below -s when r < r_in[b],
+    and above s when r > r_out[b].
+
+    With dual points p_j = u_j / h_j, h_min = min h_j > 0 and
+    Phi(z) = max_j <z, p_j> (the net polygon's radial function is 1 / Phi),
+    each term is h_j (r <z, p_j> - 1), so g <= h_min (r Phi - 1) when
+    r Phi < 1 and g >= h_min (r Phi - 1) when r Phi > 1.  For z within the
+    half-angle delta <= pi/2 of a bin centre z_b, with a = <z_b, p> and
+    q = |<z_b^perp, p>|,
+        min(a, a cos delta) - q sin delta <= <z, p>
+                                          <= max(a, a cos delta) + q sin delta,
+    whose maxima over j bound Phi on the bin.  A planar net gets len/2 arcs
+    (delta widened by 1e-6 for the rounding of arctan2 and the floor in
+    _bin_of); other nets get one bin with Phi <= max |p_j| = 1 / h_min and
+    no outer radius.  The radii are inflated by 1e-9 against rounding."""
+    m, n = dirs.shape
+    bins = m // 2 if n == 2 else 1
+    r_in, r_out = np.zeros(bins), np.full(bins, np.inf)
+    h_min = float(np.min(hdirs))
+    if h_min <= 0.0:
+        return r_in, r_out
+    P = dirs / hdirs[:, None]
+    if bins == 1:
+        phi_hi = np.max(np.linalg.norm(P, axis=1), keepdims=True)
+        phi_lo = np.zeros(1)
+    else:
+        t = (np.arange(bins) + 0.5) * (2 * math.pi / bins) - math.pi
+        delta = math.pi / bins * (1.0 + 1e-6)
+        cos_d, sin_d = math.cos(delta), math.sin(delta)
+        # <z_b, P_perp_j> = <z_b^perp, p_j>
+        P_perp = np.column_stack([P[:, 1], -P[:, 0]])
+        phi_hi, phi_lo = np.empty(bins), np.empty(bins)
+        for a in range(0, bins, 16):
+            Zb = np.column_stack([np.cos(t[a:a + 16]), np.sin(t[a:a + 16])])
+            A = Zb @ P.T
+            Q = np.abs(Zb @ P_perp.T)
+            Q *= sin_d
+            Ac = A * cos_d
+            np.max(np.maximum(A, Ac) + Q, axis=1, out=phi_hi[a:a + 16])
+            np.minimum(A, Ac, out=A)
+            A -= Q
+            np.max(A, axis=1, out=phi_lo[a:a + 16])
+    r_in = np.maximum((1.0 - s / h_min) / phi_hi * (1.0 - 1e-9), 0.0)
+    pos = phi_lo > 0.0
+    r_out[pos] = (1.0 + s / h_min) / phi_lo[pos] * (1.0 + 1e-9)
+    return r_in, r_out
 
 
 def _farthest_points(dirs, k):
@@ -288,8 +372,14 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     make the result independent of scheduling.
 
     Only samples whose net maximum lies within the band need its exact
-    value; the others need only its sign.  Samples inside the inner shell
-    |x| < min(hdirs) - band are certainly inside.  The rest are bounded
+    value; the others need only its sign.  Each sample direction falls in
+    a bin with radii r_in <= r_out (_bin_radii, for s = band + eps): below
+    r_in the sample is certainly inside, beyond r_out certainly outside.
+    A planar net gets len(dirs) / 2 equal arcs of half-angle pi / 512, and
+    a bin's bounds need a half-angle of at most pi/2; other nets get one
+    bin, whose r_in is min(hdirs) - s and whose r_out is infinite.  Of a
+    planar batch of the bump in criterion 10, about 200 rows lie between
+    the radii (McEstimate.bounded).  Those rows are bounded
     from _COARSE cells of the net (_net_cells), lower bound first: _net_max
     over the 64 centres (net directions) above band + eps places a sample
     outside, and only the others get the upper bound _net_hi (chord radius
@@ -319,44 +409,46 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     band = curv_scale * net_gap ** 2
     # max h exceeds the net's maximum by no more than the band
     R_b = (h_top + band) * (1.0 + 1e-12)
-    # |x| < r_in gives a net maximum <= |x| - min(hdirs) < -band: inside,
-    # and never refined (the factor absorbs rounding in <x, u>)
-    r_in = (float(np.min(hdirs)) - band) * (1.0 - 1e-9)
     cells = _net_cells(h, dirs, hdirs)
     # absorbs rounding in the bounds, |v_perp|^2 = |v|^2 - <v, c_k>^2 above all
     eps = 1e-7 * R_b
+    r_in, r_out = _bin_radii(dirs, hdirs, band + eps)
 
     vol_ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * R_b ** n
     batches = (n_samples + MC_BATCH - 1) // MC_BATCH
     total = 0.0
     total_sq = 0.0
     refined = 0
+    bounded = 0
     for b in range(batches):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed, b])))
-        Z = rng.standard_normal((MC_BATCH, n))
-        Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+        Z = _unit_rows(rng.standard_normal((MC_BATCH, n)))
         radii = R_b * rng.random(MC_BATCH) ** (1.0 / n)
-        X = Z * radii[:, None]
 
-        inside = radii < r_in
-        shell = np.flatnonzero(~inside)
+        # rows below their bin's r_in are inside, beyond its r_out outside
+        k = _bin_of(Z, len(r_in))
+        inside = radii < r_in[k]
+        shell = np.flatnonzero(~inside & (radii <= r_out[k]))
+        bounded += len(shell)
+        X = Z[shell] * radii[shell, None]
         # lo above band + eps places a row outside; only the others need hi
-        lo = _net_max(X[shell], *cells[:2])[0]
+        lo = _net_max(X, *cells[:2])[0]
         keep = lo <= band + eps
-        maybe, lo = shell[keep], lo[keep]
-        certain_in = _net_hi(X[maybe], cells) < -band - eps
-        inside[maybe[certain_in]] = True
-        near = maybe[~certain_in]
+        X, shell, lo = X[keep], shell[keep], lo[keep]
+        certain_in = _net_hi(X, cells) < -band - eps
+        inside[shell[certain_in]] = True
+        near = ~certain_in
+        X, shell = X[near], shell[near]
         # a cell whose bound + eps stays below lo - eps cannot hold the max
-        gmax, i0 = _candidate_max(X[near], lo[~certain_in] - 2.0 * eps,
+        gmax, i0 = _candidate_max(X, lo[near] - 2.0 * eps,
                                   cells, dirs, hdirs)
         unsure = np.abs(gmax) <= band
         if np.any(unsure):
             refined += int(np.sum(unsure))
             gmax[unsure] = _polish_support_max(
-                h, X[near[unsure]], dirs[i0[unsure]], gmax[unsure])
-        inside[near] = gmax <= 0.0
+                h, X[unsure], dirs[i0[unsure]], gmax[unsure])
+        inside[shell] = gmax <= 0.0
         fv = np.zeros(MC_BATCH)
         fv[inside] = measure.f(radii[inside])
         total += float(np.sum(fv))
@@ -369,7 +461,7 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     stderr = vol_ball * math.sqrt(var / N)
     return McEstimate(value=value, stderr=stderr, samples=N,
                       batches=batches, refined=refined, seed=seed,
-                      radius=R_b)
+                      radius=R_b, bounded=bounded)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ import bmstab
 from bmstab.bodies import ball_body, body_from_support
 from bmstab.measures import make_measure
 from bmstab.oracles import (_ROW_BLOCK, MC_BATCH, McEstimate, PlanarPolygon,
-                            _candidate_max, _coarse_directions,
-                            _convex_hull_ccw, _net_cells, _net_hi, _net_max,
-                            _polish_support_max, central_derivative,
-                            mc_measure, wulff_polygon)
+                            _bin_of, _bin_radii, _candidate_max,
+                            _coarse_directions, _convex_hull_ccw, _net_cells,
+                            _net_hi, _net_max, _polish_support_max,
+                            _unit_rows, central_derivative, mc_measure,
+                            wulff_polygon)
 from bmstab.sphere import PolynomialSF, build_grid, sf_sum
 from test_sphere import _tangent_frame
 
@@ -471,6 +472,65 @@ def test_mc_candidate_cells_lone_row_and_lone_column_match_dense():
     want, i_want = _dense_max_argmax(X, dirs, hdirs)
     assert np.array_equal(gmax, want)
     assert np.array_equal(imax, i_want)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_unit_rows_match_the_numpy_row_norm_bitwise(n):
+    # mc_measure's normalisation of its sample directions, up to n = 7,
+    # where numpy's row reduction is sequential
+    Z = np.random.default_rng(n).standard_normal((MC_BATCH, n))
+    want = Z / np.linalg.norm(Z, axis=1, keepdims=True)
+    assert np.array_equal(_unit_rows(Z), want)
+
+
+def _bin_radii_case(case):
+    # a planar net of _bracket_case with mc_measure's s = band + eps; the
+    # synthetic nets take the band of the unit disk, whose net they alter
+    h, dirs, hdirs, R_b = _bracket_case(case)
+    body = (_near_ball(2, 96, 0.1, "second_harmonic") if case == "bump"
+            else ball_body(1.0, build_grid(2, 96)))
+    band = _sampling_ball(body)[2]
+    return dirs, hdirs, band + 1e-7 * R_b, R_b
+
+
+@pytest.mark.parametrize("case", ["disk", "bump", "dented", "one_cell"])
+def test_mc_bin_radii_bracket_the_dense_net_max(case):
+    # directions: random ones, each at one of the three radii below in turn,
+    # and every bin edge with its neighbours (-pi and pi included) at all
+    # three.  Radii: just inside the bin's r_in, just outside its r_out, and
+    # uniform in the sampled ball
+    dirs, hdirs, s, R_b = _bin_radii_case(case)
+    r_in, r_out = _bin_radii(dirs, hdirs, s)
+    bins = len(r_in)
+    assert bins == len(dirs) // 2
+    rng = np.random.default_rng(23)
+    edges = np.linspace(-math.pi, math.pi, bins + 1)
+    edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                            np.nextafter(edges, np.inf)])
+    t = np.concatenate([rng.uniform(-math.pi, math.pi, 200_000),
+                        np.tile(edges, 3)])
+    kind = np.concatenate([np.arange(200_000) % 3,
+                           np.repeat([0, 1, 2], len(edges))])
+    Z = np.column_stack([np.cos(t), np.sin(t)])
+    b = _bin_of(Z, bins)
+    assert b.min() == 0 and b.max() == bins - 1
+    r = np.choose(kind, [r_in[b] * (1.0 - 1e-12), r_out[b] * (1.0 + 1e-12),
+                         R_b * rng.random(len(t))])
+    ok = np.isfinite(r)
+    Z, r, b = Z[ok], r[ok], b[ok]
+    g = _dense_max_argmax(Z * r[:, None], dirs, hdirs)[0]
+    below, above = r < r_in[b], r > r_out[b]
+    assert np.sum(below) > 200_000 // 3 and np.sum(above) > 0
+    assert np.all(g[below] < -s)
+    assert np.all(g[above] > s)
+
+
+def test_mc_bin_radii_leave_few_rows_to_the_cell_bounds(gaussian):
+    # one planar batch: of the 21,600 rows outside the disk of radius
+    # min h - band, only those between their bin's radii reach the cells
+    est = mc_measure(gaussian, _MC_BODIES["bump"](), n_samples=MC_BATCH,
+                     seed=31)
+    assert 0 < est.bounded < 500
 
 
 def _traced_mc_batch(measure, body, seed):
