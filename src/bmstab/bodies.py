@@ -188,8 +188,8 @@ class PerturbationFamily:
     same at every node, as a ball's dilation is, is node-uniform: its
     kernels and radius search evaluate node 0 only, and meet the grid
     weights in the final sum.  A chunk of at most _CHEB_POINTS scales still
-    reaches radial_profile as the full (S, m) batch, so it takes the same
-    branch, and every result is bitwise that of evaluating every node."""
+    reaches the radial profile as the full (S, m) batch, so it takes the
+    same route, and every result is bitwise that of evaluating every node."""
 
     kind: str
     base: SphericalFunction
@@ -256,60 +256,81 @@ class PerturbationFamily:
         # x at the evaluated nodes: node 0 alone for a node-uniform family
         return x[self._nodes] if np.ndim(x) else x
 
-    def _values(self, s):
-        # h_s at the evaluated nodes for parameters s shaped (S, 1, 1, 1)
+    def _values(self, s, out=None):
+        # h_s at the evaluated nodes, shaped (S, m), for S parameters s (any
+        # shape), into out if given
         v0, v1 = self._node(self.v0), self._node(self.v1)
+        s = np.reshape(s, (-1, 1))
         if self.kind == "additive":
-            return v0 + s[..., 0, 0] * v1
-        return v0 * v1 ** s[..., 0, 0]
+            return np.add(v0, np.multiply(s, v1, out=out), out=out)
+        return np.multiply(v0, np.power(v1, s, out=out), out=out)
 
     def _expansions(self, s_values):
         # per chunk of _S_CHUNK parameters about its centre s_c: the chunk's
-        # start, t = s - s_c shaped (S, 1), h_s at the evaluated nodes, and
-        # their coefficients in t of det Q(h_s) / w^(n-1) and of D(s)^2 / w^2
+        # start and parameters, t = s - s_c shaped (S, 1), and the node
+        # coefficients in t of det Q(h_s) / w^(n-1) and of D(s)^2 / w^2,
+        # which are formed in the yield so that no chunk's outlive it here
         if s_values.ndim != 1:
             raise ValueError(
                 f"s_values must be 1-D, got shape {s_values.shape}")
         u0, u1, C0, C1, C2 = (self._node(x) for x in (
             self.u0, self.u1, self.C0, self.C1, self.C2))
+        extra = [C2] if self.kind == "multiplicative" else []
         for lo in range(0, s_values.size, _S_CHUNK):
             sl = s_values[lo:lo + _S_CHUNK]
             sc = 0.5 * (sl.min() + sl.max())
-            mats = [C0 + sc * (C1 + sc * C2), C1 + 2.0 * sc * C2]
-            if self.kind == "multiplicative":
-                mats.append(C2)
             uc = u0 + sc * u1
-            q = poly_mul([uc, u1], np.stack([uc, u1])).sum(axis=2)
-            h = self._values(sl.reshape(-1, 1, 1, 1))
-            yield lo, (sl - sc)[:, None], h, det_poly(mats), q
+            yield (lo, sl, (sl - sc)[:, None],
+                   det_poly([C0 + sc * (C1 + sc * C2), C1 + 2.0 * sc * C2]
+                            + extra),
+                   poly_mul([uc, u1], np.stack([uc, u1])).sum(axis=2))
 
-    def _profile(self, measure, D, powers):
-        # radial moments at scales D, shaped (len(powers),) + D.shape, by
-        # the branch of radial_profile that the full (S, m) batch takes
+    def _batch(self, D):
+        # scales D (S, evaluated nodes) as the radial profile must see them
+        # to take the route of the full (S, m) batch
         if D.size <= _measures._CHEB_POINTS:
-            D = np.broadcast_to(D, (D.shape[0], self.grid.count))
-        A = _measures.radial_profile(measure, D, self.grid.n, powers)
-        return A.reshape((len(powers),) + D.shape)
+            return np.broadcast_to(D, (D.shape[0], self.grid.count))
+        return D
 
     def measures_along(self, measure, s_values):
         """gamma(K_{h_s}) for a 1-D batch of parameters (no per-s validation;
         callers must stay inside the validity radius).  Per chunk of
         _S_CHUNK parameters, det Q(h_s) / w^(n-1) and D(s)^2 / w^2 are exact
         polynomials in t = s - s_c about the chunk's centre s_c (at s = 0
-        they cancel near s = -a), evaluated in place by sphere.horner, at
-        node 0 only for a node-uniform family (_CHEB_POINTS guard above)."""
+        they cancel near s = -a), evaluated by sphere.horner, at node 0 only
+        for a node-uniform family (_CHEB_POINTS guard above).  One (S, m)
+        buffer per call holds a chunk's D(s), which picks the radial route,
+        then its rows f A w; tiles of _CHEB_BLOCK scales keep h_s, f and the
+        in-place Clenshaw pass in cache, bitwise the one-pass product."""
         s_values = np.asarray(s_values, dtype=float)
         out = np.empty(s_values.size)
         w, n = self.grid.weights, self.grid.n
-        for lo, t, h, p, q in self._expansions(s_values):
-            D = np.sqrt(horner(q, t))
-            if self.kind == "additive":
-                f = h * horner(p, t)
-            else:
-                f = h ** n * horner(p, t)
-                D = h * D
-            A = self._profile(measure, D, (0,))[0]
-            out[lo:lo + _S_CHUNK] = (f * A * w).sum(axis=1)
+        k = self._node(self.v0).size                # evaluated nodes
+        S = min(s_values.size, _S_CHUNK)
+        rows = min(S, max(1, _measures._CHEB_BLOCK // k))   # per tile
+        buf = np.empty((S, w.size))
+        hf = np.empty((2, rows, k))
+        work = np.empty((5, rows * k))
+        for lo, sl, t, p, q in self._expansions(s_values):
+            rows_f = buf[:sl.size]              # D(s), then f A w
+            D = rows_f[:, :k]
+            tiles = [slice(i, i + rows) for i in range(0, sl.size, rows)]
+            for r in tiles:
+                Dr = np.sqrt(horner(q, t[r], out=D[r]), out=D[r])
+                if self.kind == "multiplicative":
+                    Dr *= self._values(sl[r], out=hf[0, :len(Dr)])
+            fit, A = _measures._profile_fit(
+                measure, self._batch(D).ravel(), n, (0,))
+            for r in tiles:
+                h, f = hf[:, :len(sl[r])]
+                self._values(sl[r], out=h)
+                horner(p, t[r], out=f)
+                f *= h if self.kind == "additive" else np.power(h, n, out=h)
+                f *= (A.reshape(sl.size, -1)[r, :k] if fit is None else
+                      _measures._clenshaw(D[r], fit, work).reshape(f.shape))
+                np.multiply(f, w, out=rows_f[r])
+            out[lo:lo + _S_CHUNK] = rows_f.sum(axis=1)
+            del p, q                # before the next chunk's are formed
         return out
 
     def derivatives_along(self, measure, s_values):
@@ -329,7 +350,8 @@ class PerturbationFamily:
         out = np.empty((3, s_values.size))
         w, n = self.grid.weights, self.grid.n
         v1 = self._node(self.v1)
-        for lo, t, h, p, q in self._expansions(s_values):
+        for lo, sl, t, p, q in self._expansions(s_values):
+            h = self._values(sl)
             P = [horner(polyder(p, k), t) for k in range(3)]
             q0, q1, q2 = (horner(polyder(q, k), t) for k in range(3))
             E = np.sqrt(q0)                 # D / w and its derivatives
@@ -341,7 +363,9 @@ class PerturbationFamily:
                 L = np.log(v1)
                 H = _leibniz([h ** n * (n * L) ** k for k in range(3)], P)
                 D = _leibniz([h * L ** k for k in range(3)], D)
-            A, B, C = self._profile(measure, D[0], (0, 1, 2))
+            Db = self._batch(D[0])
+            A, B, C = _measures.radial_profile(
+                measure, Db, n, (0, 1, 2)).reshape((3,) + Db.shape)
             terms = _leibniz(H, [A, B * D[1], C * D[1] ** 2 + B * D[2]])
             out[:, lo:lo + _S_CHUNK] = (np.stack(terms) * w).sum(axis=2)
         return out[0], out[1], out[2]

@@ -36,7 +36,7 @@ _CHEB_POINTS = 14            # radial_profile's Chebyshev interpolation points
 _CHEB_X = chebyshev.chebpts1(_CHEB_POINTS)
 _CHEB_T = chebyshev.chebvander(_CHEB_X, _CHEB_POINTS - 1).T * (2 / _CHEB_POINTS)
 _CHEB_T[0] *= 0.5
-_CHEB_BLOCK = 16384          # scales per Clenshaw pass: 128 KiB temporaries
+_CHEB_BLOCK = 16384          # scales per Clenshaw tile: 128 KiB buffers in cache
 
 # (G7, K15) Gauss-Kronrod pair on [-1, 1]
 _XGK = np.array([
@@ -266,6 +266,48 @@ def _integrate_profile(measure, D, n, powers):
     return adaptive_gk(fvec, 0.0, 1.0).reshape(len(powers), D.size)
 
 
+def _profile_fit(measure, D, n, powers):
+    """radial_profile's route for the 1-D scales D: (fit, None) when they
+    are interpolated, with fit = (mid, half, coef) the centre and half-width
+    of [min D, max D] and the Chebyshev coefficients (_CHEB_POINTS,
+    len(powers)), else (None, moments) integrated directly, shaped
+    (len(powers), D.size)."""
+    if D.size <= _CHEB_POINTS:
+        return None, _integrate_profile(measure, D, n, powers)
+    lo, hi = D.min(), D.max()
+    if hi == lo:
+        one = _integrate_profile(measure, D[:1], n, powers)
+        return None, np.repeat(one, D.size, axis=1)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    fit = _integrate_profile(measure, mid + half * _CHEB_X, n, powers)
+    coef = (_CHEB_T[:, None, :] * fit).sum(axis=2)          # (K, len(powers))
+    if np.any(np.abs(coef[-2]) + np.abs(coef[-1]) > QUAD_TOL):
+        return None, _integrate_profile(measure, D, n, powers)
+    return (mid, half, coef), None
+
+
+def _clenshaw(D, fit, work, out=None):
+    """The interpolant fit = (mid, half, coef) at the scales D, shaped
+    (len(powers), D.size), into out, else into a view of work (3 len(powers)
+    + 2, >= D.size) that it returns: chebval((D - mid) / half, coef)'s
+    operations in its order, so bitwise equal, in place."""
+    mid, half, coef = fit
+    P, b = coef.shape[1], D.size
+    x, x2 = work[0, :b], work[1, :b]
+    c0, c1, t = (work[2 + k * P:2 + (k + 1) * P, :b] for k in range(3))
+    np.subtract(D, mid, out=x.reshape(D.shape))
+    x /= half
+    np.multiply(x, 2.0, out=x2)
+    c0[:], c1[:] = coef[-2, :, None], coef[-1, :, None]
+    for ck in coef[-3::-1]:
+        np.multiply(c1, x2, out=t)
+        t += c0
+        np.subtract(ck[:, None], c1, out=c0)
+        c1, t = t, c1
+    np.multiply(c1, x, out=t)
+    return np.add(c0, t, out=t if out is None else out)
+
+
 def radial_profile(measure, D, n, powers=(0,)):
     """Vectorized moments over an array of scales D.
 
@@ -273,27 +315,20 @@ def radial_profile(measure, D, n, powers=(0,)):
     Returns an array of shape (len(powers), len(D)).  Up to _CHEB_POINTS
     scales are integrated by adaptive_gk; over more, one repeated scale is
     integrated once, and otherwise the moments at _CHEB_POINTS Chebyshev
-    points of [min D, max D] are interpolated by Clenshaw's recurrence if
-    the last two Chebyshev coefficients of every moment sum to at most
-    QUAD_TOL in absolute value (else every scale is integrated).  Clenshaw
-    runs over blocks of _CHEB_BLOCK scales that fit in cache, bitwise equal
-    to one whole-array pass."""
+    points of [min D, max D] are interpolated if the last two Chebyshev
+    coefficients of every moment sum to at most QUAD_TOL in absolute value
+    (else every scale is integrated).  The interpolant is evaluated by an
+    in-place Clenshaw recurrence over tiles of _CHEB_BLOCK scales, in
+    buffers allocated once per call, bitwise equal to numpy's chebval in
+    one pass over every scale."""
     D = np.asarray(D, dtype=float).ravel()
-    if D.size <= _CHEB_POINTS:
-        return _integrate_profile(measure, D, n, powers)
-    lo, hi = D.min(), D.max()
-    if hi == lo:
-        one = _integrate_profile(measure, D[:1], n, powers)
-        return np.repeat(one, D.size, axis=1)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    fit = _integrate_profile(measure, mid + half * _CHEB_X, n, powers)
-    coef = (_CHEB_T[:, None, :] * fit).sum(axis=2)          # (K, len(powers))
-    if np.any(np.abs(coef[-2]) + np.abs(coef[-1]) > QUAD_TOL):
-        return _integrate_profile(measure, D, n, powers)
+    fit, direct = _profile_fit(measure, D, n, powers)
+    if fit is None:
+        return direct
     out = np.empty((len(powers), D.size))
+    work = np.empty((3 * len(powers) + 2, min(D.size, _CHEB_BLOCK)))
     for i in range(0, D.size, _CHEB_BLOCK):
-        x = (D[i:i + _CHEB_BLOCK] - mid) / half
-        out[:, i:i + _CHEB_BLOCK] = chebyshev.chebval(x, coef)
+        _clenshaw(D[i:i + _CHEB_BLOCK], fit, work, out[:, i:i + _CHEB_BLOCK])
     return out
 
 

@@ -590,10 +590,11 @@ def poly_mul(a, b):
     return out
 
 
-def horner(c, t):
-    """Coefficients c (k, ...) at t by in-place Horner: numpy polyval(t, c,
-    False)'s operations in its order, so bitwise equal, also at k = 1."""
-    out = c[-1] + t * 0.0
+def horner(c, t, out=None):
+    """Coefficients c (k, ...) at t by in-place Horner, into out if given:
+    numpy polyval(t, c, False)'s operations in its order, so bitwise equal,
+    also at k = 1."""
+    out = np.add(c[-1], np.multiply(t, 0.0, out=out), out=out)
     for ck in c[-2::-1]:
         out *= t
         out += ck

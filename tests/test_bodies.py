@@ -3,9 +3,11 @@ perturbation families."""
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 import bmstab.measures as measures_module
 from bmstab.bodies import (_S_CHUNK, VALIDITY_EIG_FLOOR, FamilyError,
@@ -15,9 +17,10 @@ from bmstab.bodies import (_S_CHUNK, VALIDITY_EIG_FLOOR, FamilyError,
                            measure_of_body, minkowski_combine,
                            quermassintegrals)
 from bmstab.funcspecs import direction_suite, sf_from_spec
+from bmstab.measures import make_measure
 from bmstab.oracles import central_derivative
 from bmstab.sphere import (PolynomialSF, SphericalFunction, build_grid,
-                           curvature_matrix, integrate, sf_sum)
+                           curvature_matrix, horner, integrate, sf_sum)
 from bmstab.variation import variation_at_ball
 
 
@@ -388,6 +391,93 @@ def test_perturbed_base_takes_the_all_node_path(kind, grid3):
     base, _ = _family_case(3, "second_harmonic")
     fam = make_family(kind, base, PolynomialSF.constant(3, 0.7), grid3)
     assert fam._nodes == slice(None)
+
+
+def _one_pass_measures(fam, measure, s_values):
+    """measures_along in one pass over each whole chunk at every node:
+    (h * horner(p, t) * A * w).sum(axis=1), with A from numpy's chebval
+    where radial_profile's route interpolates."""
+    every = copy.copy(fam)
+    every._nodes = slice(None)
+    w, n = fam.grid.weights, fam.grid.n
+    out = []
+    for _, sl, t, p, q in every._expansions(np.asarray(s_values, float)):
+        h = every._values(sl)
+        D = np.sqrt(horner(q, t))
+        if fam.kind == "additive":
+            f = h * horner(p, t)
+        else:
+            f = h ** n * horner(p, t)
+            D = h * D
+        fit, A = measures_module._profile_fit(measure, D.ravel(), n, (0,))
+        if fit is not None:
+            mid, half, coef = fit
+            A = chebyshev.chebval((D.ravel() - mid) / half, coef)
+        out.append((f * A.reshape(D.shape) * w).sum(axis=1))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_tiled_kernel_is_bitwise_the_one_pass_formula(
+        monkeypatch, kind, uniform, gaussian, exp3):
+    # 1,152 nodes make tiles of 14 parameters, so a chunk of 32 ends in a
+    # partial tile; exp3 fails the tail test at some chunks (direct route)
+    # and s = 0 on the ball gives one repeated scale (the hi == lo branch)
+    routes, real = set(), measures_module._profile_fit
+
+    def recording(measure, D, n, powers):
+        fit, A = real(measure, D, n, powers)
+        routes.add("interpolated" if fit else "one scale" if D.min() == D.max()
+                   else "direct")
+        return fit, A
+
+    monkeypatch.setattr(measures_module, "_profile_fit", recording)
+    grid = build_grid(3, 24)
+    assert measures_module._CHEB_BLOCK % grid.count
+    ball = PolynomialSF.constant(3, 1.0)
+    base, psi = ((ball, PolynomialSF.constant(3, 0.7)) if uniform
+                 else _family_case(3, "random_even"))
+    fam = make_family(kind, base, psi, grid)
+    assert (fam._nodes == slice(0, 1)) == uniform
+    for S in (1, 14, 33, 256):
+        s_values = np.linspace(-0.9, 0.8, S) * fam.a
+        for mu in (gaussian, exp3):
+            assert np.array_equal(fam.measures_along(mu, s_values),
+                                  _one_pass_measures(fam, mu, s_values)), (
+                S, mu.kind)
+    at_ball = make_family(kind, ball, psi, grid)
+    for mu in (gaussian, exp3):
+        assert np.array_equal(at_ball.measures_along(mu, [0.0]),
+                              _one_pass_measures(at_ball, mu, [0.0]))
+    assert routes == {"interpolated", "one scale", "direct"}
+    empty = fam.measures_along(gaussian, [])
+    assert empty.shape == (0,) and empty.dtype == float
+
+
+def dense_sweep_peak_mib():
+    """Traced peak (MiB) of one measures_along call of the benchmark's dense
+    sweep: the unit ball along second_harmonic at n = 3, resolution 64,
+    under the Gaussian, at 256 parameters."""
+    fam = make_family("additive", PolynomialSF.constant(3, 1.0),
+                      sf_from_spec({"type": "second_harmonic"}, 3),
+                      build_grid(3, 64))
+    s_values = np.linspace(-0.9, 0.9, 256) * fam.a
+    gaussian = make_measure("gaussian")
+    tracemalloc.start()
+    try:
+        fam.measures_along(gaussian, s_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2 ** 20
+
+
+def test_measures_along_traced_peak_is_bounded():
+    # one (S, m) buffer per call and tile buffers of _CHEB_BLOCK scales: the
+    # call peaks at about 5.0 MiB (13.3 when each chunk formed its (S, m)
+    # products afresh)
+    assert dense_sweep_peak_mib() < 6.0
 
 
 @pytest.mark.parametrize("method", ["measures_along", "derivatives_along"])

@@ -147,25 +147,17 @@ def test_radial_profile_zero_width_range_is_integrated(gk_widths, gaussian):
 
 @pytest.mark.parametrize("powers", [(0,), (0, 1, 2)])
 @pytest.mark.parametrize("size", [1000, 262_144 + 5])
-def test_radial_profile_blocks_match_one_pass(monkeypatch, gaussian, size,
-                                              powers):
-    # the interpolant runs block by block (the last one partial when size
-    # is not a multiple of the block); the values are bitwise those of one
-    # Clenshaw pass over every scale, with the same coefficients
-    coefs, real = [], chebyshev.chebval
-
-    def recording(x, c):
-        coefs.append(c)
-        return real(x, c)
-
-    monkeypatch.setattr(measures_module.chebyshev, "chebval", recording)
+def test_radial_profile_blocks_match_one_pass(gaussian, size, powers):
+    # the interpolant runs tile by tile (the last one partial when size is
+    # not a multiple of the tile) in an in-place Clenshaw recurrence; the
+    # values are bitwise those of numpy's chebval in one pass over every
+    # scale, with the coefficients of the fit
     D = 0.8 + 0.5 * (0.5 + 0.5 * np.sin(np.arange(size)))
     got = radial_profile(gaussian, D, 3, powers)
-    block = measures_module._CHEB_BLOCK
-    assert len(coefs) == -(-size // block)
-    assert all(c is coefs[0] for c in coefs)
-    mid, half = 0.5 * (D.max() + D.min()), 0.5 * (D.max() - D.min())
-    want = real((D - mid) / half, coefs[0])
+    (mid, half, coef), direct = measures_module._profile_fit(gaussian, D, 3,
+                                                             powers)
+    assert direct is None
+    want = chebyshev.chebval((D - mid) / half, coef)
     assert got.shape == want.shape == (len(powers), size)
     assert np.array_equal(got, want)
 

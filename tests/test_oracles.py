@@ -196,10 +196,9 @@ def _sampling_ball(body):
 
 
 def _dense_net_max(X, dirs, hdirs):
-    # in 4,096-row slices to bound memory; gemm rows do not depend on the
-    # slice
-    return np.concatenate([np.max(X[a:a + 4096] @ dirs.T - hdirs, axis=1)
-                           for a in range(0, len(X), 4096)])
+    # the row maxima of the dense product, in _dense_max_argmax's 64-row
+    # blocks; gemm rows do not depend on the block
+    return _dense_max_argmax(X, dirs, hdirs)[0]
 
 
 def _mc_batch_points(body, R_b, seed):
