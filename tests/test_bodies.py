@@ -475,7 +475,7 @@ def dense_sweep_peak_mib():
 
 def test_measures_along_traced_peak_is_bounded():
     # one (S, m) buffer per call and tile buffers of _CHEB_BLOCK scales: the
-    # call peaks at about 5.0 MiB (13.3 when each chunk formed its (S, m)
+    # call peaks at about 5.1 MiB (13.3 when each chunk formed its (S, m)
     # products afresh)
     assert dense_sweep_peak_mib() < 6.0
 
