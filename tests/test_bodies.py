@@ -421,9 +421,10 @@ def _one_pass_measures(fam, measure, s_values):
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
 def test_tiled_kernel_is_bitwise_the_one_pass_formula(
         monkeypatch, kind, uniform, gaussian, exp3):
-    # 1,152 nodes make tiles of 14 parameters, so a chunk of 32 ends in a
-    # partial tile; exp3 fails the tail test at some chunks (direct route)
-    # and s = 0 on the ball gives one repeated scale (the hi == lo branch)
+    # per node, 1,152 nodes make tiles of 14 parameters, so a chunk of 32
+    # ends in a partial tile (a node-uniform family evaluates one node, so
+    # its chunk is one tile); exp3 fails the tail test at some chunks (direct
+    # route) and s = 0 on the ball gives one repeated scale (hi == lo)
     routes, real = set(), measures_module._profile_fit
 
     def recording(measure, D, n, powers):
@@ -433,8 +434,8 @@ def test_tiled_kernel_is_bitwise_the_one_pass_formula(
         return fit, A
 
     monkeypatch.setattr(measures_module, "_profile_fit", recording)
-    grid = build_grid(3, 24)
-    assert measures_module._CHEB_BLOCK % grid.count
+    grid = build_grid(3, 8 if uniform else 24)
+    assert uniform or measures_module._CHEB_BLOCK % grid.count
     ball = PolynomialSF.constant(3, 1.0)
     base, psi = ((ball, PolynomialSF.constant(3, 0.7)) if uniform
                  else _family_case(3, "random_even"))
