@@ -310,7 +310,7 @@ class PerturbationFamily:
         rows = min(S, max(1, _measures._CHEB_BLOCK // k))   # per tile
         buf = np.empty((S, w.size))
         hf = np.empty((2, rows, k))
-        work = np.empty((5, rows * k))
+        work = np.empty((5, rows * k))      # _clenshaw's buffers for A alone
         for lo, sl, t, p, q in self._expansions(s_values):
             rows_f = buf[:sl.size]              # D(s), then f A w
             D = rows_f[:, :k]
