@@ -8,7 +8,9 @@ callables they are given; none of them uses the spherical quadrature or the
 radial-moment machinery.  mc_measure first settles a sample by the inner
 and outer radius of its direction bin (_bin_radii, from the polar-body
 identity rho_K = 1 / h_{K polar} on the net's dual points u_j / h_j; only
-planar nets are split into bins, each of half-angle at most pi/2).  Its
+planar nets are split into bins, each of half-angle at most pi/2; the one
+bin of other nets is centred at the net's Steiner point when that widens
+its inner ball, _steiner_ball).  Its
 lower bound on the net maximum is _net_max over the cell centres, and a
 sample near the boundary meets only the net directions of the cells whose
 upper bound reaches that lower bound (_candidate_max), never the whole
@@ -183,6 +185,15 @@ def _bin_radii(dirs, hdirs, s):
     pos = phi_lo > 0.0
     r_out[pos] = (1.0 + s / h_min) / phi_lo[pos] * (1.0 + 1e-9)
     return r_in, r_out
+
+
+def _steiner_ball(dirs, hdirs, s):
+    """The net's Steiner point c = n mean_j h_j u_j, and the radius r_c of
+    the ball about c where the net maximum is below -s: _bin_radii's one-bin
+    r_in for the values hc_j = h_j - <c, u_j>, since
+    <x, u_j> - h_j = <x - c, u_j> - hc_j."""
+    c = dirs.shape[1] * (hdirs @ dirs) / len(dirs)
+    return c, float(_bin_radii(dirs, hdirs - dirs @ c, s)[0][0])
 
 
 def _farthest_points(dirs, k):
@@ -377,9 +388,12 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     r_in the sample is certainly inside, beyond r_out certainly outside.
     A planar net gets len(dirs) / 2 equal arcs of half-angle pi / 512, and
     a bin's bounds need a half-angle of at most pi/2; other nets get one
-    bin, whose r_in is min(hdirs) - s and whose r_out is infinite.  Of a
-    planar batch of the bump in criterion 10, about 200 rows lie between
-    the radii (McEstimate.bounded).  Those rows are bounded
+    bin with no outer radius, whose inner ball lies about the origin
+    (r_in = min(hdirs) - s) or, when that is larger, about the net's
+    Steiner point (_steiner_ball).  Of one batch at seed 31, the rows left
+    between the radii (McEstimate.bounded) are 204 for the planar bump of
+    criterion 10 and 23,197 for its shifted body at n = 3 (39,561 about the
+    origin).  Those rows are bounded
     from _COARSE cells of the net (_net_cells), lower bound first: _net_max
     over the 64 centres (net directions) above band + eps places a sample
     outside, and only the others get the upper bound _net_hi (chord radius
@@ -413,6 +427,10 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     # absorbs rounding in the bounds, |v_perp|^2 = |v|^2 - <v, c_k>^2 above all
     eps = 1e-7 * R_b
     r_in, r_out = _bin_radii(dirs, hdirs, band + eps)
+    centred = False
+    if n > 2:
+        c, r_c = _steiner_ball(dirs, hdirs, band + eps)
+        centred = r_c > r_in[0]
 
     vol_ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * R_b ** n
     batches = (n_samples + MC_BATCH - 1) // MC_BATCH
@@ -428,7 +446,20 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
 
         # rows below their bin's r_in are inside, beyond its r_out outside
         k = _bin_of(Z, len(r_in))
-        inside = radii < r_in[k]
+        if centred:
+            # d2 = r (r - 2 <z, c>) + |c|^2 is |x - c|^2 for x = r z as
+            # formed, within delta = (2n + 4) 2^-53 (r + |c|)^2, with |c| at
+            # most about R_b as c lies in the net polytope.  d2 < r_c^2 gives
+            # |x - c| < r_c + sqrt(delta), and eps absorbs sqrt(delta)
+            # (7e-8 R_b at n = 3): the net maximum stays below -band
+            d2 = Z @ c
+            d2 *= -2.0
+            d2 += radii
+            d2 *= radii
+            d2 += c @ c
+            inside = d2 < r_c * r_c
+        else:
+            inside = radii < r_in[k]
         shell = np.flatnonzero(~inside & (radii <= r_out[k]))
         bounded += len(shell)
         X = Z[shell] * radii[shell, None]
@@ -478,30 +509,45 @@ class PlanarPolygon:
 _HULL_SCALE = float(1 << 40)
 
 
+def _left_turns(o, a, b):
+    """Rows where o -> a -> b turns strictly left, for integer points.  The
+    float products p, q of the cross product p - q are within 3 2^-53 of
+    the exact ones, relative, so p > q decides where |p - q| exceeds
+    2^-48 (|p| + |q|); the other rows are decided in Python integers, since
+    the 2^40-scaled products overflow int64."""
+    d1, d2 = a - o, b - o
+    p = d1[:, 0].astype(float) * d2[:, 1]
+    q = d1[:, 1].astype(float) * d2[:, 0]
+    left = p > q
+    near = np.abs(p - q) <= 2.0 ** -48 * (np.abs(p) + np.abs(q))
+    if np.any(near):
+        e1, e2 = d1[near].astype(object), d2[near].astype(object)
+        left[near] = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0
+    return left
+
+
+def _chain(P):
+    """Andrew's monotone chain over the sorted points P, from P[0] to P[-1]
+    with strict left turns.  A point that does not turn strictly left
+    between its current neighbours lies on or right of the chord between
+    them, as no chain vertex does, so all such points are dropped at once
+    until every remaining point turns left."""
+    keep = np.arange(len(P))
+    while len(keep) > 2:
+        left = _left_turns(P[keep[:-2]], P[keep[1:-1]], P[keep[2:]])
+        if np.all(left):
+            break
+        keep = np.concatenate([keep[:1], keep[1:-1][left], keep[-1:]])
+    return P[keep]
+
+
 def _convex_hull_ccw(pts):
-    """Monotone chain on integer-scaled coordinates for exact orientation."""
+    """Vertices of the convex hull, counterclockwise from the lowest of the
+    leftmost points, on integer-scaled coordinates for exact orientation."""
     P = np.unique(np.round(pts * _HULL_SCALE).astype(np.int64), axis=0)
     if len(P) < 3:
         raise ValueError("degenerate direction set")
-    order = np.lexsort((P[:, 1], P[:, 0]))
-    P = P[order]
-
-    def cross(o, a, b):
-        # python ints: the scaled products overflow int64
-        return ((int(a[0]) - int(o[0])) * (int(b[1]) - int(o[1]))
-                - (int(a[1]) - int(o[1])) * (int(b[0]) - int(o[0])))
-
-    lower: list = []
-    for p in P:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in P[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1], dtype=np.int64)
+    hull = np.concatenate([_chain(P)[:-1], _chain(P[::-1])[:-1]])
     return hull.astype(float) / _HULL_SCALE
 
 

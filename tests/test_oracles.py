@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 import bmstab
+import bmstab.cli
+import bmstab.oracles as oracles
 from bmstab.bodies import ball_body, body_from_support
 from bmstab.measures import make_measure
-from bmstab.oracles import (_ROW_BLOCK, MC_BATCH, McEstimate, PlanarPolygon,
-                            _bin_of, _bin_radii, _candidate_max,
-                            _coarse_directions, _convex_hull_ccw, _net_cells,
-                            _net_hi, _net_max, _polish_support_max,
-                            _unit_rows, central_derivative, mc_measure,
-                            wulff_polygon)
+from bmstab.oracles import (_HULL_SCALE, _ROW_BLOCK, MC_BATCH, McEstimate,
+                            PlanarPolygon, _bin_of, _bin_radii,
+                            _candidate_max, _coarse_directions,
+                            _convex_hull_ccw, _net_cells, _net_hi, _net_max,
+                            _polish_support_max, _steiner_ball, _unit_rows,
+                            central_derivative, mc_measure, wulff_polygon)
 from bmstab.sphere import PolynomialSF, build_grid, sf_sum
 from test_sphere import _tangent_frame
 
@@ -107,6 +109,92 @@ def test_wulff_vertices_match_the_per_vertex_solve():
         assert poly.vertices.shape == ref.shape
         err = np.max(np.abs(poly.vertices - ref))
         assert err <= 1e-14 * np.max(np.abs(ref))
+
+
+def _monotone_chain_reference(pts):
+    """The sequential monotone chain on integer-scaled coordinates, one
+    Python-integer cross product per step: the reference for the vectorised
+    _convex_hull_ccw."""
+    P = np.unique(np.round(pts * _HULL_SCALE).astype(np.int64), axis=0)
+    if len(P) < 3:
+        raise ValueError("degenerate direction set")
+    order = np.lexsort((P[:, 1], P[:, 0]))
+    P = P[order]
+
+    def cross(o, a, b):
+        # python ints: the scaled products overflow int64
+        return ((int(a[0]) - int(o[0])) * (int(b[1]) - int(o[1]))
+                - (int(a[1]) - int(o[1])) * (int(b[0]) - int(o[0])))
+
+    lower: list = []
+    for p in P:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in P[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = np.array(lower[:-1] + upper[:-1], dtype=np.int64)
+    return hull.astype(float) / _HULL_SCALE
+
+
+def _battery_hull_inputs(monkeypatch):
+    # the dual point sets of the default battery's polygon_agreement and
+    # shift_counterexample checks, recorded from their runs
+    seen = []
+
+    def record(pts):
+        seen.append(np.array(pts))
+        return _convex_hull_ccw(pts)
+
+    monkeypatch.setattr(oracles, "_convex_hull_ccw", record)
+    for check in bmstab.cli.default_battery():
+        if check["kind"] in ("polygon_agreement", "shift_counterexample"):
+            bmstab.inequalities.run_check(check["kind"], check["params"])
+    return seen
+
+
+def _hull_point_sets():
+    rng = np.random.default_rng(29)
+    for m in (3, 4, 5, 9, 40, 300):
+        t = rng.random(m)
+        th = 2 * math.pi * rng.random(m)
+        circle = np.column_stack([np.cos(th), np.sin(th)])
+        yield from [
+            rng.random((m, 2)) - 0.5,
+            rng.standard_normal((m, 2)),
+            circle,
+            circle / (1.0 + 0.3 * rng.random(m))[:, None],
+            np.round(4.0 * rng.random((m, 2))) / 4.0,       # a lattice
+            np.repeat(rng.random((m, 2)), 3, axis=0),       # duplicates
+            np.column_stack([t, np.full(m, 0.3)]),           # collinear
+            np.column_stack([np.full(m, 0.3), t]),
+            np.column_stack([t, 2.0 * t - 1.0]),
+            # within a few 2^-40 of a line, far out: the float cross product
+            # cannot decide some of these turns
+            (np.column_stack([1e3 * t - 500.0, 750.0 * t - 372.0])
+             + rng.integers(-1, 2, (m, 2)) / _HULL_SCALE),
+        ]
+
+
+def test_convex_hull_matches_the_sequential_chain(monkeypatch):
+    # bitwise the same vertices, from the same start and in the same order,
+    # on the battery's direction sets and on random, lattice, duplicate,
+    # collinear and nearly collinear sets; fewer than 3 distinct points
+    # raise in both
+    battery = _battery_hull_inputs(monkeypatch)
+    assert sorted(len(pts) for pts in battery) == [720, 720, 1440, 1440]
+    for pts in battery + list(_hull_point_sets()):
+        try:
+            want = _monotone_chain_reference(pts)
+        except ValueError:
+            with pytest.raises(ValueError, match="degenerate"):
+                _convex_hull_ccw(pts)
+            continue
+        got = _convex_hull_ccw(pts)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_circumscribed_excess_scaling():
@@ -212,13 +300,14 @@ def _mc_batch_points(body, R_b, seed):
     return Z * radii[:, None], radii
 
 
-def _dense_mc_batch(measure, body, seed):
+def _dense_mc_batch(measure, dense):
     """One batch of mc_measure classified with the full sample-by-direction
-    product, no shell skip and no cell bounds."""
+    product, no shell skip and no cell bounds; `dense` is the dense_batch
+    entry of the body."""
+    body, X, radii, gmax = dense
     h, n = body.h, body.grid.n
     dirs, hdirs, band, R_b = _sampling_ball(body)
-    X, radii = _mc_batch_points(body, R_b, seed)
-    gmax = _dense_net_max(X, dirs, hdirs)
+    gmax = gmax.copy()
     unsure = np.abs(gmax) <= band
     i0 = np.argmax(X[unsure] @ dirs.T - hdirs[None, :], axis=1)
     gmax[unsure] = _polish_support_max(h, X[unsure], dirs[i0], gmax[unsure])
@@ -254,12 +343,34 @@ _MC_BODIES = {
 }
 
 
+@pytest.fixture(scope="module")
+def dense_batch():
+    """Per body of _MC_BODIES, formed once for the module: the body, batch 0
+    of mc_measure's sample stream at seed 31 (points and radii) and the
+    row maxima of its dense sample-by-net product."""
+    formed = {}
+
+    def get(case):
+        if case not in formed:
+            body = _MC_BODIES[case]()
+            dirs, hdirs, _, R_b = _sampling_ball(body)
+            X, radii = _mc_batch_points(body, R_b, seed=31)
+            gmax = _dense_net_max(X, dirs, hdirs)
+            for a in (X, radii, gmax):
+                a.setflags(write=False)
+            formed[case] = body, X, radii, gmax
+        return formed[case]
+
+    return get
+
+
 @pytest.mark.parametrize("case", ["ball3", "shift3", "bump", "battery3"])
-def test_mc_shell_skip_and_row_blocks_match_dense(case, exp1, gaussian):
-    body = _MC_BODIES[case]()
+def test_mc_shell_skip_and_row_blocks_match_dense(case, exp1, gaussian,
+                                                  dense_batch):
+    dense = dense_batch(case)
     measure = exp1 if case in ("ball3", "shift3") else gaussian
-    want = _dense_mc_batch(measure, body, seed=31)
-    est = mc_measure(measure, body, n_samples=MC_BATCH, seed=31)
+    want = _dense_mc_batch(measure, dense)
+    est = mc_measure(measure, dense[0], n_samples=MC_BATCH, seed=31)
     assert want[2] > 0
     assert (est.value, est.stderr, est.refined) == want
 
@@ -297,11 +408,9 @@ def _polish_per_row(h, X, u0, g0):
 
 
 @pytest.mark.parametrize("case", ["ball3", "shift3", "bump", "battery3"])
-def test_mc_batched_polish_matches_the_per_row_reference(case):
-    body = _MC_BODIES[case]()
+def test_mc_batched_polish_matches_the_per_row_reference(case, dense_batch):
+    body, X, _, gmax = dense_batch(case)
     dirs, hdirs, band, R_b = _sampling_ball(body)
-    X, _ = _mc_batch_points(body, R_b, seed=31)
-    gmax = _dense_net_max(X, dirs, hdirs)
     unsure = np.abs(gmax) <= band
     Xu, g0 = X[unsure], gmax[unsure]
     u0 = dirs[np.argmax(Xu @ dirs.T - hdirs, axis=1)]
@@ -530,6 +639,71 @@ def test_mc_bin_radii_leave_few_rows_to_the_cell_bounds(gaussian):
     est = mc_measure(gaussian, _MC_BODIES["bump"](), n_samples=MC_BATCH,
                      seed=31)
     assert 0 < est.bounded < 500
+
+
+def mc_bounded_counts():
+    """McEstimate.bounded of one batch at seed 31 for each of _MC_BODIES:
+    the rows that the inner and outer radii leave to the cell bounds."""
+    measure = make_measure(kind="gaussian")
+    return {case: mc_measure(measure, body(), n_samples=MC_BATCH,
+                             seed=31).bounded
+            for case, body in _MC_BODIES.items()}
+
+
+def _mc_steiner_ball(body, monkeypatch):
+    """The centre c and radius r_c that mc_measure's call of _steiner_ball
+    returns for the body."""
+    seen = []
+
+    def record(dirs, hdirs, s):
+        seen.append(_steiner_ball(dirs, hdirs, s))
+        return seen[-1]
+
+    monkeypatch.setattr(oracles, "_steiner_ball", record)
+    mc_measure(make_measure(kind="lebesgue"), body, n_samples=1, seed=31)
+    (ball,) = seen
+    return ball
+
+
+def _tilted3():
+    # off the origin and not a ball: 1 + 0.2 x_1 + 0.05 x_1 x_2
+    h = bmstab.sf_from_spec({"type": "sum", "parts": [
+        [1.0, {"type": "constant", "value": 1.0}],
+        [0.2, {"type": "first_harmonic"}],
+        [0.05, {"type": "second_harmonic"}]]}, 3)
+    return body_from_support(h, build_grid(3, 10))
+
+
+@pytest.mark.parametrize("case", ["shift3", "battery3", "tilted3"])
+def test_mc_steiner_ball_brackets_the_dense_net_max(case, monkeypatch):
+    # rows just inside mc_measure's ball about the net's Steiner point, in
+    # 200,000 random directions and along every net direction u_j (where
+    # <x - c, u_j> - hc_j comes closest to the bound): the dense net maximum
+    # lies below -(band + eps), so the dense route takes them as inside
+    # without a polish
+    body = _tilted3() if case == "tilted3" else _MC_BODIES[case]()
+    dirs, hdirs, band, R_b = _sampling_ball(body)
+    eps = 1e-7 * R_b
+    c, r_c = _mc_steiner_ball(body, monkeypatch)
+    assert r_c > _bin_radii(dirs, hdirs, band + eps)[0][0]
+    Z = np.random.default_rng(37).standard_normal((200_000, 3))
+    Z = np.concatenate([Z / np.linalg.norm(Z, axis=1, keepdims=True), dirs])
+    g = _dense_net_max(c + r_c * (1.0 - 1e-12) * Z, dirs, hdirs)
+    assert np.all(g < -(band + eps))
+
+
+def test_mc_steiner_ball_settles_off_centre_rows(monkeypatch):
+    # ball3's net Steiner point leaves min hc = 0.99999 < min h = 1, so its
+    # inner ball stays about the origin and its count is unchanged; shift3
+    # left 39,561 rows to the cell bounds about the origin and 23,197 about
+    # its Steiner point
+    ball3 = _MC_BODIES["ball3"]()
+    dirs, hdirs, band, R_b = _sampling_ball(ball3)
+    r_in = _bin_radii(dirs, hdirs, band + 1e-7 * R_b)[0][0]
+    assert _mc_steiner_ball(ball3, monkeypatch)[1] < r_in
+    bounded = mc_bounded_counts()
+    assert bounded["ball3"] == 755
+    assert bounded["shift3"] < 26_000
 
 
 def _traced_mc_batch(measure, body, seed):
