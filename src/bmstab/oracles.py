@@ -5,16 +5,15 @@ The Monte Carlo route samples a ball uniformly and classifies points
 against the support function directly, the polygon route intersects
 half-planes exactly, and the finite-difference helpers only evaluate the
 callables they are given; none of them uses the spherical quadrature or the
-radial-moment machinery.  mc_measure first settles a sample by the inner
-and outer radius of its direction bin (_bin_radii, from the polar-body
-identity rho_K = 1 / h_{K polar} on the net's dual points u_j / h_j; only
-planar nets are split into bins, each of half-angle at most pi/2; the one
-bin of other nets is centred at the net's Steiner point when that widens
-its inner ball, _steiner_ball).  Its
-lower bound on the net maximum is _net_max over the cell centres, and a
-sample near the boundary meets only the net directions of the cells whose
-upper bound reaches that lower bound (_candidate_max), never the whole
-net.  One datum is still borrowed from
+radial-moment machinery.  mc_measure first settles a sample by its
+radius: in the plane by the inner and outer radius of its direction bin
+(_bin_radii, from the polar-body identity rho_K = 1 / h_{K polar} on the
+net's dual points u_j / h_j, each bin of half-angle at most pi/2), in
+higher dimensions by one inner ball about the net's Steiner point
+(_steiner_ball).  Its lower bound on the net maximum is _net_max over the
+cell centres, and a sample near the boundary meets only the net
+directions of the cells whose upper bound reaches that lower bound
+(_candidate_max), never the whole net.  One datum is still borrowed from
 the route under test: mc_measure sizes its uncertainty band with max |Q| of
 the body's curvature matrices at the quadrature nodes (body.curvature.Q).
 ROADMAP.md, item 1, takes that scale from the support function's own sup
@@ -125,10 +124,8 @@ def _unit_rows(Z):
 
 
 def _bin_of(Z, bins):
-    """Direction bin of each unit row of Z: `bins` equal arcs by angle from
-    -pi (planar), or the one bin 0."""
-    if bins == 1:
-        return 0
+    """Direction bin of each planar unit row of Z: `bins` equal arcs by
+    angle from -pi."""
     t = np.arctan2(Z[:, 1], Z[:, 0])
     t += math.pi
     t *= bins / (2 * math.pi)
@@ -138,9 +135,9 @@ def _bin_of(Z, bins):
 
 
 def _bin_radii(dirs, hdirs, s):
-    """Per-bin radii r_in <= r_out: a sample r z with z in bin b (_bin_of)
-    has net maximum g = max_j <r z, u_j> - h_j below -s when r < r_in[b],
-    and above s when r > r_out[b].
+    """Per-bin radii r_in <= r_out of a planar net: a sample r z with z in
+    bin b (_bin_of) has net maximum g = max_j <r z, u_j> - h_j below -s
+    when r < r_in[b], and above s when r > r_out[b].
 
     With dual points p_j = u_j / h_j, h_min = min h_j > 0 and
     Phi(z) = max_j <z, p_j> (the net polygon's radial function is 1 / Phi),
@@ -150,37 +147,31 @@ def _bin_radii(dirs, hdirs, s):
     q = |<z_b^perp, p>|,
         min(a, a cos delta) - q sin delta <= <z, p>
                                           <= max(a, a cos delta) + q sin delta,
-    whose maxima over j bound Phi on the bin.  A planar net gets len/2 arcs
+    whose maxima over j bound Phi on the bin.  The net gets len/2 arcs
     (delta widened by 1e-6 for the rounding of arctan2 and the floor in
-    _bin_of); other nets get one bin with Phi <= max |p_j| = 1 / h_min and
-    no outer radius.  The radii are inflated by 1e-9 against rounding."""
-    m, n = dirs.shape
-    bins = m // 2 if n == 2 else 1
+    _bin_of).  The radii are inflated by 1e-9 against rounding."""
+    bins = len(dirs) // 2
     r_in, r_out = np.zeros(bins), np.full(bins, np.inf)
     h_min = float(np.min(hdirs))
     if h_min <= 0.0:
         return r_in, r_out
     P = dirs / hdirs[:, None]
-    if bins == 1:
-        phi_hi = np.max(np.linalg.norm(P, axis=1), keepdims=True)
-        phi_lo = np.zeros(1)
-    else:
-        t = (np.arange(bins) + 0.5) * (2 * math.pi / bins) - math.pi
-        delta = math.pi / bins * (1.0 + 1e-6)
-        cos_d, sin_d = math.cos(delta), math.sin(delta)
-        # <z_b, P_perp_j> = <z_b^perp, p_j>
-        P_perp = np.column_stack([P[:, 1], -P[:, 0]])
-        phi_hi, phi_lo = np.empty(bins), np.empty(bins)
-        for a in range(0, bins, 16):
-            Zb = np.column_stack([np.cos(t[a:a + 16]), np.sin(t[a:a + 16])])
-            A = Zb @ P.T
-            Q = np.abs(Zb @ P_perp.T)
-            Q *= sin_d
-            Ac = A * cos_d
-            np.max(np.maximum(A, Ac) + Q, axis=1, out=phi_hi[a:a + 16])
-            np.minimum(A, Ac, out=A)
-            A -= Q
-            np.max(A, axis=1, out=phi_lo[a:a + 16])
+    t = (np.arange(bins) + 0.5) * (2 * math.pi / bins) - math.pi
+    delta = math.pi / bins * (1.0 + 1e-6)
+    cos_d, sin_d = math.cos(delta), math.sin(delta)
+    # <z_b, P_perp_j> = <z_b^perp, p_j>
+    P_perp = np.column_stack([P[:, 1], -P[:, 0]])
+    phi_hi, phi_lo = np.empty(bins), np.empty(bins)
+    for a in range(0, bins, 16):
+        Zb = np.column_stack([np.cos(t[a:a + 16]), np.sin(t[a:a + 16])])
+        A = Zb @ P.T
+        Q = np.abs(Zb @ P_perp.T)
+        Q *= sin_d
+        Ac = A * cos_d
+        np.max(np.maximum(A, Ac) + Q, axis=1, out=phi_hi[a:a + 16])
+        np.minimum(A, Ac, out=A)
+        A -= Q
+        np.max(A, axis=1, out=phi_lo[a:a + 16])
     r_in = np.maximum((1.0 - s / h_min) / phi_hi * (1.0 - 1e-9), 0.0)
     pos = phi_lo > 0.0
     r_out[pos] = (1.0 + s / h_min) / phi_lo[pos] * (1.0 + 1e-9)
@@ -189,11 +180,12 @@ def _bin_radii(dirs, hdirs, s):
 
 def _steiner_ball(dirs, hdirs, s):
     """The net's Steiner point c = n mean_j h_j u_j, and the radius r_c of
-    the ball about c where the net maximum is below -s: _bin_radii's one-bin
-    r_in for the values hc_j = h_j - <c, u_j>, since
-    <x, u_j> - h_j = <x - c, u_j> - hc_j."""
+    the ball about c where the net maximum is below -s: with
+    hc_j = h_j - <c, u_j>, <x, u_j> - h_j = <x - c, u_j> - hc_j
+    <= |x - c| - min hc.  r_c is lowered by 1e-9 against rounding."""
     c = dirs.shape[1] * (hdirs @ dirs) / len(dirs)
-    return c, float(_bin_radii(dirs, hdirs - dirs @ c, s)[0][0])
+    hc_min = float(np.min(hdirs - dirs @ c))
+    return c, max((hc_min - s) * (1.0 - 1e-9), 0.0)
 
 
 def _farthest_points(dirs, k):
@@ -383,16 +375,16 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     make the result independent of scheduling.
 
     Only samples whose net maximum lies within the band need its exact
-    value; the others need only its sign.  Each sample direction falls in
-    a bin with radii r_in <= r_out (_bin_radii, for s = band + eps): below
-    r_in the sample is certainly inside, beyond r_out certainly outside.
-    A planar net gets len(dirs) / 2 equal arcs of half-angle pi / 512, and
-    a bin's bounds need a half-angle of at most pi/2; other nets get one
-    bin with no outer radius, whose inner ball lies about the origin
-    (r_in = min(hdirs) - s) or, when that is larger, about the net's
-    Steiner point (_steiner_ball).  Of one batch at seed 31, the rows left
-    between the radii (McEstimate.bounded) are 204 for the planar bump of
-    criterion 10 and 23,197 for its shifted body at n = 3 (39,561 about the
+    value; the others need only its sign, and most are settled by their
+    radius, for s = band + eps.  A planar net gets len(dirs) / 2 equal
+    arcs of half-angle pi / 512, each with radii r_in <= r_out
+    (_bin_radii; a bin's bounds need a half-angle of at most pi/2): below
+    r_in a sample is certainly inside, beyond r_out certainly outside.
+    Other nets get one inner ball, about the net's Steiner point
+    (_steiner_ball), which stays wide when the body lies off the origin.
+    Of one batch at seed 31, the rows left to the cell bounds
+    (McEstimate.bounded) are 204 for the planar bump of criterion 10 and
+    23,197 for its shifted body at n = 3 (39,561 by a ball about the
     origin).  Those rows are bounded
     from _COARSE cells of the net (_net_cells), lower bound first: _net_max
     over the 64 centres (net directions) above band + eps places a sample
@@ -426,11 +418,17 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     cells = _net_cells(h, dirs, hdirs)
     # absorbs rounding in the bounds, |v_perp|^2 = |v|^2 - <v, c_k>^2 above all
     eps = 1e-7 * R_b
-    r_in, r_out = _bin_radii(dirs, hdirs, band + eps)
-    centred = False
-    if n > 2:
+    if n == 2:
+        r_in, r_out = _bin_radii(dirs, hdirs, band + eps)
+    else:
         c, r_c = _steiner_ball(dirs, hdirs, band + eps)
-        centred = r_c > r_in[0]
+        # |x - c|^2 for x = r z as formed in X is within delta =
+        # (2n + 4) 2^-53 (r + |c|)^2 of d2 = r (r - 2 <z, c>) + |c|^2 as
+        # formed below, so d2 < (r_c - sqrt(delta))^2 gives |x - c| < r_c;
+        # d2 can round below 0, so an empty ball admits no row
+        cc = float(c @ c)
+        r_c -= math.sqrt((2 * n + 4) * 2.0 ** -53) * (R_b + math.sqrt(cc))
+        r_c2 = r_c * r_c if r_c > 0.0 else -math.inf
 
     vol_ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1) * R_b ** n
     batches = (n_samples + MC_BATCH - 1) // MC_BATCH
@@ -444,23 +442,20 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
         Z = _unit_rows(rng.standard_normal((MC_BATCH, n)))
         radii = R_b * rng.random(MC_BATCH) ** (1.0 / n)
 
-        # rows below their bin's r_in are inside, beyond its r_out outside
-        k = _bin_of(Z, len(r_in))
-        if centred:
-            # d2 = r (r - 2 <z, c>) + |c|^2 is |x - c|^2 for x = r z as
-            # formed, within delta = (2n + 4) 2^-53 (r + |c|)^2, with |c| at
-            # most about R_b as c lies in the net polytope.  d2 < r_c^2 gives
-            # |x - c| < r_c + sqrt(delta), and eps absorbs sqrt(delta)
-            # (7e-8 R_b at n = 3): the net maximum stays below -band
+        if n == 2:
+            # rows below their bin's r_in are inside, beyond its r_out outside
+            k = _bin_of(Z, len(r_in))
+            inside = radii < r_in[k]
+            shell = np.flatnonzero(~inside & (radii <= r_out[k]))
+        else:
+            # rows in the ball about c are inside
             d2 = Z @ c
             d2 *= -2.0
             d2 += radii
             d2 *= radii
-            d2 += c @ c
-            inside = d2 < r_c * r_c
-        else:
-            inside = radii < r_in[k]
-        shell = np.flatnonzero(~inside & (radii <= r_out[k]))
+            d2 += cc
+            inside = d2 < r_c2
+            shell = np.flatnonzero(~inside)
         bounded += len(shell)
         X = Z[shell] * radii[shell, None]
         # lo above band + eps places a row outside; only the others need hi
@@ -509,45 +504,28 @@ class PlanarPolygon:
 _HULL_SCALE = float(1 << 40)
 
 
-def _left_turns(o, a, b):
-    """Rows where o -> a -> b turns strictly left, for integer points.  The
-    float products p, q of the cross product p - q are within 3 2^-53 of
-    the exact ones, relative, so p > q decides where |p - q| exceeds
-    2^-48 (|p| + |q|); the other rows are decided in Python integers, since
-    the 2^40-scaled products overflow int64."""
-    d1, d2 = a - o, b - o
-    p = d1[:, 0].astype(float) * d2[:, 1]
-    q = d1[:, 1].astype(float) * d2[:, 0]
-    left = p > q
-    near = np.abs(p - q) <= 2.0 ** -48 * (np.abs(p) + np.abs(q))
-    if np.any(near):
-        e1, e2 = d1[near].astype(object), d2[near].astype(object)
-        left[near] = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0
-    return left
-
-
-def _chain(P):
-    """Andrew's monotone chain over the sorted points P, from P[0] to P[-1]
-    with strict left turns.  A point that does not turn strictly left
-    between its current neighbours lies on or right of the chord between
-    them, as no chain vertex does, so all such points are dropped at once
-    until every remaining point turns left."""
-    keep = np.arange(len(P))
-    while len(keep) > 2:
-        left = _left_turns(P[keep[:-2]], P[keep[1:-1]], P[keep[2:]])
-        if np.all(left):
-            break
-        keep = np.concatenate([keep[:1], keep[1:-1][left], keep[-1:]])
-    return P[keep]
+def _chain(points):
+    """Monotone chain over sorted (x, y) pairs of Python ints, which the
+    2^40-scaled cross products overflow in int64; the last is left off."""
+    out = []
+    for x, y in points:
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            out.pop()
+        out.append((x, y))
+    return out[:-1]
 
 
 def _convex_hull_ccw(pts):
-    """Vertices of the convex hull, counterclockwise from the lowest of the
-    leftmost points, on integer-scaled coordinates for exact orientation."""
+    """Monotone chain on integer-scaled coordinates for exact orientation;
+    np.unique sorts the rows."""
     P = np.unique(np.round(pts * _HULL_SCALE).astype(np.int64), axis=0)
     if len(P) < 3:
         raise ValueError("degenerate direction set")
-    hull = np.concatenate([_chain(P)[:-1], _chain(P[::-1])[:-1]])
+    P = P.tolist()
+    hull = np.array(_chain(P) + _chain(P[::-1]), dtype=np.int64)
     return hull.astype(float) / _HULL_SCALE
 
 
