@@ -19,7 +19,7 @@ from .measures import make_measure, measure_from_spec, moments, ball_measure
 from .bodies import (Body, ball_body, body_from_support, log_combine,
                      make_family, measure_of_body, minkowski_combine,
                      quermassintegrals)
-from .variation import g_eval, variation_at_ball
+from .variation import variation_at_ball
 from .oracles import central_derivative, mc_measure, wulff_polygon
 from .funcspecs import direction_suite, sf_from_spec
 from .inequalities import CHECKS, CheckResult, rerun, run_check
@@ -30,7 +30,7 @@ __all__ = [
     "make_measure", "measure_from_spec", "moments", "ball_measure",
     "Body", "ball_body", "body_from_support", "log_combine", "make_family",
     "measure_of_body", "minkowski_combine", "quermassintegrals",
-    "g_eval", "variation_at_ball",
+    "variation_at_ball",
     "central_derivative", "mc_measure", "wulff_polygon", "direction_suite",
     "sf_from_spec", "CHECKS", "CheckResult", "rerun", "run_check",
     "__version__",

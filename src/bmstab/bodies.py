@@ -58,10 +58,6 @@ class Body:
     def hvals(self):
         return self.curvature.val
 
-    @property
-    def min_curvature_eig(self):
-        return float(np.min(self.curvature.min_eig))
-
 
 def body_from_support(h, grid):
     """Validate a support-function candidate and cache its boundary data."""

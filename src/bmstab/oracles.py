@@ -5,14 +5,15 @@ The Monte Carlo route samples a ball uniformly and classifies points
 against the support function directly, the polygon route intersects
 half-planes exactly, and the finite-difference helpers only evaluate the
 callables they are given; none of them uses the spherical quadrature or the
-radial-moment machinery.  mc_measure first settles a sample by its
-radius: in the plane by the inner and outer radius of its direction bin
-(_bin_radii, from the polar-body identity rho_K = 1 / h_{K polar} on the
-net's dual points u_j / h_j, each bin of half-angle at most pi/2), in
-higher dimensions by one inner ball about the net's Steiner point
-(_steiner_ball).  Its lower bound on the net maximum is _net_max over the
-cell centres, and a sample near the boundary meets only the net
-directions of the cells whose upper bound reaches that lower bound
+radial-moment machinery.  mc_measure settles a sample in three stages.
+First by its radius: in the plane by the inner and outer radius of its
+direction bin (_bin_radii, from the polar-body identity
+rho_K = 1 / h_{K polar} on the net's dual points u_j / h_j, each bin of
+half-angle at most pi/2), in higher dimensions by one inner ball about the
+net's Steiner point (_steiner_ball).  Then by a lower bound on the net
+maximum, _net_max over the cell centres, which places it outside.  Last,
+it meets only the net directions of the cells whose first-order upper
+bound <x, c_k> + |x| t_k - min h reaches that lower bound
 (_candidate_max), never the whole net.  One datum is still borrowed from
 the route under test: mc_measure sizes its uncertainty band with max |Q| of
 the body's curvature matrices at the quadrature nodes (body.curvature.Q).
@@ -199,14 +200,13 @@ def _farthest_points(dirs, k):
     return np.array(idx)
 
 
-def _net_cells(h, dirs, hdirs):
+def _net_cells(dirs, hdirs):
     """Split the net into cells around _COARSE of its own directions c_k.
 
-    Per cell: c_k, h(c_k) (the net's value), g_k = grad1 h(c_k), <g_k, c_k>,
-    the chord radius t_k >= |u_j - c_k| and the slack
-    e_k >= h(c_k) + <g_k, u_j - c_k> - h_j over the cell's directions u_j,
-    read from the net's own values (nothing is assumed between them), and
-    the net indices of its members in ascending order."""
+    Per cell: c_k, h(c_k) (the net's value), the chord radius
+    t_k >= |u_j - c_k| and the least value min h_j over the cell's
+    directions u_j, read from the net's own values (nothing is assumed
+    between them), and the net indices of its members in ascending order."""
     m, n = dirs.shape
     if n == 2:
         idx = np.arange(0, m, m // _COARSE)
@@ -214,56 +214,25 @@ def _net_cells(h, dirs, hdirs):
         idx = np.unique(np.argmax(_fibonacci_sphere(_COARSE) @ dirs.T, axis=1))
     else:
         idx = _farthest_points(dirs, _COARSE)
-    C, hC = dirs[idx], hdirs[idx]
-    G = h.grad1(C)
+    C = dirs[idx]
     cell = np.argmax(dirs @ C.T, axis=1)
-    d = dirs - C[cell]
     # zeros are safe starts: each centre lies in its own cell and gives 0
     t = np.zeros(len(idx))
-    np.maximum.at(t, cell, np.linalg.norm(d, axis=1))
-    e = np.zeros(len(idx))
-    np.maximum.at(e, cell, hC[cell] + np.sum(G[cell] * d, axis=1) - hdirs)
+    np.maximum.at(t, cell, np.linalg.norm(dirs - C[cell], axis=1))
+    h_min = np.full(len(idx), np.inf)
+    np.minimum.at(h_min, cell, hdirs)
     members = [np.flatnonzero(cell == k) for k in range(len(idx))]
-    return (C, hC, G, np.sum(G * C, axis=1), t * (1.0 + 1e-9), e, members)
+    return C, hdirs[idx], t * (1.0 + 1e-9), h_min, members
 
 
 def _cell_hi(rows, cells):
     """Per-cell bounds hi_k >= max_{u_j in cell k} <x, u_j> - h_j, one row
-    per sample.
-
-    For u_j in cell k write u_j - c_k = a c_k + w with -t_k^2/2 <= a <= 0,
-    |w| <= t_k; with v = x - g_k,
-        <x, u_j> - h_j <= <x, c_k> - h(c_k) + <v, u_j - c_k> + e_k
-                       <= <x, c_k> - h(c_k) + t_k |v_perp|
-                          + t_k^2/2 max(0, -<v, c_k>) + e_k = hi_k."""
-    C, hC, G, gc, t, e = cells[:6]
-    xc = rows @ C.T
-    w = rows @ G.T
-    vc = xc - gc                                    # <v, c_k>
-    w *= -2.0
-    w += np.sum(rows * rows, axis=1)[:, None]
-    w += np.sum(G * G, axis=1)                      # |v|^2
-    w -= vc * vc
-    np.maximum(w, 0.0, out=w)
-    np.sqrt(w, out=w)
-    w *= t                                          # t_k |v_perp|
-    np.negative(vc, out=vc)
-    np.maximum(vc, 0.0, out=vc)
-    vc *= 0.5 * t * t
-    w += vc
-    w += e
-    xc -= hC
-    xc += w
-    return xc
-
-
-def _net_hi(X, cells):
-    """Row-wise hi >= max_j <x, u_j> - h_j: the largest of the _cell_hi
-    bounds, _ROW_BLOCK rows at a time."""
-    hi = np.empty(len(X))
-    for a in range(0, len(X), _ROW_BLOCK):
-        np.max(_cell_hi(X[a:a + _ROW_BLOCK], cells), axis=1,
-               out=hi[a:a + _ROW_BLOCK])
+    per sample: <x, u_j> = <x, c_k> + <x, u_j - c_k> <= <x, c_k> + |x| t_k,
+    so hi_k = <x, c_k> + |x| t_k - min h_j."""
+    C, _, t, h_min = cells[:4]
+    hi = rows @ C.T
+    hi += np.sqrt(np.sum(rows * rows, axis=1))[:, None] * t
+    hi -= h_min
     return hi
 
 
@@ -310,7 +279,7 @@ def _candidate_max(X, floor, cells, dirs, hdirs):
                          out=cand[a:a + _ROW_BLOCK])
     gmax = np.full(len(X), -np.inf)
     imax = np.zeros(len(X), dtype=np.intp)
-    for k, members in enumerate(cells[6]):
+    for k, members in enumerate(cells[4]):
         rows = np.flatnonzero(cand[:, k])
         if len(rows) == 0:
             continue
@@ -385,20 +354,21 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     Of one batch at seed 31, the rows left to the cell bounds
     (McEstimate.bounded) are 204 for the planar bump of criterion 10 and
     23,197 for its shifted body at n = 3 (39,561 by a ball about the
-    origin).  Those rows are bounded
-    from _COARSE cells of the net (_net_cells), lower bound first: _net_max
-    over the 64 centres (net directions) above band + eps places a sample
-    outside, and only the others get the upper bound _net_hi (chord radius
-    and slack per cell), below -band - eps inside.  The undecided ones meet
-    only the members of their candidate cells, those whose per-cell upper
-    bound reaches the lower bound (_candidate_max; a median of 6 of the 64
-    cells on criterion 10's shifted body at n = 3), and each row's best net
-    direction starts its polish, whose Newton steps are taken for all
-    polished rows at once.  The estimates are bitwise those of the full
+    origin).  Those rows meet _COARSE cells of the net (_net_cells) in two
+    more stages.  _net_max over the 64 centres (net directions) is a lower
+    bound, and above band + eps it places a sample outside.  Every other
+    sample meets only the members of its candidate cells, those whose
+    first-order upper bound (_cell_hi: chord radius and least net value per
+    cell) reaches the lower bound (_candidate_max; a median of 7 of the 64
+    cells for the planar bump and 11 for the shifted body), and each row's
+    best net direction starts its polish, whose Newton steps are taken for
+    all polished rows at once.  The estimates are bitwise those of the full
     MC_BATCH x len(dirs) product, no part of which outside the candidate
     cells is formed."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if (isinstance(n_samples, bool)
+            or not isinstance(n_samples, (int, np.integer)) or n_samples < 1):
+        raise ValueError(
+            f"n_samples must be a positive integer, got {n_samples!r}")
     h = body.h
     g = body.grid
     n = g.n
@@ -415,8 +385,8 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     band = curv_scale * net_gap ** 2
     # max h exceeds the net's maximum by no more than the band
     R_b = (h_top + band) * (1.0 + 1e-12)
-    cells = _net_cells(h, dirs, hdirs)
-    # absorbs rounding in the bounds, |v_perp|^2 = |v|^2 - <v, c_k>^2 above all
+    cells = _net_cells(dirs, hdirs)
+    # absorbs rounding in the radius tests and the cell bounds
     eps = 1e-7 * R_b
     if n == 2:
         r_in, r_out = _bin_radii(dirs, hdirs, band + eps)
@@ -458,16 +428,13 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
             shell = np.flatnonzero(~inside)
         bounded += len(shell)
         X = Z[shell] * radii[shell, None]
-        # lo above band + eps places a row outside; only the others need hi
+        # lo above band + eps places a row outside; the others meet their
+        # candidate cells
         lo = _net_max(X, *cells[:2])[0]
         keep = lo <= band + eps
-        X, shell, lo = X[keep], shell[keep], lo[keep]
-        certain_in = _net_hi(X, cells) < -band - eps
-        inside[shell[certain_in]] = True
-        near = ~certain_in
-        X, shell = X[near], shell[near]
+        X, shell = X[keep], shell[keep]
         # a cell whose bound + eps stays below lo - eps cannot hold the max
-        gmax, i0 = _candidate_max(X, lo[near] - 2.0 * eps,
+        gmax, i0 = _candidate_max(X, lo[keep] - 2.0 * eps,
                                   cells, dirs, hdirs)
         unsure = np.abs(gmax) <= band
         if np.any(unsure):

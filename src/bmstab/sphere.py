@@ -200,12 +200,6 @@ class SphericalFunction:
 
     # -- derived quantities ----------------------------------------------
 
-    def grad1(self, U):
-        """Ambient gradient of the 1-homogeneous extension at unit points:
-        grad F(u) = f(u) u + spherical gradient."""
-        d = self.d2_ext0(U)
-        return U * d.val[:, None] + d.grad
-
     def third1(self, U):
         raise NotImplementedError(
             "third derivatives are only available for polynomial "

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as _measures
-from .bodies import measure_of_body
 from .sphere import curvature_matrix, det_poly, sphere_area
 
 
@@ -62,18 +61,6 @@ def second_cofactor_field(Q):
             minor = Q[np.ix_(np.arange(m), rows, cols)]
             C2[:, i, j, k, l] = sign * det_poly([minor])[0]
     return C2
-
-
-def cofactor_identity_residuals(Q):
-    """Max residuals of the two homogeneity identities over a matrix stack."""
-    Q = np.asarray(Q, dtype=float)
-    N = Q.shape[1]
-    C = cofactor_field(Q)
-    C2 = second_cofactor_field(Q)
-    det = det_poly([Q])[0]
-    r1 = np.max(np.abs(np.einsum("mij,mij->m", C, Q) - N * det))
-    r2 = np.max(np.abs(np.einsum("mijkl,mkl->mij", C2, Q) - (N - 1) * C))
-    return float(r1), float(r2)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +182,3 @@ def variation_at_ball(measure, R, psi, grid):
                            int_psi_sq=I2, int_grad_sq=J2, g0=g0, g1=g1,
                            g2_moment=g2_moment, g2_profile=g2_profile,
                            log_corr=log_corr)
-
-
-def g_eval(family, measure, s):
-    """gamma(K_{h_s}) from a validated body: the scalar function whose
-    derivatives variation_at_ball and the family's derivatives_along give.
-    s must lie inside the family's validity radius (family.body_at raises
-    FamilyError otherwise)."""
-    return measure_of_body(measure, family.body_at(s))

@@ -15,9 +15,9 @@ import bmstab as bm
 from bmstab.inequalities import run_check
 from bmstab.measures import moment_identities
 from bmstab.oracles import mc_measure
-from bmstab.sphere import poincare_ratio, split_mean
-from bmstab.variation import (cheng_yau_residual, cofactor_identity_residuals,
-                              ibp_residuals)
+from bmstab.sphere import det_poly, poincare_ratio, split_mean
+from bmstab.variation import (cheng_yau_residual, cofactor_field,
+                              ibp_residuals, second_cofactor_field)
 
 LEB = {"kind": "lebesgue"}
 GAU = {"kind": "gaussian"}
@@ -105,7 +105,8 @@ def test_criterion_03_variation_vs_finite_differences(grid2, grid3):
             meas = bm.measure_from_spec(spec)
             for name, _psi_spec, psi in bm.direction_suite(n):
                 fam = bm.make_family("additive", hb, psi, grid)
-                f = lambda ss: [bm.g_eval(fam, meas, s) for s in ss]
+                f = lambda ss: [bm.measure_of_body(meas, fam.body_at(s))
+                                for s in ss]
                 var = bm.variation_at_ball(meas, 1.0, psi, grid)
                 for order, analytic in ((1, var.g1), (2, var.g2)):
                     fd = bm.central_derivative(f, 0.0, order=order,
@@ -121,6 +122,18 @@ def test_criterion_03_variation_vs_finite_differences(grid2, grid3):
                 worst_routes = max(worst_routes, d / scale)
     report(3, True, f"48 derivative comparisons, worst FD rel {worst_fd:.2e}; "
                     f"route agreement {worst_routes:.2e}")
+
+
+def cofactor_identity_residuals(Q):
+    """Max residuals of the two homogeneity identities over a matrix stack."""
+    Q = np.asarray(Q, dtype=float)
+    N = Q.shape[1]
+    C = cofactor_field(Q)
+    C2 = second_cofactor_field(Q)
+    det = det_poly([Q])[0]
+    r1 = np.max(np.abs(np.einsum("mij,mij->m", C, Q) - N * det))
+    r2 = np.max(np.abs(np.einsum("mijkl,mkl->mij", C2, Q) - (N - 1) * C))
+    return float(r1), float(r2)
 
 
 def test_criterion_04_cofactor_algebra():

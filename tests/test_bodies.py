@@ -36,7 +36,7 @@ def test_ball_body_basics(n, R, lebesgue):
     g = build_grid(n, g_res)
     K = ball_body(R, g)
     assert K.n == n
-    assert K.min_curvature_eig == pytest.approx(R, rel=1e-12)
+    assert np.min(K.curvature.min_eig) == pytest.approx(R, rel=1e-12)
     assert np.allclose(K.D, R, atol=1e-12)
     vol = measure_of_body(lebesgue, K)
     kappa = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
@@ -507,7 +507,7 @@ def test_family_validity_holds_on_dense_s_grid(kind, n, name, grid2, grid3):
     grid = {2: grid2, 3: grid3}[n]
     base, direction = _family_case(n, name)
     fam = make_family(kind, base, direction, grid)
-    base_min_eig = body_from_support(base, grid).min_curvature_eig
+    base_min_eig = np.min(body_from_support(base, grid).curvature.min_eig)
     floor = VALIDITY_EIG_FLOOR * base_min_eig
     vals, _, Q = _node_fields(fam, np.linspace(-fam.a, fam.a, 401))
     assert np.all(vals > 0.0)

@@ -18,8 +18,8 @@ from bmstab.bodies import ball_body, body_from_support
 from bmstab.measures import make_measure
 from bmstab.oracles import (_HULL_SCALE, _ROW_BLOCK, MC_BATCH, McEstimate,
                             PlanarPolygon, _bin_of, _bin_radii,
-                            _candidate_max, _coarse_directions,
-                            _convex_hull_ccw, _net_cells, _net_hi, _net_max,
+                            _candidate_max, _cell_hi, _coarse_directions,
+                            _convex_hull_ccw, _net_cells, _net_max,
                             _polish_support_max, _steiner_ball, _unit_rows,
                             central_derivative, mc_measure, wulff_polygon)
 from bmstab.sphere import (PolynomialSF, build_grid, sf_product_powers,
@@ -259,7 +259,8 @@ def test_mc_measure_off_center_body(grid2, lebesgue):
 
 def test_mc_measure_rejects_nonpositive_sample_count(grid2, lebesgue):
     disk = ball_body(1.0, grid2)
-    for n_samples in (0, -3):
+    # a float, even a whole one, and a bool are not sample counts
+    for n_samples in (0, -3, 1.5, 2.0 ** 17, True):
         with pytest.raises(ValueError, match="n_samples"):
             mc_measure(lebesgue, disk, n_samples=n_samples)
 
@@ -284,12 +285,6 @@ def _sampling_ball(body):
     band = (float(np.max(np.abs(body.curvature.Q))) + h_top) * net_gap ** 2
     R_b = (h_top + band) * (1.0 + 1e-12)
     return dirs, hdirs, band, R_b
-
-
-def _dense_net_max(X, dirs, hdirs):
-    # the row maxima of the dense product, in _dense_max_argmax's 64-row
-    # blocks; gemm rows do not depend on the block
-    return _dense_max_argmax(X, dirs, hdirs)[0]
 
 
 def _mc_batch_points(body, R_b, seed):
@@ -358,7 +353,7 @@ def dense_batch():
             body = _MC_BODIES[case]()
             dirs, hdirs, _, R_b = _sampling_ball(body)
             X, radii = _mc_batch_points(body, R_b, seed=31)
-            gmax = _dense_net_max(X, dirs, hdirs)
+            gmax = _dense_max_argmax(X, dirs, hdirs)[0]
             for a in (X, radii, gmax):
                 a.setflags(write=False)
             formed[case] = body, X, radii, gmax
@@ -462,17 +457,16 @@ def _bracket_case(case):
     if case in ("dented", "one_cell"):
         # the unit disk's net with values no support function has: the
         # bounds read nothing but the net, so they must hold for these too
-        h = PolynomialSF.constant(2, 1.0)
         dirs = _coarse_directions(2)
-        hdirs = h.values(dirs)
+        hdirs = PolynomialSF.constant(2, 1.0).values(dirs)
         if case == "dented":
-            hdirs[5] -= 0.1     # in the cell of direction 0: its slack is 0.1
+            hdirs[5] -= 0.1     # in the cell of direction 0: its min h is 0.9
         else:
             # every direction more than 7 steps from direction 0 (the cells
             # of the other centres) lies far out, so that cell alone decides
             j = np.arange(len(dirs))
             hdirs[np.minimum(j, len(dirs) - j) > 7] += 100.0
-        return h, dirs, hdirs, 1.2
+        return dirs, hdirs, 1.2
     body = {
         "disk": lambda: ball_body(1.0, build_grid(2, 96)),
         "bump": lambda: _near_ball(2, 96, 0.1, "second_harmonic"),
@@ -481,35 +475,37 @@ def _bracket_case(case):
         "ball4": lambda: ball_body(1.0, build_grid(4, 8)),
     }[case]()
     dirs, hdirs, _, R_b = _sampling_ball(body)
-    return body.h, dirs, hdirs, R_b
+    return dirs, hdirs, R_b
 
 
 def _bracket_points(cells, R_b):
-    # uniform in the sampled ball, close to each cell's boundary point g_k,
-    # and along the inner normal g_k - s c_k (for the disk, s = 1 is the
+    # uniform in the sampled ball, close to each centre's point h(c_k) c_k,
+    # and along the inner normal (h(c_k) - s) c_k (for the disk, s = 1 is the
     # origin, where every net direction ties)
-    C, G = cells[0], cells[2]
+    C, hC = cells[:2]
+    B = hC[:, None] * C
     n = C.shape[1]
     rng = np.random.default_rng(17)
     Z = rng.standard_normal((8192, n))
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
     uniform = Z * R_b * rng.random((8192, 1)) ** (1.0 / n)
-    near = (np.repeat(G, 32, axis=0)
-            + 0.02 * rng.standard_normal((32 * len(G), n)))
+    near = (np.repeat(B, 32, axis=0)
+            + 0.02 * rng.standard_normal((32 * len(B), n)))
     s = np.linspace(0.0, 2.0, 33)[None, :, None]
-    inward = (G[:, None, :] - s * C[:, None, :]).reshape(-1, n)
+    inward = (B[:, None, :] - s * C[:, None, :]).reshape(-1, n)
     return np.concatenate([uniform, near, inward])
 
 
 @pytest.mark.parametrize("case", ["disk", "bump", "shift3", "battery3",
                                   "ball4", "dented", "one_cell"])
 def test_mc_net_bounds_bracket_the_dense_net_max(case):
-    h, dirs, hdirs, R_b = _bracket_case(case)
-    cells = _net_cells(h, dirs, hdirs)
+    dirs, hdirs, R_b = _bracket_case(case)
+    cells = _net_cells(dirs, hdirs)
     assert len(cells[0]) == 64
     X = _bracket_points(cells, R_b)
-    lo, hi = _net_max(X, *cells[:2])[0], _net_hi(X, cells)
-    gmax = _dense_net_max(X, dirs, hdirs)
+    lo = _net_max(X, *cells[:2])[0]
+    hi = np.max(_cell_hi(X, cells), axis=1)
+    gmax = _dense_max_argmax(X, dirs, hdirs)[0]
     eps = 1e-7 * R_b
     assert np.all(lo - eps <= gmax)
     assert np.all(gmax <= hi + eps)
@@ -520,10 +516,10 @@ def test_mc_net_max_one_row_block_matches_a_larger_block():
     # it: each row's maximum is bitwise the one it has inside a larger block.
     # The full net, and the 64 cell centres of mc_measure's lower bound on
     # 2 _ROW_BLOCK + 1 rows, which would leave a lone row in a last block
-    h, dirs, hdirs, R_b = _bracket_case("shift3")
+    dirs, hdirs, R_b = _bracket_case("shift3")
     rng = np.random.default_rng(5)
     for net, rows in [((dirs, hdirs), 16),
-                      (_net_cells(h, dirs, hdirs)[:2], 2 * _ROW_BLOCK + 1)]:
+                      (_net_cells(dirs, hdirs)[:2], 2 * _ROW_BLOCK + 1)]:
         X = rng.uniform(-R_b, R_b, (rows, 3))
         block, i_block = _net_max(X, *net)
         for i in range(len(X)):
@@ -551,8 +547,8 @@ def _candidates_of_dense(X, cells, dirs, hdirs, R_b):
 @pytest.mark.parametrize("case", ["disk", "dented", "one_cell", "shift3",
                                   "battery3", "ball4"])
 def test_mc_candidate_cells_match_the_dense_max_bitwise(case):
-    h, dirs, hdirs, R_b = _bracket_case(case)
-    cells = _net_cells(h, dirs, hdirs)
+    dirs, hdirs, R_b = _bracket_case(case)
+    cells = _net_cells(dirs, hdirs)
     X = _bracket_points(cells, R_b)
     gmax, imax = _candidates_of_dense(X, cells, dirs, hdirs, R_b)
     want, i_want = _dense_max_argmax(X, dirs, hdirs)
@@ -567,17 +563,17 @@ def test_mc_candidate_cells_match_the_dense_max_bitwise(case):
 def test_mc_candidate_cells_lone_row_and_lone_column_match_dense():
     # lone rows: one sample at a time, so every cell product has one row.
     # Lone columns: a 64-direction disk net, one direction per cell
-    h, dirs, hdirs, R_b = _bracket_case("shift3")
-    cells = _net_cells(h, dirs, hdirs)
+    dirs, hdirs, R_b = _bracket_case("shift3")
+    cells = _net_cells(dirs, hdirs)
     X = _bracket_points(cells, R_b)[::97]
     want, i_want = _dense_max_argmax(X, dirs, hdirs)
     for i in range(len(X)):
         got, i_got = _candidates_of_dense(X[i:i + 1], cells, dirs, hdirs, R_b)
         assert got[0] == want[i] and i_got[0] == i_want[i], i
-    h, dirs, hdirs, R_b = _bracket_case("disk")
+    dirs, hdirs, R_b = _bracket_case("disk")
     dirs, hdirs = dirs[::16], hdirs[::16]
-    cells = _net_cells(h, dirs, hdirs)
-    assert all(len(members) == 1 for members in cells[6])
+    cells = _net_cells(dirs, hdirs)
+    assert all(len(members) == 1 for members in cells[4])
     X = _bracket_points(cells, R_b)
     gmax, imax = _candidates_of_dense(X, cells, dirs, hdirs, R_b)
     want, i_want = _dense_max_argmax(X, dirs, hdirs)
@@ -597,7 +593,7 @@ def test_unit_rows_match_the_numpy_row_norm_bitwise(n):
 def _bin_radii_case(case):
     # a planar net of _bracket_case with mc_measure's s = band + eps; the
     # synthetic nets take the band of the unit disk, whose net they alter
-    h, dirs, hdirs, R_b = _bracket_case(case)
+    dirs, hdirs, R_b = _bracket_case(case)
     body = (_near_ball(2, 96, 0.1, "second_harmonic") if case == "bump"
             else ball_body(1.0, build_grid(2, 96)))
     band = _sampling_ball(body)[2]
@@ -644,14 +640,31 @@ def test_mc_bin_radii_leave_few_rows_to_the_cell_bounds(gaussian):
     assert 0 < est.bounded < 500
 
 
-def mc_bounded_counts():
-    """McEstimate.bounded of one batch at seed 31 for each of _MC_BODIES:
-    the rows that the radius tests (planar bins, or the ball about the
-    net's Steiner point) leave to the cell bounds."""
+def mc_row_counts():
+    """Per body of _MC_BODIES, one batch at seed 31 (Gaussian measure):
+    McEstimate.bounded, the rows that the radius tests (planar bins, or the
+    ball about the net's Steiner point) leave to the cell bounds, and the
+    median number of candidate cells (of 64) per row that meets
+    _candidate_max, counted by a wrapper around it."""
+    counts = []
+
+    def counting(X, floor, cells, dirs, hdirs):
+        for a in range(0, len(X), _ROW_BLOCK):
+            hi = _cell_hi(X[a:a + _ROW_BLOCK], cells)
+            counts.append(np.sum(hi >= floor[a:a + _ROW_BLOCK, None], axis=1))
+        return _candidate_max(X, floor, cells, dirs, hdirs)
+
     measure = make_measure(kind="gaussian")
-    return {case: mc_measure(measure, body(), n_samples=MC_BATCH,
-                             seed=31).bounded
-            for case, body in _MC_BODIES.items()}
+    out = {}
+    oracles._candidate_max = counting
+    try:
+        for case, body in _MC_BODIES.items():
+            counts.clear()
+            est = mc_measure(measure, body(), n_samples=MC_BATCH, seed=31)
+            out[case] = est.bounded, float(np.median(np.concatenate(counts)))
+    finally:
+        oracles._candidate_max = _candidate_max
+    return out
 
 
 def _mc_steiner_ball(body, monkeypatch):
@@ -692,7 +705,7 @@ def test_mc_steiner_ball_brackets_the_dense_net_max(case, monkeypatch):
     assert r_c > np.min(hdirs) - band - eps
     Z = np.random.default_rng(37).standard_normal((200_000, 3))
     Z = np.concatenate([Z / np.linalg.norm(Z, axis=1, keepdims=True), dirs])
-    g = _dense_net_max(c + r_c * (1.0 - 1e-12) * Z, dirs, hdirs)
+    g = _dense_max_argmax(c + r_c * (1.0 - 1e-12) * Z, dirs, hdirs)[0]
     assert np.all(g < -(band + eps))
 
 
@@ -700,10 +713,12 @@ def test_mc_steiner_ball_settles_off_centre_rows():
     # about the origin, one batch left 755 rows of ball3 and 39,561 of
     # shift3 to the cell bounds.  ball3's net Steiner point leaves
     # min hc = 0.99999 of min h = 1, so its count barely moves; shift3's
-    # falls to 23,197
-    bounded = mc_bounded_counts()
-    assert abs(bounded["ball3"] - 755) <= 10
-    assert bounded["shift3"] < 26_000
+    # falls to 23,197.  The first-order cell bound leaves a median of 7 to
+    # 12 of the 64 cells to each row that meets _candidate_max
+    counts = mc_row_counts()
+    assert abs(counts["ball3"][0] - 755) <= 10
+    assert counts["shift3"][0] < 26_000
+    assert all(1 <= cells <= 16 for _, cells in counts.values())
 
 
 def _traced_mc_batch(measure, body, seed):
@@ -719,8 +734,8 @@ def _traced_mc_batch(measure, body, seed):
 def test_mc_batch_traced_peak_is_bounded(exp1, gaussian):
     # a near-boundary sample meets only its candidate cells, so no
     # _ROW_BLOCK x len(dirs) block of the whole net is formed.  One batch of
-    # criterion 10's shifted body (n = 3) peaks at 7.7 MiB (22.2 when every
-    # such row met the full net); the n = 4 batch at 27.3 MiB (40.0), with
+    # criterion 10's shifted body (n = 3) peaks at 4.6 MiB (22.2 when every
+    # such row met the full net); the n = 4 batch at 24.3 MiB (40.0), with
     # its estimate unchanged
     est, peak = _traced_mc_batch(
         exp1, _near_ball(3, 10, 0.15, "first_harmonic"), seed=3)

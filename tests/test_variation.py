@@ -9,7 +9,7 @@ from bmstab.bodies import FamilyError, ball_body, make_family, measure_of_body
 from bmstab.measures import make_measure
 from bmstab.oracles import central_derivative
 from bmstab.sphere import PolynomialSF, build_grid, curvature_matrix, sf_sum
-from bmstab.variation import (cheng_yau_residual, cofactor_field, g_eval,
+from bmstab.variation import (cheng_yau_residual, cofactor_field,
                               ibp_residuals, second_cofactor_field,
                               variation_at_ball)
 
@@ -198,15 +198,20 @@ def test_ibp_trilinear_symmetry(grid3):
 # g(s) and its derivatives
 # ---------------------------------------------------------------------------
 
-def test_g_eval_closed_forms(grid2, lebesgue, gaussian):
+def _g(fam, measure):
+    # s -> gamma(K_{h_s}) from validated bodies along the family
+    return lambda ss: [measure_of_body(measure, fam.body_at(s)) for s in ss]
+
+
+def test_family_body_measure_closed_forms(grid2, lebesgue, gaussian):
     one = PolynomialSF.constant(2, 1.0)
     fam = make_family("additive", one, one, grid2)
-    assert g_eval(fam, lebesgue, 0.5) == pytest.approx(2.25 * math.pi,
-                                                       rel=1e-12)
-    assert g_eval(fam, gaussian, 0.2) == pytest.approx(
+    assert measure_of_body(lebesgue, fam.body_at(0.5)) == pytest.approx(
+        2.25 * math.pi, rel=1e-12)
+    assert measure_of_body(gaussian, fam.body_at(0.2)) == pytest.approx(
         2 * math.pi * (1 - math.exp(-1.44 / 2)), rel=1e-10)
     with pytest.raises(FamilyError):
-        g_eval(fam, lebesgue, fam.a * 1.01)
+        fam.body_at(fam.a * 1.01)
 
 
 def test_g_prime_ball_closed_forms(grid2, lebesgue, gaussian):
@@ -260,8 +265,7 @@ def test_first_variation_matches_fd(grid2, gaussian):
     psi = PolynomialSF.cos_harmonic(2)
     fam = make_family("additive", base, psi, grid2)
     analytic = fam.derivatives_along(gaussian, [0.0])[1][0]
-    fd = central_derivative(lambda ss: [g_eval(fam, gaussian, s) for s in ss],
-                            0.0, order=1, step=1e-3)
+    fd = central_derivative(_g(fam, gaussian), 0.0, order=1, step=1e-3)
     assert analytic == pytest.approx(fd, rel=1e-7)
 
 
@@ -271,8 +275,7 @@ def test_g_prime_away_from_zero(grid2, exp1):
     fam = make_family("additive", base, psi, grid2)
     s0 = 0.3 * fam.a
     analytic = fam.derivatives_along(exp1, [s0])[1][0]
-    fd = central_derivative(lambda ss: [g_eval(fam, exp1, s) for s in ss],
-                            s0, order=1, step=1e-4)
+    fd = central_derivative(_g(fam, exp1), s0, order=1, step=1e-4)
     assert analytic == pytest.approx(fd, rel=1e-6)
 
 
@@ -328,12 +331,10 @@ def test_log_correction_general_body_vs_double_fd(grid2, gaussian):
     fam_add = make_family("additive", base, psi, grid2)
     fam_mul = make_family("multiplicative", base, psi, grid2)
     step = 2e-3
-    g2_add = central_derivative(
-        lambda ss: [g_eval(fam_add, gaussian, s) for s in ss], 0.0,
-        order=2, step=step)
-    g2_mul = central_derivative(
-        lambda ss: [g_eval(fam_mul, gaussian, s) for s in ss], 0.0,
-        order=2, step=step)
+    g2_add = central_derivative(_g(fam_add, gaussian), 0.0, order=2,
+                                step=step)
+    g2_mul = central_derivative(_g(fam_mul, gaussian), 0.0, order=2,
+                                step=step)
     corr = _log_correction(gaussian, fam_add, fam_mul)
     assert corr == pytest.approx(g2_mul - g2_add, rel=1e-4)
 
