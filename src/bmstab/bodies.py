@@ -181,11 +181,9 @@ class PerturbationFamily:
     ones.  Nothing between nodes is checked.
 
     A family whose node data (v0, v1, u0, u1, C0, C1, C2) are bitwise the
-    same at every node, as a ball's dilation is, is node-uniform: its
-    kernels and radius search evaluate node 0 only, and meet the grid
-    weights in the final sum.  A chunk of at most _CHEB_POINTS scales still
-    reaches the radial profile as the full (S, m) batch, so it takes the
-    same route, and every result is bitwise that of evaluating every node."""
+    same at every node, as a ball's dilation is, is node-uniform: it keeps
+    node 0's row of each, which the grid weights meet in the final sum, and
+    every result is bitwise that of keeping every node."""
 
     kind: str
     base: SphericalFunction
@@ -228,10 +226,12 @@ class PerturbationFamily:
             self.C0 = f0.Q / f0.val[:, None, None]
             self.C1 = (f1.Q / f1.val[:, None, None] - np.eye(g.n - 1)
                        + cross + cross.transpose(0, 2, 1) - self.C2)
-        bits = [np.ascontiguousarray(x).view(np.uint64) for x in (
-            self.v0, self.v1, self.u0, self.u1, self.C0, self.C1, self.C2)]
-        uniform = all(np.all(b == b[:1]) for b in bits)
-        self._nodes = slice(0, 1) if uniform else slice(None)
+        stacks = [k for k in ("v0", "v1", "u0", "u1", "C0", "C1", "C2")
+                  if np.ndim(getattr(self, k))]     # C2 = 0.0 if additive
+        if all(np.all(b == b[:1]) for b in (np.ascontiguousarray(
+                getattr(self, k)).view(np.uint64) for k in stacks)):
+            for k in stacks:
+                setattr(self, k, getattr(self, k)[:1].copy())
 
     # -- supports ---------------------------------------------------------
 
@@ -248,18 +248,13 @@ class PerturbationFamily:
 
     # -- batched node fields ------------------------------------------------
 
-    def _node(self, x):
-        # x at the evaluated nodes: node 0 alone for a node-uniform family
-        return x[self._nodes] if np.ndim(x) else x
-
     def _values(self, s, out=None):
-        # h_s at the evaluated nodes, shaped (S, m), for S parameters s (any
-        # shape), into out if given
-        v0, v1 = self._node(self.v0), self._node(self.v1)
+        # h_s at the stored nodes, shaped (S, len(v0)), for S parameters s
+        # (any shape), into out if given
         s = np.reshape(s, (-1, 1))
         if self.kind == "additive":
-            return np.add(v0, np.multiply(s, v1, out=out), out=out)
-        return np.multiply(v0, np.power(v1, s, out=out), out=out)
+            return np.add(self.v0, np.multiply(s, self.v1, out=out), out=out)
+        return np.multiply(self.v0, np.power(self.v1, s, out=out), out=out)
 
     def _expansions(self, s_values):
         # per chunk of _S_CHUNK parameters about its centre s_c: the chunk's
@@ -269,8 +264,7 @@ class PerturbationFamily:
         if s_values.ndim != 1:
             raise ValueError(
                 f"s_values must be 1-D, got shape {s_values.shape}")
-        u0, u1, C0, C1, C2 = (self._node(x) for x in (
-            self.u0, self.u1, self.C0, self.C1, self.C2))
+        u0, u1, C0, C1, C2 = self.u0, self.u1, self.C0, self.C1, self.C2
         extra = [C2] if self.kind == "multiplicative" else []
         for lo in range(0, s_values.size, _S_CHUNK):
             sl = s_values[lo:lo + _S_CHUNK]
@@ -281,27 +275,20 @@ class PerturbationFamily:
                             + extra),
                    poly_mul([uc, u1], np.stack([uc, u1])).sum(axis=2))
 
-    def _batch(self, D):
-        # scales D (S, evaluated nodes) as the radial profile must see them
-        # to take the route of the full (S, m) batch
-        if D.size <= _measures._CHEB_POINTS:
-            return np.broadcast_to(D, (D.shape[0], self.grid.count))
-        return D
-
     def measures_along(self, measure, s_values):
         """gamma(K_{h_s}) for a 1-D batch of parameters (no per-s validation;
         callers must stay inside the validity radius).  Per chunk of
         _S_CHUNK parameters, det Q(h_s) / w^(n-1) and D(s)^2 / w^2 are exact
         polynomials in t = s - s_c about the chunk's centre s_c (at s = 0
-        they cancel near s = -a), evaluated by sphere.horner, at node 0 only
-        for a node-uniform family (_CHEB_POINTS guard above).  One (S, m)
-        buffer per call holds a chunk's D(s), which picks the radial route,
-        then its rows f A w; tiles of _CHEB_BLOCK scales keep h_s, f and the
-        in-place Clenshaw pass in cache, bitwise the one-pass product."""
+        they cancel near s = -a), evaluated by sphere.horner at the stored
+        nodes.  One (S, m) buffer per call holds a chunk's D(s), which picks
+        the radial route, then its rows f A w; tiles of _CHEB_BLOCK scales
+        keep h_s, f and the in-place Clenshaw pass in cache, bitwise the
+        one-pass product."""
         s_values = np.asarray(s_values, dtype=float)
         out = np.empty(s_values.size)
         w, n = self.grid.weights, self.grid.n
-        k = self._node(self.v0).size                # evaluated nodes
+        k = self.v0.size                            # stored nodes
         S = min(s_values.size, _S_CHUNK)
         rows = min(S, max(1, _measures._CHEB_BLOCK // k))   # per tile
         buf = np.empty((S, w.size))
@@ -315,14 +302,13 @@ class PerturbationFamily:
                 Dr = np.sqrt(horner(q, t[r], out=D[r]), out=D[r])
                 if self.kind == "multiplicative":
                     Dr *= self._values(sl[r], out=hf[0, :len(Dr)])
-            fit, A = _measures._profile_fit(
-                measure, self._batch(D).ravel(), n, (0,))
+            fit, A = _measures._profile_fit(measure, D.ravel(), n, (0,))
             for r in tiles:
                 h, f = hf[:, :len(sl[r])]
                 self._values(sl[r], out=h)
                 horner(p, t[r], out=f)
                 f *= h if self.kind == "additive" else np.power(h, n, out=h)
-                f *= (A.reshape(sl.size, -1)[r, :k] if fit is None else
+                f *= (A.reshape(D.shape)[r] if fit is None else
                       _measures._clenshaw(D[r], fit, work).reshape(f.shape))
                 np.multiply(f, w, out=rows_f[r])
             out[lo:lo + _S_CHUNK] = rows_f.sum(axis=1)
@@ -340,12 +326,10 @@ class PerturbationFamily:
             g'' = sum w (H'' A + 2 H' B D' + H (C D'^2 + B D'')).
 
         Multiplicative families differentiate through the factors w(s) = h_s,
-        with h_s' = h_s log phi.  Node-uniform families take the one-node
-        path of measures_along, with its _CHEB_POINTS guard."""
+        with h_s' = h_s log phi."""
         s_values = np.asarray(s_values, dtype=float)
         out = np.empty((3, s_values.size))
         w, n = self.grid.weights, self.grid.n
-        v1 = self._node(self.v1)
         for lo, sl, t, p, q in self._expansions(s_values):
             h = self._values(sl)
             P = [horner(polyder(p, k), t) for k in range(3)]
@@ -354,14 +338,13 @@ class PerturbationFamily:
             E1 = q1 / (2.0 * E)
             D = [E, E1, (q2 - 2.0 * E1 ** 2) / (2.0 * E)]
             if self.kind == "additive":
-                H = _leibniz([h, v1, 0.0], P)
+                H = _leibniz([h, self.v1, 0.0], P)
             else:
-                L = np.log(v1)
+                L = np.log(self.v1)
                 H = _leibniz([h ** n * (n * L) ** k for k in range(3)], P)
                 D = _leibniz([h * L ** k for k in range(3)], D)
-            Db = self._batch(D[0])
             A, B, C = _measures.radial_profile(
-                measure, Db, n, (0, 1, 2)).reshape((3,) + Db.shape)
+                measure, D[0], n, (0, 1, 2)).reshape((3,) + D[0].shape)
             terms = _leibniz(H, [A, B * D[1], C * D[1] ** 2 + B * D[2]])
             out[:, lo:lo + _S_CHUNK] = (np.stack(terms) * w).sum(axis=2)
         return out[0], out[1], out[2]
@@ -369,11 +352,11 @@ class PerturbationFamily:
     # -- validity -----------------------------------------------------------
 
     def _valid_on(self, bound):
-        # the predicate for |s| <= bound, evaluated at s = +-bound only, and
-        # at node 0 only for a node-uniform family
+        # the predicate for |s| <= bound, evaluated at s = +-bound only, at
+        # the stored nodes
         s = np.array([-bound, bound]).reshape(2, 1, 1, 1)
         vals = self._values(s)
-        lam = batch_min_eig(self._node(self.C0) + s * self._node(self.C1))
+        lam = batch_min_eig(self.C0 + s * self.C1)
         w = vals if self.kind == "multiplicative" else 1.0
         return bool(np.all(vals > 0.0) and np.all(w * lam >= self.floor))
 

@@ -271,10 +271,16 @@ def _profile_fit(measure, D, n, powers):
     are interpolated, with fit = (mid, half, coef) the centre and half-width
     of [min D, max D] and the Chebyshev coefficients (_CHEB_POINTS,
     len(powers)), else (None, moments) integrated directly, shaped
-    (len(powers), D.size)."""
-    if D.size <= _CHEB_POINTS:
-        return None, _integrate_profile(measure, D, n, powers)
-    lo, hi = D.min(), D.max()
+    (len(powers), D.size).
+
+    The route depends on the scales alone, not on how often each repeats:
+    an empty or constant D is integrated once, at one scale; any other is
+    fitted at _CHEB_POINTS Chebyshev points of [min D, max D] and taken if
+    the last two coefficients of every moment sum to at most QUAD_TOL in
+    absolute value, else every scale is integrated.  As an adaptive_gk
+    column does not depend on the batch around it, each scale's moments
+    are bitwise the same in any batch of the same distinct scales."""
+    lo, hi = (D.min(), D.max()) if D.size else (0.0, 0.0)
     if hi == lo:
         one = _integrate_profile(measure, D[:1], n, powers)
         return None, np.repeat(one, D.size, axis=1)
@@ -312,15 +318,11 @@ def radial_profile(measure, D, n, powers=(0,)):
     """Vectorized moments over an array of scales D.
 
     powers selects which of (A, B, C) to compute: 0 -> A, 1 -> B, 2 -> C.
-    Returns an array of shape (len(powers), len(D)).  Up to _CHEB_POINTS
-    scales are integrated by adaptive_gk; over more, one repeated scale is
-    integrated once, and otherwise the moments at _CHEB_POINTS Chebyshev
-    points of [min D, max D] are interpolated if the last two Chebyshev
-    coefficients of every moment sum to at most QUAD_TOL in absolute value
-    (else every scale is integrated).  The interpolant is evaluated by an
-    in-place Clenshaw recurrence over tiles of _CHEB_BLOCK scales, in
-    buffers allocated once per call, bitwise equal to numpy's chebval in
-    one pass over every scale."""
+    Returns an array of shape (len(powers), len(D)), by the route of
+    _profile_fit.  An interpolant is evaluated by an in-place Clenshaw
+    recurrence over tiles of _CHEB_BLOCK scales, in buffers allocated once
+    per call, bitwise equal to numpy's chebval in one pass over every
+    scale."""
     D = np.asarray(D, dtype=float).ravel()
     fit, direct = _profile_fit(measure, D, n, powers)
     if fit is None:

@@ -10,10 +10,10 @@ First by its radius: in the plane by the inner and outer radius of its
 direction bin (_bin_radii, from the polar-body identity
 rho_K = 1 / h_{K polar} on the net's dual points u_j / h_j, each bin of
 half-angle at most pi/2), in higher dimensions by one inner ball about the
-net's Steiner point (_steiner_ball).  Then by a lower bound on the net
-maximum, _net_max over the cell centres, which places it outside.  Last,
-it meets only the net directions of the cells whose first-order upper
-bound <x, c_k> + |x| t_k - min h reaches that lower bound
+net's estimate of the Steiner point (_steiner_ball).  Then by a lower bound
+on the net maximum, _net_max over the cell centres, which places it
+outside.  Last, it meets only the net directions of the cells whose
+first-order upper bound <x, c_k> + |x| t_k - min h reaches that lower bound
 (_candidate_max), never the whole net.  One datum is still borrowed from
 the route under test: mc_measure sizes its uncertainty band with max |Q| of
 the body's curvature matrices at the quadrature nodes (body.curvature.Q).
@@ -180,11 +180,14 @@ def _bin_radii(dirs, hdirs, s):
 
 
 def _steiner_ball(dirs, hdirs, s):
-    """The net's Steiner point c = n mean_j h_j u_j, and the radius r_c of
-    the ball about c where the net maximum is below -s: with
-    hc_j = h_j - <c, u_j>, <x, u_j> - h_j = <x - c, u_j> - hc_j
-    <= |x - c| - min hc.  r_c is lowered by 1e-9 against rounding."""
-    c = dirs.shape[1] * (hdirs @ dirs) / len(dirs)
+    """The net's estimate c of the Steiner point, from the least-squares
+    fit h_j ~ a + <c, u_j> (n mean_j h_j u_j on a balanced net, which a
+    random net is not), and the radius r_c of the ball about c where the
+    net maximum is below -s: with hc_j = h_j - <c, u_j>,
+    <x, u_j> - h_j = <x - c, u_j> - hc_j <= |x - c| - min hc, whatever c
+    is.  r_c is lowered by 1e-9 against rounding."""
+    fit = np.column_stack([np.ones(len(dirs)), dirs])
+    c = np.linalg.lstsq(fit, hdirs, rcond=None)[0][1:]
     hc_min = float(np.min(hdirs - dirs @ c))
     return c, max((hc_min - s) * (1.0 - 1e-9), 0.0)
 
@@ -201,19 +204,14 @@ def _farthest_points(dirs, k):
 
 
 def _net_cells(dirs, hdirs):
-    """Split the net into cells around _COARSE of its own directions c_k.
+    """Split the net into cells around _COARSE of its own directions c_k,
+    picked by greedy farthest-point sampling.
 
     Per cell: c_k, h(c_k) (the net's value), the chord radius
     t_k >= |u_j - c_k| and the least value min h_j over the cell's
     directions u_j, read from the net's own values (nothing is assumed
     between them), and the net indices of its members in ascending order."""
-    m, n = dirs.shape
-    if n == 2:
-        idx = np.arange(0, m, m // _COARSE)
-    elif n == 3:
-        idx = np.unique(np.argmax(_fibonacci_sphere(_COARSE) @ dirs.T, axis=1))
-    else:
-        idx = _farthest_points(dirs, _COARSE)
+    idx = _farthest_points(dirs, _COARSE)
     C = dirs[idx]
     cell = np.argmax(dirs @ C.T, axis=1)
     # zeros are safe starts: each centre lies in its own cell and gives 0
@@ -349,22 +347,18 @@ def mc_measure(measure, body, n_samples=1 << 20, seed=2024):
     arcs of half-angle pi / 512, each with radii r_in <= r_out
     (_bin_radii; a bin's bounds need a half-angle of at most pi/2): below
     r_in a sample is certainly inside, beyond r_out certainly outside.
-    Other nets get one inner ball, about the net's Steiner point
-    (_steiner_ball), which stays wide when the body lies off the origin.
-    Of one batch at seed 31, the rows left to the cell bounds
-    (McEstimate.bounded) are 204 for the planar bump of criterion 10 and
-    23,197 for its shifted body at n = 3 (39,561 by a ball about the
-    origin).  Those rows meet _COARSE cells of the net (_net_cells) in two
-    more stages.  _net_max over the 64 centres (net directions) is a lower
-    bound, and above band + eps it places a sample outside.  Every other
-    sample meets only the members of its candidate cells, those whose
-    first-order upper bound (_cell_hi: chord radius and least net value per
-    cell) reaches the lower bound (_candidate_max; a median of 7 of the 64
-    cells for the planar bump and 11 for the shifted body), and each row's
-    best net direction starts its polish, whose Newton steps are taken for
-    all polished rows at once.  The estimates are bitwise those of the full
-    MC_BATCH x len(dirs) product, no part of which outside the candidate
-    cells is formed."""
+    Other nets get one inner ball, about the net's estimate of the Steiner
+    point (_steiner_ball), which stays wide when the body lies off the
+    origin.  The rows left (McEstimate.bounded) meet _COARSE cells of the
+    net (_net_cells) in two more stages.  _net_max over the 64 centres (net
+    directions) is a lower bound, and above band + eps it places a sample
+    outside.  Every other sample meets only the members of its candidate
+    cells, those whose first-order upper bound (_cell_hi: chord radius and
+    least net value per cell) reaches the lower bound (_candidate_max), and
+    each row's best net direction starts its polish, whose Newton steps are
+    taken for all polished rows at once.  The estimates are bitwise those
+    of the full MC_BATCH x len(dirs) product, no part of which outside the
+    candidate cells is formed."""
     if (isinstance(n_samples, bool)
             or not isinstance(n_samples, (int, np.integer)) or n_samples < 1):
         raise ValueError(
@@ -502,7 +496,9 @@ def wulff_polygon(directions, support_values):
     Uses polar duality: the polygon's vertices correspond to edges of the
     convex hull of the points u_k / h_k, and each vertex solves the two
     adjacent touching-line equations exactly.  Requires all h_k > 0 and the
-    origin interior."""
+    origin interior: a direction set whose half-planes bound no polygon
+    (two consecutive dual hull points not turning counterclockwise about
+    the origin) raises ValueError."""
     directions = np.asarray(directions, dtype=float)
     support_values = np.asarray(support_values, dtype=float)
     if np.any(support_values <= 0):
@@ -512,6 +508,9 @@ def wulff_polygon(directions, support_values):
     q = np.roll(p, -1, axis=0)
     # <p, v> = <q, v> = 1 by Cramer's rule
     det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    if np.any(det <= 0.0):
+        raise ValueError("the half-planes bound no polygon: the directions "
+                         "leave the origin outside their dual hull's interior")
     verts = (np.column_stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]])
              / det[:, None])
     nxt = np.roll(verts, -1, axis=0)

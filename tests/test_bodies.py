@@ -360,20 +360,40 @@ def test_derivatives_along_value_matches_measures_along(kind, grid3,
     assert np.max(np.abs(g - gam) / gam) < 1e-14
 
 
+_NODE_STACKS = ("v0", "v1", "u0", "u1", "C0", "C1", "C2")
+
+
+def _node_uniform(fam):
+    # a node-uniform family keeps node 0's row of each node stack
+    return all(len(getattr(fam, k)) == 1 for k in _NODE_STACKS
+               if np.ndim(getattr(fam, k)))
+
+
+def _every_node(fam):
+    """A copy of fam whose node stacks hold every grid node: the row that
+    a node-uniform family keeps is repeated at each node."""
+    every = copy.copy(fam)
+    if _node_uniform(fam):
+        for k in _NODE_STACKS:
+            x = getattr(fam, k)
+            if np.ndim(x):
+                setattr(every, k, np.repeat(x, fam.grid.count, axis=0))
+    return every
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
 def test_node_uniform_family_is_bitwise_the_all_node_path(
         kind, n, lebesgue, gaussian, exp3):
-    # a ball dilation carries the same data at every node, so the kernel
-    # evaluates node 0 only; forcing every node must change no bit, on both
-    # sides of radial_profile's _CHEB_POINTS branch and of the _S_CHUNK
-    # edges, and through its direct fallback (exp3 past the tail test)
+    # a ball dilation carries the same data at every node, so the family
+    # keeps node 0's only; repeating it at every node must change no bit,
+    # for chunks of up to _CHEB_POINTS scales and more, across the _S_CHUNK
+    # edges, and through the direct fallback (exp3 past the tail test)
     grid = build_grid(n, {2: 32, 3: 8, 4: 4}[n])
     fam = make_family(kind, PolynomialSF.constant(n, 1.0),
                       PolynomialSF.constant(n, 0.7), grid)
-    assert fam._nodes == slice(0, 1)
-    every = copy.copy(fam)
-    every._nodes = slice(None)
+    assert _node_uniform(fam)
+    every = _every_node(fam)
     for S in (1, 2, 14, 15, 32, 33, 256):
         s_values = np.linspace(-0.9, 0.8, S) * fam.a
         for mu in (lebesgue, gaussian, exp3):
@@ -390,15 +410,14 @@ def test_perturbed_base_takes_the_all_node_path(kind, grid3):
     # a constant psi on a base that is not a ball: the nodes differ
     base, _ = _family_case(3, "second_harmonic")
     fam = make_family(kind, base, PolynomialSF.constant(3, 0.7), grid3)
-    assert fam._nodes == slice(None)
+    assert not _node_uniform(fam)
 
 
 def _one_pass_measures(fam, measure, s_values):
     """measures_along in one pass over each whole chunk at every node:
     (h * horner(p, t) * A * w).sum(axis=1), with A from numpy's chebval
     where radial_profile's route interpolates."""
-    every = copy.copy(fam)
-    every._nodes = slice(None)
+    every = _every_node(fam)
     w, n = fam.grid.weights, fam.grid.n
     out = []
     for _, sl, t, p, q in every._expansions(np.asarray(s_values, float)):
@@ -440,7 +459,7 @@ def test_tiled_kernel_is_bitwise_the_one_pass_formula(
     base, psi = ((ball, PolynomialSF.constant(3, 0.7)) if uniform
                  else _family_case(3, "random_even"))
     fam = make_family(kind, base, psi, grid)
-    assert (fam._nodes == slice(0, 1)) == uniform
+    assert _node_uniform(fam) == uniform
     for S in (1, 14, 33, 256):
         s_values = np.linspace(-0.9, 0.8, S) * fam.a
         for mu in (gaussian, exp3):

@@ -85,10 +85,9 @@ def test_radial_profile_interpolant_matches_direct(spec, n, lo, hi):
     assert np.max(np.abs(got - _direct_profile(mu, D, n, (0, 1, 2)))) < 1e-14
 
 
-def test_radial_profile_kinked_profile_falls_back_to_direct(gk_widths):
+def _kinked_measure():
     # f(r) = exp(-max(r - 1, 0)) is log-concave with a kink at r = 1, so A(D)
-    # has a kink in its second derivative: the interpolant's tail test must
-    # reject it, and the result is the direct route's, bit for bit
+    # has a kink in its second derivative
     def f(r):
         return np.exp(-np.maximum(np.asarray(r, dtype=float) - 1.0, 0.0))
 
@@ -100,12 +99,52 @@ def test_radial_profile_kinked_profile_falls_back_to_direct(gk_widths):
         r = np.asarray(r, dtype=float)
         return np.where(r > 1.0, f(r), 0.0)
 
-    kinked = make_measure("custom", f=f, fprime=fprime, fsecond=fsecond,
-                          name="kinked")
+    return make_measure("custom", f=f, fprime=fprime, fsecond=fsecond,
+                        name="kinked")
+
+
+def test_radial_profile_kinked_profile_falls_back_to_direct(gk_widths):
+    # across the kink of _kinked_measure the interpolant's tail test must
+    # reject the fit, and the result is the direct route's, bit for bit
+    kinked = _kinked_measure()
     D = np.linspace(0.8, 1.2, 25)
     got = radial_profile(kinked, D, 3)
     assert gk_widths == [measures_module._CHEB_POINTS, D.size]
     assert np.array_equal(got, _direct_profile(kinked, D, 3, (0,)))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 14, 15, 300])
+def test_radial_profile_route_does_not_depend_on_repeats(monkeypatch, size,
+                                                         gaussian):
+    # a batch and the same batch with each scale repeated 5 times agree bit
+    # for bit, scale by scale: the route reads the distinct scales alone.
+    # One scale is integrated once, the Gaussian over [0.95, 1.05] is
+    # interpolated, and the kinked profile across its kink is integrated
+    # scale by scale after its tail test fails (up to 15 scales: 300 take
+    # 4 s on that route)
+    routes, real = [], measures_module._profile_fit
+
+    def recording(measure, D, n, powers):
+        fit, direct = real(measure, D, n, powers)
+        routes.append("interpolated" if fit else "direct"
+                      if D.size and D.min() < D.max() else "one scale")
+        return fit, direct
+
+    monkeypatch.setattr(measures_module, "_profile_fit", recording)
+    cases = [(gaussian, 0.95, 1.05, ((0,), (0, 1, 2)))]
+    if size <= 15:
+        cases.append((_kinked_measure(), 0.8, 1.2, ((0,),)))
+    for mu, lo, hi, moments_of in cases:
+        D = np.linspace(lo, hi, size)
+        for powers in moments_of:
+            got = radial_profile(mu, D, 3, powers)
+            assert got.shape == (len(powers), size)
+            repeated = radial_profile(mu, np.repeat(D, 5), 3, powers)
+            assert np.array_equal(repeated, np.repeat(got, 5, axis=1)), (
+                mu.kind, powers)
+    assert set(routes) == ({"one scale"} if size <= 1 else
+                           {"interpolated"} if size > 15 else
+                           {"interpolated", "direct"})
 
 
 def test_adaptive_gk_column_does_not_depend_on_batch_width():

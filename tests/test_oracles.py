@@ -96,6 +96,19 @@ def test_wulff_redundant_halfplanes_dropped():
     assert len(p5.vertices) == 4
 
 
+@pytest.mark.parametrize("angles", [
+    [0.0, 0.1, 0.2, 0.3],               # area -0.00101 when accepted
+    [0.0, 0.5, 1.0, 2.0, 2.5],          # area -1.697 when accepted
+    [0.0, 0.5 * math.pi, math.pi],      # the origin on a dual hull edge
+], ids=["narrow-fan", "half-circle", "origin-on-edge"])
+def test_wulff_rejects_half_planes_that_bound_no_polygon(angles):
+    # directions within a closed half-circle leave the intersection of the
+    # half-planes unbounded: no area, negative or infinite, is returned
+    U = np.column_stack([np.cos(angles), np.sin(angles)])
+    with pytest.raises(ValueError, match="bound no polygon"):
+        wulff_polygon(U, np.ones(len(angles)))
+
+
 def test_wulff_vertices_match_the_per_vertex_solve():
     rng = np.random.default_rng(23)
     for m in (3, 7, 64, 500):
@@ -711,14 +724,40 @@ def test_mc_steiner_ball_brackets_the_dense_net_max(case, monkeypatch):
 
 def test_mc_steiner_ball_settles_off_centre_rows():
     # about the origin, one batch left 755 rows of ball3 and 39,561 of
-    # shift3 to the cell bounds.  ball3's net Steiner point leaves
-    # min hc = 0.99999 of min h = 1, so its count barely moves; shift3's
-    # falls to 23,197.  The first-order cell bound leaves a median of 7 to
-    # 12 of the 64 cells to each row that meets _candidate_max
+    # shift3 to the cell bounds.  ball3's fitted centre lies at the origin up
+    # to rounding, so its count does not move; shift3's falls to 23,197.
+    # The first-order cell bound leaves a median of 7 to 12 of the 64 cells
+    # to each row that meets _candidate_max
     counts = mc_row_counts()
     assert abs(counts["ball3"][0] - 755) <= 10
     assert counts["shift3"][0] < 26_000
     assert all(1 <= cells <= 16 for _, cells in counts.values())
+
+
+def test_mc_fitted_centre_at_n4(gaussian, monkeypatch):
+    # the random n = 4 net is not balanced: n mean_j h_j u_j lies 0.033 off
+    # the origin for the centred body 1 + 0.2 second_harmonic, and 0.030 off
+    # (0.2, 0, 0, 0) for the shifted ball 1 + 0.2 x_1.  The least-squares
+    # centre lies within 0.005 of the first and on the second, whose ball
+    # then leaves fewer rows to the cell bounds than the ball about the
+    # origin (38,472 against 54,718), with the same estimate
+    centred = _near_ball(4, 8, 0.2, "second_harmonic")
+    c, _ = _mc_steiner_ball(centred, monkeypatch)
+    assert np.linalg.norm(c) < 0.005
+    shifted = _near_ball(4, 8, 0.2, "first_harmonic")
+    c, _ = _mc_steiner_ball(shifted, monkeypatch)
+    assert np.max(np.abs(c - [0.2, 0.0, 0.0, 0.0])) < 1e-12
+    fitted = mc_measure(gaussian, shifted, n_samples=MC_BATCH, seed=1)
+
+    def origin_ball(dirs, hdirs, s):
+        return (np.zeros(dirs.shape[1]),
+                max((float(np.min(hdirs)) - s) * (1.0 - 1e-9), 0.0))
+
+    monkeypatch.setattr(oracles, "_steiner_ball", origin_ball)
+    origin = mc_measure(gaussian, shifted, n_samples=MC_BATCH, seed=1)
+    assert fitted.bounded < origin.bounded
+    assert (fitted.value, fitted.stderr, fitted.refined) == (
+        origin.value, origin.stderr, origin.refined)
 
 
 def _traced_mc_batch(measure, body, seed):
