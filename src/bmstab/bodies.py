@@ -143,8 +143,8 @@ def quermassintegrals(body):
 # ---------------------------------------------------------------------------
 
 VALIDITY_EIG_FLOOR = 0.05
-_BISECTION_STEPS = 40
 _MAX_RADIUS = 8.0       # make_family's cap on the validity radius
+_NEWTON_STEPS = 60      # cap on the multiplicative radius' Newton steps
 _S_CHUNK = 32           # parameters per measures_along batch
 
 
@@ -152,6 +152,58 @@ def _leibniz(a, b):
     # (ab, (ab)', (ab)'') from (a, a', a'') and (b, b', b'')
     return [a[0] * b[0], a[1] * b[0] + a[0] * b[1],
             a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2]]
+
+
+def _reach(num, den):
+    # num / den where den > 0, else inf: a bound that never binds
+    return np.divide(num, den, out=np.full(np.shape(den), np.inf),
+                     where=den > 0.0)
+
+
+def _pencil_spread(B, C):
+    """max |mu| over the eigenvalues mu of L^-1 C L^-T, L L^T = B, for each
+    pair in (..., N, N) stacks of symmetric C and positive definite B, so
+    that B + s C is positive semidefinite exactly for |s| <= 1 / max |mu|.
+    N = 1 and N = 2 are closed forms on the lower triangles, as in
+    sphere.batch_min_eig; N >= 3 calls LAPACK."""
+    N = B.shape[-1]
+    if N == 1:
+        return np.abs(C[..., 0, 0]) / B[..., 0, 0]
+    if N == 2:
+        l11 = np.sqrt(B[..., 0, 0])
+        l21 = B[..., 1, 0] / l11
+        l22 = np.sqrt(B[..., 1, 1] - l21 * l21)
+        y00, y01 = C[..., 0, 0] / l11, C[..., 1, 0] / l11   # Y = L^-1 C
+        y10 = (C[..., 1, 0] - l21 * y00) / l22
+        y11 = (C[..., 1, 1] - l21 * y01) / l22
+        m00, m10 = y00 / l11, y10 / l11                     # M = L^-1 Y^T
+        m11 = (y11 - l21 * m10) / l22
+        return np.abs(0.5 * (m00 + m11)) + np.hypot(0.5 * (m00 - m11), m10)
+    Li = np.linalg.inv(np.linalg.cholesky(B))
+    mu = np.linalg.eigvalsh(Li @ C @ np.swapaxes(Li, -1, -2))
+    return np.maximum(-mu[..., 0], mu[..., -1])
+
+
+def _min_eig_slope(A, C):
+    """lambda_min(A) and x^T C x, x a unit eigenvector for it, for each pair
+    in (..., N, N) stacks of symmetric A and C: the slope of the concave
+    s -> lambda_min(A + s C) at s = 0, and a supergradient of it where the
+    smallest eigenvalue repeats (the mean of C's diagonal at N = 2).
+    Closed forms on the lower triangles for N <= 2; N >= 3 calls eigh."""
+    N = A.shape[-1]
+    if N == 1:
+        return A[..., 0, 0], C[..., 0, 0]
+    if N == 2:
+        e, b = 0.5 * (A[..., 0, 0] - A[..., 1, 1]), A[..., 1, 0]
+        r = np.hypot(e, b)
+        tilt = np.divide(e * (0.5 * (C[..., 0, 0] - C[..., 1, 1]))
+                         + b * C[..., 1, 0], r, out=np.zeros_like(r),
+                         where=r > 0.0)
+        return (0.5 * (A[..., 0, 0] + A[..., 1, 1]) - r,
+                0.5 * (C[..., 0, 0] + C[..., 1, 1]) - tilt)
+    lam, X = np.linalg.eigh(A)
+    x = X[..., 0]
+    return lam[..., 0], np.einsum("...i,...ij,...j->...", x, C, x)
 
 
 @dataclass
@@ -172,13 +224,16 @@ class PerturbationFamily:
 
     The base must be a body: body_from_support validates it, raising
     NonPositiveSupport or NotConvex, before the direction is read.  `a` is
-    the validity radius (0 unless given; make_family searches it): at every
+    the validity radius (0 unless given; make_family computes it): at every
     node and every |s| <= a, h_s > 0 and w(s) lambda_min(C0 + s C1) >=
     VALIDITY_EIG_FLOOR * (base body's minimum eigenvalue).  That value is
     concave (additive) or log-concave (multiplicative) in s, so checking
-    s = +-a covers the whole interval.  It is the exact smallest eigenvalue
-    for additive families and, as C2 >= 0, a lower bound for multiplicative
-    ones.  Nothing between nodes is checked.
+    s = +-a covers the whole interval, and each node's largest radius is a
+    root in closed form (additive) or of a concave function (multiplicative).
+    It is the exact smallest eigenvalue for additive families and, as
+    C2 >= 0, a lower bound for multiplicative ones.  Nothing between nodes
+    is checked.  search_trace lists the radii make_family probed, each with
+    its verdict.
 
     A family whose node data (v0, v1, u0, u1, C0, C1, C2) are bitwise the
     same at every node, as a ball's dilation is, is node-uniform: it keeps
@@ -360,29 +415,78 @@ class PerturbationFamily:
         w = vals if self.kind == "multiplicative" else 1.0
         return bool(np.all(vals > 0.0) and np.all(w * lam >= self.floor))
 
+    def _radius(self):
+        # the predicate's largest radius at most _MAX_RADIUS, from per-node
+        # bounds; rounding may still fail the predicate at it
+        if self.kind == "additive":
+            eye = np.eye(self.grid.n - 1)
+            bounds = (_reach(1.0, _pencil_spread(self.C0 - self.floor * eye,
+                                                 self.C1)),
+                      _reach(self.v0, np.abs(self.v1)))
+        else:
+            bounds = (self._multiplicative_roots(),)
+        return float(min(_MAX_RADIUS, *(np.min(b) for b in bounds)))
+
+    def _multiplicative_roots(self):
+        # per node and side, the first |s| with w(s) lambda_min(C0 + s C1) =
+        # floor, capped at _MAX_RADIUS: the root of the concave
+        # G(s) = lambda_min(C0 + s C1) - (floor / v0) phi^-s and, where
+        # lambda_min > 0, of the concave H(s) = log(lambda_min v0 / floor) +
+        # s log phi.  The side s < 0 is the side s > 0 of (C1, log phi) ->
+        # (-C1, -log phi).  Newton's method from s = 0 takes the nearer
+        # tangent root of G and H, which stays on the infeasible side, as
+        # every tangent (with any supergradient at a kink) lies above its
+        # concave function; H's is exact where phi^-s dominates.  The chord
+        # of G from s = 0 lies below G, so a node whose chord root exceeds
+        # the least iterate cannot hold the minimum and stops.
+        C0 = np.concatenate([self.C0, self.C0])
+        C1 = np.concatenate([self.C1, -self.C1])
+        ell = np.log(self.v1)
+        ell = np.concatenate([ell, -ell])
+        c = np.tile(self.floor / self.v0, 2)
+
+        def tangent_roots(i, x):
+            # G at x on the rows i and the nearer tangent root of G and H
+            lam, slope = _min_eig_slope(C0[i] + x[:, None, None] * C1[i],
+                                        C1[i])
+            e = c[i] * np.exp(-x * ell[i])
+            pos = lam > 0.0
+            q = np.divide(lam, c[i], out=np.ones_like(lam), where=pos)
+            dH = np.divide(slope, lam, out=np.full_like(lam, np.inf),
+                           where=pos) + ell[i]
+            return lam - e, np.fmin(x + _reach(lam - e, -slope - ell[i] * e),
+                                    x + _reach(np.log(q) + x * ell[i], -dH))
+
+        rows = np.arange(c.size)
+        g0, t = tangent_roots(rows, np.zeros(c.size))
+        x = np.fmin(t, _MAX_RADIUS)
+        for _ in range(_NEWTON_STEPS):
+            xr = x[rows]
+            g, t = tangent_roots(rows, xr)
+            lo = xr * g0[rows] / (g0[rows] - np.minimum(g, 0.0))
+            x[rows] = np.where(g < 0.0, np.fmin(t, xr), xr)
+            rows = rows[(xr - x[rows] > 2.0 ** -50 * xr) & (lo < np.min(x))]
+            if not rows.size:
+                break
+        return x
+
 
 def make_family(kind, h, direction, grid):
-    """Build a perturbation family (which validates its base h) and locate
-    its validity radius, at most _MAX_RADIUS, by bisection (40 steps
-    against the two-endpoint predicate); search_trace lists each probed
-    radius and its verdict."""
+    """Build a perturbation family (which validates its base h) and set its
+    validity radius: the least over nodes of the per-node radii, at most
+    _MAX_RADIUS.  Additive families take them in closed form (the pencil
+    C0 - floor I + s C1 and h + s psi > 0), multiplicative ones by Newton's
+    method.  The radius is then confirmed against the two-endpoint
+    predicate, stepping down by a doubling number of ulps while rounding
+    fails it; search_trace lists each probed radius and its verdict."""
     fam = PerturbationFamily(kind=kind, base=h, direction=direction, grid=grid)
-    trace = fam.search_trace
-    if fam._valid_on(_MAX_RADIUS):
-        fam.a = _MAX_RADIUS
-        trace.append((_MAX_RADIUS, True))
-    else:
-        lo, hi = 0.0, _MAX_RADIUS
-        trace.append((_MAX_RADIUS, False))
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            ok = fam._valid_on(mid)
-            trace.append((mid, ok))
-            if ok:
-                lo = mid
-            else:
-                hi = mid
-        fam.a = lo
-    if fam.a <= 0.0:
-        raise FamilyError("family degenerates for arbitrarily small s")
-    return fam
+    a, step = fam._radius(), 0.0
+    while a > 0.0:
+        ok = fam._valid_on(a)
+        fam.search_trace.append((a, ok))
+        if ok:
+            fam.a = a
+            return fam
+        step = 2.0 * step or math.ulp(a)
+        a -= step
+    raise FamilyError("family degenerates for arbitrarily small s")

@@ -480,9 +480,11 @@ def _chain(points):
 
 
 def _convex_hull_ccw(pts):
-    """Monotone chain on integer-scaled coordinates for exact orientation;
-    np.unique sorts the rows."""
-    P = np.unique(np.round(pts * _HULL_SCALE).astype(np.int64), axis=0)
+    """Monotone chain on integer-scaled coordinates for exact orientation,
+    over the distinct rows sorted by x, then y."""
+    P = np.round(pts * _HULL_SCALE).astype(np.int64)
+    P = P[np.lexsort((P[:, 1], P[:, 0]))]
+    P = P[np.r_[True, np.any(P[1:] != P[:-1], axis=1)]]
     if len(P) < 3:
         raise ValueError("degenerate direction set")
     P = P.tolist()

@@ -3,6 +3,7 @@ perturbation families."""
 
 import copy
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -154,13 +155,14 @@ def test_additive_family_validity_radius(grid2):
     psi = PolynomialSF.cos_harmonic(2)
     fam = make_family("additive", base, psi, grid2)
     # Q_s = 1 - 3 s cos 2theta: the eigenvalue floor 0.05 * base is hit at
-    # s = 0.95/3; the bisection bracket is 8/2^40 wide
-    assert fam.a == pytest.approx(0.95 / 3.0, abs=1e-9)
+    # s = 0.95/3, which the per-node closed form gives to rounding
+    assert fam.a == pytest.approx(0.95 / 3.0, rel=1e-14)
     assert fam.kind == "additive"
-    # the trace records (candidate radius, valid?) pairs from the bisection
-    assert len(fam.search_trace) >= 40
-    assert fam.search_trace[0] == (8.0, False)
-    assert all(ok for s, ok in fam.search_trace if s <= fam.a)
+    # the trace records the probes made: radii that rounding failed, each
+    # above the next, then the radius itself
+    assert fam.search_trace[-1] == (fam.a, True)
+    assert len(fam.search_trace) <= 3
+    assert all(not ok and s > fam.a for s, ok in fam.search_trace[:-1])
 
 
 def test_family_support_at_matches_closed_form(grid2):
@@ -534,8 +536,9 @@ def test_family_validity_holds_on_dense_s_grid(kind, n, name, grid2, grid3):
     assert np.min(min_eig) >= floor * (1.0 - 1e-12)
 
 
-def _reference_radius(fam, max_radius=8.0):
-    # make_family's bisection with eigvalsh for every smallest eigenvalue
+def _reference_predicate(fam):
+    # make_family's two-endpoint predicate with eigvalsh for every smallest
+    # eigenvalue
     base_Q = curvature_matrix(fam.base, fam.grid).Q
     floor = VALIDITY_EIG_FLOOR * np.min(np.linalg.eigvalsh(base_Q)[:, 0])
 
@@ -546,6 +549,12 @@ def _reference_radius(fam, max_radius=8.0):
         w = vals if fam.kind == "multiplicative" else 1.0
         return bool(np.all(vals > 0.0) and np.all(w * lam >= floor))
 
+    return valid
+
+
+def _reference_radius(fam, max_radius=8.0):
+    # 40 bisection steps against the eigvalsh predicate
+    valid = _reference_predicate(fam)
     if valid(max_radius):
         return max_radius
     lo, hi = 0.0, max_radius
@@ -555,18 +564,94 @@ def _reference_radius(fam, max_radius=8.0):
     return lo
 
 
+def _assert_radius_matches_bisection(fam, label):
+    # the radius lies in the bisection's bracket of width 8 / 2^40, holds
+    # make_family's predicate, and is maximal: the eigvalsh predicate, which
+    # rounds differently at the exact root, holds just below it and fails
+    # just above it
+    ref = _reference_radius(fam)
+    assert ref <= fam.a <= ref + 8.0 * 2.0 ** -40, label
+    assert fam._valid_on(fam.a), label
+    assert fam.search_trace[-1] == (fam.a, True), label
+    valid = _reference_predicate(fam)
+    assert valid(fam.a * (1.0 - 1e-12)), label
+    if fam.a < 8.0:
+        assert not valid(fam.a * (1.0 + 1e-12)), label
+
+
 @pytest.mark.parametrize("amplitude", [1.0, 0.3])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
 def test_family_radius_equals_eigvalsh_bisection(kind, n, amplitude, grid2,
                                                  grid3):
-    # the closed-form 1x1 and 2x2 eigenvalues must not move any radius
+    # the per-node closed form (additive) and Newton roots (multiplicative)
+    # give the bisection's radius to within its resolution, on the unit ball
+    # and on a perturbed ball
     grid = {2: grid2, 3: grid3}[n]
-    base = sf_sum([(1.0, PolynomialSF.constant(n, 1.0)),
-                   (0.05, sf_from_spec({"type": "second_harmonic"}, n))])
-    for name, _, psi in direction_suite(n, amplitude=amplitude):
-        fam = make_family(kind, base, psi, grid)
-        assert fam.a == _reference_radius(fam), name
+    one = PolynomialSF.constant(n, 1.0)
+    bases = {"ball": one,
+             "perturbed": sf_sum([(1.0, one), (0.05, sf_from_spec(
+                 {"type": "second_harmonic"}, n))])}
+    for base_name, base in bases.items():
+        for name, _, psi in direction_suite(n, amplitude=amplitude):
+            fam = make_family(kind, base, psi, grid)
+            _assert_radius_matches_bisection(fam, (base_name, name))
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_family_radius_equals_eigvalsh_bisection_at_n4(kind):
+    # 3x3 curvature matrices: the pencil eigenvalues and the Newton slopes
+    # come from LAPACK
+    grid = build_grid(4, 8)
+    one = PolynomialSF.constant(4, 1.0)
+    base = sf_sum([(1.0, one), (0.05, sf_from_spec(
+        {"type": "second_harmonic"}, 4))])
+    for b in (one, base):
+        for name, _, psi in direction_suite(4):
+            fam = make_family(kind, b, psi, grid)
+            _assert_radius_matches_bisection(fam, name)
+
+
+def test_multiplicative_radius_across_an_eigenvalue_crossing(grid3):
+    # both functions are even in x2, so on the meridian x2 = 0 the frames
+    # diagonalize C0 and C1 exactly; at the node where the predicate binds
+    # the two eigenvalues of C0 + s C1 cross at s* in (0, a), where the
+    # smallest eigenvalue has a kink
+    base = PolynomialSF(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.2, (0, 2, 0): 0.1})
+    psi = PolynomialSF(3, {(0, 2, 0): -0.5})
+    fam = make_family("multiplicative", base, psi, grid3)
+    _assert_radius_matches_bisection(fam, "crossing")
+    w = fam._values(fam.a)[0]
+    k = int(np.argmin(w * np.linalg.eigvalsh(fam.C0 + fam.a * fam.C1)[:, 0]))
+    C0, C1 = fam.C0[k], fam.C1[k]
+    assert C0[1, 0] == 0.0 and C1[1, 0] == 0.0
+    gap0, gap1 = C0[0, 0] - C0[1, 1], C1[0, 0] - C1[1, 1]
+    assert 0.1 * fam.a < -gap0 / gap1 < 0.9 * fam.a
+
+
+def radius_search_costs(repeats=5):
+    """Per direction_suite direction and family kind at n = 2, 3, 4 (the
+    unit ball at resolutions 160, 16 and 8): the validity-radius probes of
+    make_family, len(search_trace), and its best wall time in milliseconds
+    over `repeats` calls."""
+    out = {}
+    for n, res in ((2, 160), (3, 16), (4, 8)):
+        grid, one = build_grid(n, res), PolynomialSF.constant(n, 1.0)
+        for name, _, psi in direction_suite(n):
+            for kind in ("additive", "multiplicative"):
+                best = math.inf
+                for _ in range(repeats):
+                    t0 = time.perf_counter()
+                    fam = make_family(kind, one, psi, grid)
+                    best = min(best, time.perf_counter() - t0)
+                out[n, name, kind] = len(fam.search_trace), 1e3 * best
+    return out
+
+
+def test_radius_search_probes_the_predicate_at_most_three_times():
+    # the per-node radius leaves only rounding to the confirmation probes
+    for key, (probes, _) in radius_search_costs(repeats=1).items():
+        assert 1 <= probes <= 3, key
 
 
 def test_additive_family_computes_base_curvature_once(monkeypatch, grid3):
