@@ -22,7 +22,7 @@ from numpy.polynomial.polynomial import polyder
 from . import measures as _measures
 from .sphere import (CurvatureField, PolynomialSF, SphereGrid,
                      SphericalFunction, ball_volume, batch_min_eig,
-                     curvature_matrix, det_poly, horner, poly_mul, sf_exp,
+                     curvature_matrix, det_poly, horner, sf_exp,
                      sf_product_powers, sf_ratio, sf_sum, sphere_area)
 
 
@@ -152,6 +152,22 @@ def _leibniz(a, b):
     # (ab, (ab)', (ab)'') from (a, a', a'') and (b, b', b'')
     return [a[0] * b[0], a[1] * b[0] + a[0] * b[1],
             a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2]]
+
+
+def _norm_sq_coefficients(uc, u1):
+    """Coefficients in t of |uc + t u1|^2 over the rows of (m, k) stacks:
+    |uc|^2, 2 <uc, u1> and |u1|^2, each summed one column at a time from
+    the left, as poly_mul([uc, u1], np.stack([uc, u1])).sum(axis=2) sums
+    them, so bitwise equal (the + 0.0 turns a -0.0 product into the +0.0
+    that its 0 + x + x gives) without its (3, m, k) products."""
+    a, b = uc.T, u1.T
+    q = np.stack([a[0] * a[0], a[0] * b[0] + 0.0, b[0] * b[0]])
+    for aj, bj in zip(a[1:], b[1:]):
+        q[0] += aj * aj
+        q[1] += aj * bj
+        q[2] += bj * bj
+    q[1] *= 2.0
+    return q
 
 
 def _reach(num, den):
@@ -328,7 +344,7 @@ class PerturbationFamily:
             yield (lo, sl, (sl - sc)[:, None],
                    det_poly([C0 + sc * (C1 + sc * C2), C1 + 2.0 * sc * C2]
                             + extra),
-                   poly_mul([uc, u1], np.stack([uc, u1])).sum(axis=2))
+                   _norm_sq_coefficients(uc, u1))
 
     def measures_along(self, measure, s_values):
         """gamma(K_{h_s}) for a 1-D batch of parameters (no per-s validation;

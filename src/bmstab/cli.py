@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .inequalities import CHECKS, CSV_FIELDS, check_params, run_check
+from .inequalities import (CHECKS, CSV_FIELDS, _run_table, check_params,
+                           run_check)
 
 SCHEMA_VERSION = 1
 
@@ -179,21 +180,28 @@ def validate_config(cfg):
 
 
 def execute(cfg, log=print):
+    """The CheckResults of the config's checks, in order, each logged as it
+    finishes.  The run holds one run table: each support function and
+    measure a spec names is built once, and consecutive checks on one grid
+    share its polynomials' bundles at the nodes.  Nothing built is kept
+    once the call returns, so every run pays for what it builds."""
     validate_config(cfg)
     results = []
-    for item in cfg["checks"]:
-        kind = item["kind"]
-        params = item.get("params", {})
-        try:
-            res = run_check(kind, params)
-        except KeyError as exc:
-            raise ConfigError(f"check {kind} with params {params!r}: "
-                              f"missing parameter {exc}")
-        # FamilyError, NonPositiveSupport and NotConvex are ValueErrors
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"check {kind} with params {params!r}: {exc}")
-        results.append(res)
-        log(f"[{res.status}] {res.check_id}  margin={res.margin:+.6e}")
+    with _run_table():
+        for item in cfg["checks"]:
+            kind = item["kind"]
+            params = item.get("params", {})
+            try:
+                res = run_check(kind, params)
+            except KeyError as exc:
+                raise ConfigError(f"check {kind} with params {params!r}: "
+                                  f"missing parameter {exc}")
+            # FamilyError, NonPositiveSupport and NotConvex are ValueErrors
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(
+                    f"check {kind} with params {params!r}: {exc}")
+            results.append(res)
+            log(f"[{res.status}] {res.check_id}  margin={res.margin:+.6e}")
     return results
 
 

@@ -7,11 +7,16 @@ disagreement against whichever independent route is available (family
 kernels, finite differences, closed forms, Monte Carlo, polygons).  Every
 pass decision is made by `_result`, from the margin's sense.  check_params
 holds every parameter rule; run_check applies it before a check computes,
-and rerun repeats a result from its stored parameters, bit for bit."""
+and rerun repeats a result from its stored parameters, bit for bit.  The
+support functions and measures a check names by spec come from the open
+run table, which builds each once; run_check opens one for its call unless
+one is open (cli.execute holds one for a whole run)."""
 
 from __future__ import annotations
 
+import json
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +27,7 @@ from . import variation as _variation
 from .bodies import (PerturbationFamily, body_from_support, log_combine,
                      make_family, measure_of_body, quermassintegrals)
 from .funcspecs import sf_from_spec
-from .sphere import build_grid, sphere_area
+from .sphere import _KEPT, _scope, build_grid, sphere_area
 from .variation import variation_at_ball
 
 DEFAULT_MARGIN_TOL = 1e-9
@@ -35,6 +40,36 @@ def _grid(n, resolution):
     if key not in _GRIDS:
         _GRIDS[key] = build_grid(*key)
     return _GRIDS[key]
+
+
+# the open run table: (spec as sorted-key JSON, n) -> the support function
+# of the spec at dimension n, or for n None the measure of the spec
+_TABLE = ContextVar("run_table", default=None)
+
+
+def _run_table():
+    """A block with a run table and polynomials keeping their bundles at
+    grid nodes (sphere._KEPT), or in those already open; what the block
+    that opened them built is dropped when it ends."""
+    return _scope(_TABLE, _KEPT)
+
+
+def _built(spec, n=None):
+    """The support function of spec at dimension n, or for n None the
+    measure of spec: from the open run table, which builds it on the first
+    request, else built afresh (as is a spec that is not JSON)."""
+    table = _TABLE.get()
+    try:
+        key = (json.dumps(spec, sort_keys=True), n)
+    except TypeError:
+        table = None
+    if table is not None and key in table:
+        return table[key]
+    out = (_measures.measure_from_spec(spec) if n is None
+           else sf_from_spec(spec, n))
+    if table is not None:
+        table[key] = out
+    return out
 
 
 def _measure_name(mu):
@@ -134,7 +169,7 @@ def _result(kind, params, n, measure, margin, tol, sense, *, R=None,
 
 
 def _psi(params, n):
-    return sf_from_spec(params["psi"], n)
+    return _built(params["psi"], n)
 
 
 def _at_ball(params):
@@ -143,7 +178,7 @@ def _at_ball(params):
     n = params["n"]
     R = float(params["R"])
     g = _grid(n, params["resolution"])
-    mu = _measures.measure_from_spec(params["measure"])
+    mu = _built(params["measure"])
     psi = _psi(params, n)
     return n, R, g, mu, psi, variation_at_ball(mu, R, psi, g)
 
@@ -181,7 +216,7 @@ def _ball_kernel(kind, R, psi, g, mu, var):
     "multiplicative"), and its gap to the variation route's g2 (g2_mult)
     relative to the larger of the two and 1e-2 max(1, |g(0)|).  The
     derivatives at s = 0 hold inside any radius: no radius search."""
-    ball = sf_from_spec({"type": "constant", "value": R}, psi.n)
+    ball = _built({"type": "constant", "value": R}, psi.n)
     g2 = var.g2_mult if kind == "multiplicative" else var.g2
     fam = PerturbationFamily(kind=kind, base=ball, direction=psi, grid=g)
     g2k = float(fam.derivatives_along(mu, [0.0])[2][0])
@@ -268,7 +303,7 @@ def check_ball_dilation(params):
     G''(R) G(R) <= (1 - 1/n) G'(R)^2, via closed-form growth derivatives."""
     n = params["n"]
     R = float(params["R"])
-    mu = _measures.measure_from_spec(params["measure"])
+    mu = _built(params["measure"])
     G, G1, G2 = _measures.ball_growth_derivatives(mu, R, n)
     margin = (n - 1) / n * G1 ** 2 - G2 * G
     scale = max(G1 ** 2, abs(G2 * G), 1e-30)
@@ -301,8 +336,8 @@ _DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 def _base_sf(params, n):
     if "base" in params:
-        return sf_from_spec(params["base"], n)
-    return sf_from_spec({"type": "constant", "value": float(params["R"])}, n)
+        return _built(params["base"], n)
+    return _built({"type": "constant", "value": float(params["R"])}, n)
 
 
 def _scan(kind, family, params, psi, combine, normalize=False,
@@ -316,7 +351,7 @@ def _scan(kind, family, params, psi, combine, normalize=False,
     sides, give the oracle_diff."""
     n = params["n"]
     g = _grid(n, params["resolution"])
-    mu = _measures.measure_from_spec(params["measure"])
+    mu = _built(params["measure"])
     fam = make_family(family, _base_sf(params, n), psi, g)
     lambdas = params.get("lambdas", _DEFAULT_LAMBDAS)
     if "eps_abs" in params:
@@ -411,11 +446,11 @@ def check_shift_counterexample(params):
     t = params["t"]
     n = 2
     g = _grid(n, params["resolution"])
-    mu = _measures.make_measure("lebesgue")
-    h1 = sf_from_spec({"type": "sum", "parts": [
+    mu = _built({"kind": "lebesgue"})
+    h1 = _built({"type": "sum", "parts": [
         [1.0, {"type": "constant", "value": 1.0}],
         [t, {"type": "first_harmonic"}]]}, n)
-    h2 = sf_from_spec({"type": "constant", "value": 1.0}, n)
+    h2 = _built({"type": "constant", "value": 1.0}, n)
     K1 = body_from_support(h1, g)
     K2 = body_from_support(h2, g)
     Kg = log_combine(K1, K2, 0.5)
@@ -510,7 +545,7 @@ def check_mc_agreement(params):
     quadrature value (McEstimate.agrees_with) even at standard error 0."""
     n = params["n"]
     g = _grid(n, params["resolution"])
-    mu = _measures.measure_from_spec(params["measure"])
+    mu = _built(params["measure"])
     body = body_from_support(_base_sf(params, n), g)
     value = measure_of_body(mu, body)
     est = _oracles.mc_measure(mu, body,
@@ -553,7 +588,7 @@ def check_moment_identities(params):
     """Residuals of f(D) = n A + D B and f'(D) = (n+1) B + D C."""
     n = params["n"]
     R = float(params["R"])
-    mu = _measures.measure_from_spec(params["measure"])
+    mu = _built(params["measure"])
     r1, r2 = _measures.moment_identities(mu, R, n)
     return _result(
         "moment_identities", params, n, _measure_name(mu),
@@ -568,7 +603,7 @@ def check_divergence_identities(params):
     n = params["n"]
     g = _grid(n, params["resolution"])
     base = _base_sf(params, n)
-    omega = sf_from_spec(params["omega"], n)
+    omega = _built(params["omega"], n)
     cy = _variation.cheng_yau_residual(base, g)
     r1, r2 = _variation.ibp_residuals(base, _psi(params, n), omega, g)
     return _result(
@@ -651,12 +686,15 @@ def check_params(kind, params):
 
 
 def run_check(kind, params):
+    """The CheckResult of the check kind on params, checked by
+    check_params, in the open run table or in one for this call."""
     check_params(kind, params)
-    return CHECKS[kind](params)
+    with _run_table():
+        return CHECKS[kind](params)
 
 
 def rerun(result):
-    """Re-execute a check from its stored parameters."""
+    """Re-execute a check from its stored parameters (run_check)."""
     if isinstance(result, CheckResult):
         return run_check(result.kind, result.params)
     return run_check(result["kind"], result["params"])

@@ -21,7 +21,9 @@ from the 0-homogeneous bundle alone: on orthonormal tangent frames E
     Q(h; u) = h(u) I + E hess h0(u) E^T,
 
 so one evaluation of `d2_ext0` per grid gives h, its spherical gradient and
-Q together (`curvature_matrix`).
+Q together (`curvature_matrix`).  A grid's nodes are read-only, and inside
+`_scope(_KEPT)` polynomials keep their bundles at the last grid's: every
+later `d2_ext0` at that grid in the block returns them unevaluated.
 
 Grids are products of one-dimensional rules: the trapezoid rule on the
 circle, and for n >= 3 Gauss rules for the weights (1 - t^2)^{(n-3)/2} in
@@ -31,6 +33,8 @@ the last coordinate, computed by Golub-Welsch.  The module needs numpy only.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,7 +60,7 @@ class GridError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class D2:
     """Value, ambient gradient and ambient Hessian of a scalar field at a
     batch of points.  Used for the 0-homogeneous extension of spherical
@@ -180,6 +184,24 @@ class _RadialPoly:
 # ---------------------------------------------------------------------------
 
 _PARITY_TOL = 1e-12
+
+
+@contextmanager
+def _scope(*variables):
+    """A block in which each of the context variables holds a dict: one
+    that holds None gets a new dict, dropped when the block ends; one that
+    holds a dict keeps it, so a nested block joins the open one."""
+    tokens = [v.set({}) for v in variables if v.get() is None]
+    try:
+        yield
+    finally:
+        for token in reversed(tokens):
+            token.var.reset(token)
+
+
+# inside _scope(_KEPT): the bundles that PolynomialSFs keep at one read-only
+# array that owns its data (a grid's nodes), None -> that array, sf -> D2
+_KEPT = ContextVar("kept_bundles", default=None)
 
 
 class SphericalFunction:
@@ -334,7 +356,28 @@ class PolynomialSF(SphericalFunction):
         return self._cache[key]
 
     def d2_ext0(self, U):
+        """The bundle at U (m, n).  Inside _scope(_KEPT) the bundle at a
+        read-only U that owns its data (a grid's nodes) is kept, its arrays
+        read-only, and the same U again returns it unevaluated, until a
+        bundle is kept at another such array: the kept bundles are those
+        of one grid, the last.  A writeable U is never kept."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
+        kept = _KEPT.get()
+        if kept is None:
+            return self._bundle(U)
+        if kept.get(None) is U and self in kept and not U.flags.writeable:
+            return kept[self]
+        d = self._bundle(U)
+        if not U.flags.writeable and U.base is None:
+            if kept.get(None) is not U:
+                kept.clear()
+                kept[None] = U
+            for a in (d.val, d.grad, d.hess):
+                a.flags.writeable = False
+            kept[self] = d
+        return d
+
+    def _bundle(self, U):
         m, n = U.shape
         derivs = self._derivs(0, 2)
         powers = {}
@@ -522,7 +565,7 @@ def build_grid(n, resolution):
     n = 2 uses the periodic trapezoid rule (`resolution` nodes), n = 3 a
     Gauss-Legendre x uniform-azimuth product, n >= 4 the recursive
     Gauss-Jacobi product rule.  Polynomials up to ``exactness_degree`` are
-    integrated exactly."""
+    integrated exactly.  The nodes are read-only."""
     if n < 2:
         raise GridError("dimension must be at least 2")
     if resolution < 4:
@@ -533,6 +576,7 @@ def build_grid(n, resolution):
     else:
         nodes, weights = _sphere_nodes(n, resolution)
         exactness = 2 * resolution - 1
+    nodes.flags.writeable = False           # d2_ext0 keeps bundles at them
     return SphereGrid(n=n, resolution=resolution, nodes=nodes,
                       weights=weights, frames=tangent_frames(nodes),
                       exactness_degree=exactness)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
+import bmstab.bodies as bodies_module
 import bmstab.measures as measures_module
 from bmstab.bodies import (_S_CHUNK, VALIDITY_EIG_FLOOR, FamilyError,
                            NonPositiveSupport, NotConvex, PerturbationFamily,
@@ -21,7 +22,8 @@ from bmstab.funcspecs import direction_suite, sf_from_spec
 from bmstab.measures import make_measure
 from bmstab.oracles import central_derivative
 from bmstab.sphere import (PolynomialSF, SphericalFunction, build_grid,
-                           curvature_matrix, horner, integrate, sf_sum)
+                           curvature_matrix, horner, integrate, poly_mul,
+                           sf_sum)
 from bmstab.variation import variation_at_ball
 
 
@@ -415,6 +417,35 @@ def test_perturbed_base_takes_the_all_node_path(kind, grid3):
     assert not _node_uniform(fam)
 
 
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_norm_coefficients_are_bitwise_the_poly_mul_sum(kind, grid2, grid3,
+                                                        grid4):
+    # the D(s)^2 / w^2 coefficients of every chunk against the axis sum of
+    # the (3, m, n + 1) products they replace, at every node
+    for grid in (grid2, grid3, grid4):
+        for name in ("first_harmonic", "random_even"):
+            fam = _every_node(make_family(kind, *_family_case(grid.n, name),
+                                          grid))
+            s_values = np.linspace(-0.9, 0.7, 2 * _S_CHUNK + 5) * fam.a
+            for _, sl, _, _, q in fam._expansions(s_values):
+                uc = fam.u0 + 0.5 * (sl.min() + sl.max()) * fam.u1
+                want = poly_mul([uc, fam.u1],
+                                np.stack([uc, fam.u1])).sum(axis=2)
+                assert q.tobytes() == want.tobytes(), (grid.n, name)
+
+
+def test_norm_coefficients_keep_the_poly_mul_signed_zeros():
+    # rows whose every cross product is -0.0, which poly_mul's 0 + x + x
+    # sums to +0.0
+    uc, u1 = np.random.default_rng(5).standard_normal((2, 64, 4))
+    uc[::2] = 0.0
+    u1 = -np.abs(u1)
+    q = bodies_module._norm_sq_coefficients(uc, u1)
+    want = poly_mul([uc, u1], np.stack([uc, u1])).sum(axis=2)
+    assert q.tobytes() == want.tobytes()
+    assert not np.any(q[1, ::2]) and not np.any(np.signbit(q[1, ::2]))
+
+
 def _one_pass_measures(fam, measure, s_values):
     """measures_along in one pass over each whole chunk at every node:
     (h * horner(p, t) * A * w).sum(axis=1), with A from numpy's chebval
@@ -657,7 +688,6 @@ def test_radius_search_probes_the_predicate_at_most_three_times():
 def test_additive_family_computes_base_curvature_once(monkeypatch, grid3):
     # validating the base body gives its curvature field; the family reuses
     # it, so only the direction's is computed on top
-    import bmstab.bodies as bodies_module
     real = bodies_module.curvature_matrix
     calls = []
 

@@ -9,13 +9,19 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import bmstab
 import bmstab.cli as cli
+import bmstab.inequalities as inequalities
+import bmstab.measures as measures
+import bmstab.sphere as sphere
+from bmstab.sphere import PolynomialSF
 
 SMALL_CONFIG = {
     "schema_version": 1,
@@ -574,6 +580,83 @@ def test_thread_cap_applies_on_package_import():
 @pytest.fixture(scope="module")
 def battery_results():
     return cli.execute(cli.default_config(), log=lambda *a: None)
+
+
+def battery_build_counts():
+    """One default-battery execute: for the support functions ("sf") and
+    the measures that its checks name by spec, (built, requested, distinct
+    specs requested); for PolynomialSF.d2_ext0, (evaluated, called)."""
+    counts, specs = Counter(), set()
+
+    def request(spec, n=None):
+        specs.add((json.dumps(spec, sort_keys=True), n))
+        return "measure requested" if n is None else "sf requested"
+
+    def counting(real, key):
+        def wrapper(*args):
+            counts[key(*args)] += 1
+            return real(*args)
+        return wrapper
+
+    patches = [(inequalities, "_built", request),
+               (inequalities, "sf_from_spec", lambda *a: "sf built"),
+               (measures, "measure_from_spec", lambda *a: "measure built"),
+               (PolynomialSF, "d2_ext0", lambda *a: "d2_ext0 called"),
+               (PolynomialSF, "_bundle", lambda *a: "d2_ext0 evaluated")]
+    reals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    try:
+        for owner, name, key in patches:
+            setattr(owner, name, counting(getattr(owner, name), key))
+        cli.execute(cli.default_config(), log=lambda *a: None)
+    finally:
+        for owner, name, real in reals:
+            setattr(owner, name, real)
+    distinct = Counter("measure" if n is None else "sf" for _, n in specs)
+    out = {k: (counts[f"{k} built"], counts[f"{k} requested"], distinct[k])
+           for k in ("sf", "measure")}
+    out["d2_ext0"] = (counts["d2_ext0 evaluated"], counts["d2_ext0 called"])
+    return out
+
+
+def test_battery_builds_each_spec_once():
+    counts = battery_build_counts()
+    for key in ("sf", "measure"):
+        built, requested, distinct = counts[key]
+        assert built == distinct < requested, key
+    evaluated, called = counts["d2_ext0"]
+    assert 0 < evaluated < called
+
+
+def test_battery_rows_match_checks_run_alone(battery_results):
+    # a run's shared objects change no report cell
+    items = cli.default_battery()
+    assert len(items) == len(battery_results)
+    for item, res in zip(items, battery_results):
+        alone = cli.run_check(item["kind"], item["params"])
+        assert alone.to_row() == res.to_row(), res.check_id
+
+
+def test_no_built_object_outlives_a_run(monkeypatch):
+    # the second run validates as many measure profiles as the first, so it
+    # built them again; all that the first run's table held is gone
+    validations, refs = [], []
+    real = measures._validate_profile
+
+    def counting(*args):
+        validations[-1] += 1
+        return real(*args)
+
+    def log(_line):
+        refs.extend(map(weakref.ref, inequalities._TABLE.get().values()))
+
+    monkeypatch.setattr(measures, "_validate_profile", counting)
+    for _ in range(2):
+        validations.append(0)
+        cli.execute(cli.default_config(), log=log)
+        assert inequalities._TABLE.get() is None
+        assert sphere._KEPT.get() is None
+        assert refs and all(r() is None for r in refs)
+    assert validations[0] == validations[1] > 0
 
 
 def test_battery_margins_match_reference(battery_results):

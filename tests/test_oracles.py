@@ -366,7 +366,7 @@ def dense_batch():
             body = _MC_BODIES[case]()
             dirs, hdirs, _, R_b = _sampling_ball(body)
             X, radii = _mc_batch_points(body, R_b, seed=31)
-            gmax = _dense_max_argmax(X, dirs, hdirs)[0]
+            gmax = _dense_max(X, dirs, hdirs)
             for a in (X, radii, gmax):
                 a.setflags(write=False)
             formed[case] = body, X, radii, gmax
@@ -518,7 +518,7 @@ def test_mc_net_bounds_bracket_the_dense_net_max(case):
     X = _bracket_points(cells, R_b)
     lo = _net_max(X, *cells[:2])[0]
     hi = np.max(_cell_hi(X, cells), axis=1)
-    gmax = _dense_max_argmax(X, dirs, hdirs)[0]
+    gmax = _dense_max(X, dirs, hdirs)
     eps = 1e-7 * R_b
     assert np.all(lo - eps <= gmax)
     assert np.all(gmax <= hi + eps)
@@ -549,6 +549,16 @@ def _dense_max_argmax(X, dirs, hdirs):
         P = X[a:a + 64] @ dirs.T - hdirs
         gmax[a:a + 64], imax[a:a + 64] = np.max(P, axis=1), np.argmax(P, 1)
     return gmax, imax
+
+
+def _dense_max(X, dirs, hdirs):
+    # _dense_max_argmax's row maxima alone, from the same 64-row blocks
+    gmax = np.empty(len(X))
+    for a in range(0, len(X), 64):
+        P = X[a:a + 64] @ dirs.T
+        P -= hdirs
+        np.max(P, axis=1, out=gmax[a:a + 64])
+    return gmax
 
 
 def _candidates_of_dense(X, cells, dirs, hdirs, R_b):
@@ -638,7 +648,7 @@ def test_mc_bin_radii_bracket_the_dense_net_max(case):
                          R_b * rng.random(len(t))])
     ok = np.isfinite(r)
     Z, r, b = Z[ok], r[ok], b[ok]
-    g = _dense_max_argmax(Z * r[:, None], dirs, hdirs)[0]
+    g = _dense_max(Z * r[:, None], dirs, hdirs)
     below, above = r < r_in[b], r > r_out[b]
     assert np.sum(below) > 200_000 // 3 and np.sum(above) > 0
     assert np.all(g[below] < -s)
@@ -718,7 +728,7 @@ def test_mc_steiner_ball_brackets_the_dense_net_max(case, monkeypatch):
     assert r_c > np.min(hdirs) - band - eps
     Z = np.random.default_rng(37).standard_normal((200_000, 3))
     Z = np.concatenate([Z / np.linalg.norm(Z, axis=1, keepdims=True), dirs])
-    g = _dense_max_argmax(c + r_c * (1.0 - 1e-12) * Z, dirs, hdirs)[0]
+    g = _dense_max(c + r_c * (1.0 - 1e-12) * Z, dirs, hdirs)
     assert np.all(g < -(band + eps))
 
 
@@ -829,3 +839,10 @@ def test_mc_measure_memory_is_bounded_through_n4():
         value, stderr, quad = out[n]
         assert stderr > 0
         assert abs(value - quad) <= 4.0 * stderr
+
+
+def test_dense_max_is_bitwise_the_dense_argmax_maximum():
+    dirs, hdirs, R_b = _bracket_case("shift3")
+    X = _bracket_points(_net_cells(dirs, hdirs), R_b)
+    want = _dense_max_argmax(X, dirs, hdirs)[0]
+    assert _dense_max(X, dirs, hdirs).tobytes() == want.tobytes()

@@ -501,3 +501,54 @@ def test_shared_power_table_is_bitwise_the_per_term_powers(n):
                 for k in range(j, n):
                     assert np.array_equal(T[:, i, j, k],
                                           derivs3[(i, j, k)].eval(U))
+
+
+def test_grid_nodes_are_read_only(grid3):
+    assert not grid3.nodes.flags.writeable
+    with pytest.raises(ValueError):
+        grid3.nodes[0, 0] = 0.0
+
+
+def test_kept_bundle_skips_the_term_loop_at_grid_nodes(monkeypatch, grid3):
+    # inside _scope(_KEPT) a polynomial evaluates its bundle at a grid's
+    # nodes once; a writeable copy of them is evaluated every time and
+    # displaces nothing; a bundle kept at another grid, or the block's end,
+    # drops every bundle kept at the first
+    terms = []
+    real = sphere._RadialPoly.eval
+
+    def counting(self, pts, powers=None):
+        terms.append(1)
+        return real(self, pts, powers)
+
+    monkeypatch.setattr(sphere._RadialPoly, "eval", counting)
+    psi = sf_from_spec({"type": "second_harmonic"}, 3)
+    copy = grid3.nodes.copy()
+    per_call = 1 + 3 + 6           # value, gradient, Hessian upper triangle
+    with sphere._scope(sphere._KEPT):
+        d = psi.d2_ext0(grid3.nodes)
+        assert len(terms) == per_call
+        assert psi.d2_ext0(grid3.nodes) is d
+        assert len(terms) == per_call
+        fresh = [psi.d2_ext0(copy) for _ in range(2)]
+        assert len(terms) == 3 * per_call
+        assert psi.d2_ext0(grid3.nodes) is d
+        assert len(terms) == 3 * per_call
+        x1 = sf_from_spec({"type": "first_harmonic"}, 3)
+        x1.d2_ext0(grid3.nodes)
+        other = build_grid(3, 8).nodes
+        assert psi.d2_ext0(other) is psi.d2_ext0(other)
+        assert x1.d2_ext0(other).val.shape == (len(other),)
+        assert len(terms) == 6 * per_call
+        assert psi.d2_ext0(grid3.nodes) is not d
+        assert len(terms) == 7 * per_call
+    for a in (d.val, d.grad, d.hess):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] += 1.0
+    for e in fresh:
+        assert e.val.flags.writeable and e is not d
+        for a, b in ((d.val, e.val), (d.grad, e.grad), (d.hess, e.hess)):
+            assert a.tobytes() == b.tobytes()
+    assert psi.d2_ext0(grid3.nodes) is not d
+    assert len(terms) == 8 * per_call
