@@ -309,8 +309,8 @@ def check_ball_dilation(params):
     scale = max(G1 ** 2, abs(G2 * G), 1e-30)
 
     def ball_measures(r):
-        return np.array([_measures.ball_measure(mu, ri, n)
-                         for ri in np.atleast_1d(r)])
+        # the whole stencil in one radial fit; no f(R) or f'(R) is read
+        return sphere_area(n) * r ** n * _measures.radial_profile(mu, r, n)[0]
 
     fd1 = _oracles.central_derivative(ball_measures, R, order=1,
                                       step=1e-3 * R)

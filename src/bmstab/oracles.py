@@ -44,9 +44,10 @@ def central_derivative(fn, x0=0.0, order=1, step=1e-3):
     """Richardson-refined central difference of a scalar function.
 
     Combines the classical stencils at widths `step` and `step/2`, removing
-    the O(step^2) error term.  `fn` maps an array of evaluation points to
-    an array of values, as PerturbationFamily.measures_along does once its
-    measure is bound; wrap a scalar function in a list comprehension."""
+    the O(step^2) error term.  `fn` is called once, on the whole stencil
+    array (4 points for order 1, 5 for order 2), and returns an array of
+    values at those points, as PerturbationFamily.measures_along does once
+    its measure is bound."""
     h = float(step)
     if order == 1:
         pts = np.array([x0 - h, x0 - h / 2, x0 + h / 2, x0 + h])

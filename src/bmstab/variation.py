@@ -67,18 +67,29 @@ def second_cofactor_field(Q):
 # divergence-free / integration-by-parts identities
 # ---------------------------------------------------------------------------
 
+def _frame_third(h, grid):
+    """Third derivatives of the 1-homogeneous extension in the tangent
+    frame, T_abc = sum_pqr third_pqr E_ap E_bq E_cr, shape (m, N, N, N).
+
+    One index at a time, in contiguous arrays with the nodes last: each
+    two-operand einsum sums the last ambient index against the frame and
+    puts the frame index first, (p, q, r) -> (c, p, q) -> (b, c, p) ->
+    (a, b, c).  einsum without optimize calls no BLAS, so every BLAS kernel
+    gives the same bits."""
+    T = np.ascontiguousarray(np.moveaxis(h.third1(grid.nodes), 0, -1))
+    F = np.ascontiguousarray(np.moveaxis(grid.frames, 0, -1))
+    for _ in range(3):
+        T = np.einsum("crm,pqrm->cpqm", F, T)
+    return np.moveaxis(T, -1, 0)
+
+
 def cheng_yau_divergence(h, grid):
     """Pointwise divergence of the cofactor rows of Q(h; u), shape (m, N-1).
 
     Vanishes identically for smooth support functions; requires exact third
     derivatives, so h must be polynomial."""
-    U = grid.nodes
-    E = grid.frames
-    third = h.third1(U)
-    T = np.einsum("mpqr,map,mbq,mcr->mabc", third, E, E, E)
-    Q = curvature_matrix(h, grid).Q
-    C2 = second_cofactor_field(Q)
-    return np.einsum("mijkl,mkli->mj", C2, T)
+    C2 = second_cofactor_field(curvature_matrix(h, grid).Q)
+    return np.einsum("mijkl,mkli->mj", C2, _frame_third(h, grid))
 
 
 def cheng_yau_residual(h, grid):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import weakref
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -625,6 +626,29 @@ def test_battery_builds_each_spec_once():
         assert built == distinct < requested, key
     evaluated, called = counts["d2_ext0"]
     assert 0 < evaluated < called
+
+
+def battery_kind_seconds():
+    """Wall seconds per check kind in one default-battery execute, timed
+    from execute's log lines: each check from the previous line to its own,
+    the first from the call."""
+    seconds = Counter()
+
+    def log(line):
+        now = time.perf_counter()
+        # "[PASS] kind|params  margin=..."
+        seconds[line.split()[1].split("|")[0]] += now - last[0]
+        last[0] = now
+
+    last = [time.perf_counter()]
+    cli.execute(cli.default_config(), log=log)
+    return dict(seconds)
+
+
+def test_battery_kind_seconds_cover_every_kind():
+    seconds = battery_kind_seconds()
+    assert set(seconds) == {c["kind"] for c in cli.default_battery()}
+    assert all(t > 0 for t in seconds.values())
 
 
 def test_battery_rows_match_checks_run_alone(battery_results):

@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from bmstab import measures, oracles
 from bmstab.bodies import PerturbationFamily
 from bmstab.cli import default_battery
 from bmstab.funcspecs import sf_from_spec
 from bmstab.inequalities import (CHECKS, DEFAULT_MARGIN_TOL, CheckResult,
                                  _result, rerun, run_check)
+from bmstab.measures import ball_measure, measure_from_spec
 from bmstab.sphere import build_grid, integrate, sf_mul, sphere_area
 
 GAU = {"kind": "gaussian"}
@@ -243,6 +245,60 @@ def test_ball_dilation_gaussian_flat_point():
     # at R = sqrt(n-1) the gaussian growth G''(R) vanishes identically
     res = run_check("ball_dilation", {"n": 2, "R": 1.0, "measure": GAU})
     assert abs(res.details["G2"]) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("measure", [LEB, GAU, EP3],
+                         ids=["lebesgue", "gaussian", "exp_power3"])
+def test_ball_dilation_stencil_matches_ball_measure(monkeypatch, n, measure):
+    # the oracle fits each Richardson stencil in one radial_profile call;
+    # every stencil value is the per-scale ball_measure up to rounding
+    stencils = []
+
+    def spy(real):
+        def wrapper(fn, *args, **kwargs):
+            def values(pts):
+                out = fn(pts)
+                stencils.append((pts, np.array(out)))
+                return out
+            return real(values, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracles, "central_derivative",
+                        spy(oracles.central_derivative))
+    mu = measure_from_spec(measure)
+    for R in (0.7, 1.0, 1.5):
+        stencils.clear()
+        run_check("ball_dilation", {"n": n, "R": R, "measure": measure})
+        assert [pts.size for pts, _ in stencils] == [4, 5]    # both steps
+        for pts, got in stencils:
+            want = np.array([ball_measure(mu, r, n) for r in pts])
+            assert np.max(np.abs(got - want) / want) <= 1e-13, (R, pts)
+
+
+def test_ball_dilation_work_counts(monkeypatch):
+    # G is one single-scale moments call; each oracle stencil is one
+    # radial_profile call over all its scales (4 and 5), besides the one
+    # radial_profile call inside moments
+    calls = {"moments": 0, "scales": []}
+
+    def count_moments(real):
+        def wrapper(*args):
+            calls["moments"] += 1
+            return real(*args)
+        return wrapper
+
+    def count_scales(real):
+        def wrapper(measure, D, n, *args, **kwargs):
+            calls["scales"].append(np.size(D))
+            return real(measure, D, n, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(measures, "moments", count_moments(measures.moments))
+    monkeypatch.setattr(measures, "radial_profile",
+                        count_scales(measures.radial_profile))
+    run_check("ball_dilation", {"n": 3, "R": 1.0, "measure": EP3})
+    assert calls == {"moments": 1, "scales": [1, 4, 5]}
 
 
 # ---------------------------------------------------------------------------

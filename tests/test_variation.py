@@ -9,9 +9,9 @@ from bmstab.bodies import FamilyError, ball_body, make_family, measure_of_body
 from bmstab.measures import make_measure
 from bmstab.oracles import central_derivative
 from bmstab.sphere import PolynomialSF, build_grid, curvature_matrix, sf_sum
-from bmstab.variation import (cheng_yau_residual, cofactor_field,
-                              ibp_residuals, second_cofactor_field,
-                              variation_at_ball)
+from bmstab.variation import (_frame_third, cheng_yau_residual,
+                              cofactor_field, ibp_residuals,
+                              second_cofactor_field, variation_at_ball)
 
 
 def random_symmetric(rng, N, scale=1.0):
@@ -163,6 +163,20 @@ def test_cheng_yau_residual_small_for_smooth_bodies(grid3, grid4):
     assert cheng_yau_residual(h3, grid3) < 1e-13
     h4 = PolynomialSF(4, {(0, 0, 0, 0): 1.0, (1, 1, 0, 0): 0.1})
     assert cheng_yau_residual(h4, grid4) < 1e-13
+
+
+def test_frame_third_matches_the_four_operand_einsum(grid2, grid3, grid4):
+    # the staged contraction against one einsum over all seven indices
+    rng = np.random.default_rng(7)
+    for g in (grid2, grid3, grid4):
+        n = g.n
+        cubic = [a for a in np.ndindex((4,) * n) if sum(a) <= 3]
+        h = PolynomialSF(n, {a: rng.normal() for a in cubic})
+        E = g.frames
+        want = np.einsum("mpqr,map,mbq,mcr->mabc", h.third1(g.nodes), E, E, E)
+        got = _frame_third(h, g)
+        assert got.shape == want.shape == (len(g.nodes),) + (n - 1,) * 3
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
 
 
 def test_ibp_residuals_circle(grid2):
