@@ -27,7 +27,7 @@ from . import variation as _variation
 from .bodies import (PerturbationFamily, body_from_support, log_combine,
                      make_family, measure_of_body, quermassintegrals)
 from .funcspecs import sf_from_spec
-from .sphere import _KEPT, _scope, build_grid, sphere_area
+from .sphere import _KEPT, _scope, build_grid, curvature_matrix, sphere_area
 from .variation import variation_at_ball
 
 DEFAULT_MARGIN_TOL = 1e-9
@@ -604,8 +604,10 @@ def check_divergence_identities(params):
     g = _grid(n, params["resolution"])
     base = _base_sf(params, n)
     omega = _built(params["omega"], n)
-    cy = _variation.cheng_yau_residual(base, g)
-    r1, r2 = _variation.ibp_residuals(base, _psi(params, n), omega, g)
+    fh = curvature_matrix(base, g)             # base's Q and C2, formed once
+    C2 = _variation.second_cofactor_field(fh.Q)
+    cy = _variation.cheng_yau_residual(base, g, C2)
+    r1, r2 = _variation.ibp_residuals(base, _psi(params, n), omega, g, fh, C2)
     return _result(
         "divergence_identities", params, n, "none", max(cy, r1, r2),
         1e-11, "le", R=params.get("R"),

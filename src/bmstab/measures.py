@@ -269,23 +269,26 @@ def _integrate_profile(measure, D, n, powers):
 def _profile_fit(measure, D, n, powers):
     """radial_profile's route for the 1-D scales D: (fit, None) when they
     are interpolated, with fit = (mid, half, coef) the centre and half-width
-    of [min D, max D] and the Chebyshev coefficients (_CHEB_POINTS,
-    len(powers)), else (None, moments) integrated directly, shaped
-    (len(powers), D.size).
+    of [min D, max D] and the Chebyshev coefficients (K, len(powers)), else
+    (None, moments) integrated directly, shaped (len(powers), D.size).
 
     The route depends on the scales alone, not on how often each repeats:
-    an empty or constant D is integrated once, at one scale; any other is
-    fitted at _CHEB_POINTS Chebyshev points of [min D, max D] and taken if
-    the last two coefficients of every moment sum to at most QUAD_TOL in
-    absolute value, else every scale is integrated.  As an adaptive_gk
-    column does not depend on the batch around it, each scale's moments
-    are bitwise the same in any batch of the same distinct scales."""
+    an empty or constant D is integrated once, at one scale; any other at
+    _CHEB_POINTS Chebyshev points of [min D, max D].  If each moment reads
+    bitwise the same at all of them (as for f = 1), coef is that row, K = 1;
+    else K = _CHEB_POINTS, taken if the last two coefficients of every
+    moment sum to at most QUAD_TOL in absolute value, else every scale is
+    integrated.  As an adaptive_gk column does not depend on the batch
+    around it, each scale's moments are bitwise those of direct integration
+    on the constant route, and the same in any batch of the same scales."""
     lo, hi = (D.min(), D.max()) if D.size else (0.0, 0.0)
     if hi == lo:
         one = _integrate_profile(measure, D[:1], n, powers)
         return None, np.repeat(one, D.size, axis=1)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     fit = _integrate_profile(measure, mid + half * _CHEB_X, n, powers)
+    if np.all(fit == fit[:, :1]):
+        return (mid, half, fit[:, :1].T), None
     coef = (_CHEB_T[:, None, :] * fit).sum(axis=2)          # (K, len(powers))
     if np.any(np.abs(coef[-2]) + np.abs(coef[-1]) > QUAD_TOL):
         return None, _integrate_profile(measure, D, n, powers)
@@ -296,22 +299,31 @@ def _clenshaw(D, fit, work, out=None):
     """The interpolant fit = (mid, half, coef) at the scales D, shaped
     (len(powers), D.size), into out, else into a view of work (3 len(powers)
     + 2, >= D.size) that it returns: chebval((D - mid) / half, coef)'s
-    operations in its order, so bitwise equal, in place."""
+    operations in its order, so bitwise equal, in place.  K = 1 fills the
+    tile with coef[0]; from K = 3 the first step runs on scalars."""
     mid, half, coef = fit
-    P, b = coef.shape[1], D.size
+    (K, P), b = coef.shape, D.size
     x, x2 = work[0, :b], work[1, :b]
     c0, c1, t = (work[2 + k * P:2 + (k + 1) * P, :b] for k in range(3))
+    out = c0 if out is None else out
+    if K < 3:
+        if K == 2:
+            raise ValueError("_clenshaw takes 1 or at least 3 coefficients")
+        out[:] = coef[0, :, None]
+        return out
     np.subtract(D, mid, out=x.reshape(D.shape))
     x /= half
     np.multiply(x, 2.0, out=x2)
-    c0[:], c1[:] = coef[-2, :, None], coef[-1, :, None]
-    for ck in coef[-3::-1]:
+    np.multiply(coef[-1, :, None], x2, out=c1)
+    c1 += coef[-2, :, None]
+    s0 = coef[-3, :, None] - coef[-1, :, None]
+    for ck in coef[-4::-1]:
         np.multiply(c1, x2, out=t)
-        t += c0
-        np.subtract(ck[:, None], c1, out=c0)
+        t += s0
+        s0 = np.subtract(ck[:, None], c1, out=c0)
         c1, t = t, c1
     np.multiply(c1, x, out=t)
-    return np.add(c0, t, out=t if out is None else out)
+    return np.add(s0, t, out=out)
 
 
 def radial_profile(measure, D, n, powers=(0,)):
@@ -319,10 +331,10 @@ def radial_profile(measure, D, n, powers=(0,)):
 
     powers selects which of (A, B, C) to compute: 0 -> A, 1 -> B, 2 -> C.
     Returns an array of shape (len(powers), len(D)), by the route of
-    _profile_fit.  An interpolant is evaluated by an in-place Clenshaw
-    recurrence over tiles of _CHEB_BLOCK scales, in buffers allocated once
-    per call, bitwise equal to numpy's chebval in one pass over every
-    scale."""
+    _profile_fit.  A fit is evaluated by _clenshaw over tiles of _CHEB_BLOCK
+    scales, in buffers allocated once per call, bitwise numpy's chebval in
+    one pass over every scale: a constant fill (K = 1), else an in-place
+    Clenshaw recurrence whose first step runs on scalars."""
     D = np.asarray(D, dtype=float).ravel()
     fit, direct = _profile_fit(measure, D, n, powers)
     if fit is None:

@@ -83,24 +83,22 @@ def _frame_third(h, grid):
     return np.moveaxis(T, -1, 0)
 
 
-def cheng_yau_divergence(h, grid):
-    """Pointwise divergence of the cofactor rows of Q(h; u), shape (m, N-1).
+def cheng_yau_residual(h, grid, C2=None):
+    """Largest absolute entry, over all nodes and columns, of the pointwise
+    divergence of the cofactor rows of Q(h; u), from C2 =
+    second_cofactor_field(Q(h; u)), formed here unless given.
 
-    Vanishes identically for smooth support functions; requires exact third
-    derivatives, so h must be polynomial."""
-    C2 = second_cofactor_field(curvature_matrix(h, grid).Q)
-    return np.einsum("mijkl,mkli->mj", C2, _frame_third(h, grid))
-
-
-def cheng_yau_residual(h, grid):
-    """Largest absolute entry of the divergence of the cofactor rows over
-    all nodes and columns; a pure rounding/representation residual for any
-    valid support function."""
-    return float(np.max(np.abs(cheng_yau_divergence(h, grid))))
+    A pure rounding/representation residual for any smooth support
+    function; requires exact third derivatives, so h must be polynomial."""
+    if C2 is None:
+        C2 = second_cofactor_field(curvature_matrix(h, grid).Q)
+    div = np.einsum("mijkl,mkli->mj", C2, _frame_third(h, grid))
+    return float(np.max(np.abs(div)))
 
 
-def ibp_residuals(h, psi, omega, grid):
-    """Relative residuals of the two integration-by-parts symmetries.
+def ibp_residuals(h, psi, omega, grid, fh=None, C2=None):
+    """Relative residuals of the two integration-by-parts symmetries, from
+    fh = curvature_matrix(h, grid) and C2 as in cheng_yau_residual.
 
     (1) int psi tr(C[Q_h] Q(omega)) = int omega tr(C[Q_h] Q(psi));
     (2) the trilinear form int f0 c_ij,kl[Q_h] Q(f1)_ij Q(f2)_kl is
@@ -108,9 +106,10 @@ def ibp_residuals(h, psi, omega, grid):
         (psi, omega, h).
     """
     w = grid.weights
-    fp, fo, fh = (curvature_matrix(f, grid) for f in (psi, omega, h))
+    fp, fo = (curvature_matrix(f, grid) for f in (psi, omega))
+    fh = curvature_matrix(h, grid) if fh is None else fh
     Ch = cofactor_field(fh.Q)
-    C2 = second_cofactor_field(fh.Q)
+    C2 = second_cofactor_field(fh.Q) if C2 is None else C2
 
     a = np.sum(w * fp.val * np.einsum("mij,mij->m", Ch, fo.Q))
     b = np.sum(w * fo.val * np.einsum("mij,mij->m", Ch, fp.Q))

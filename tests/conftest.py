@@ -57,3 +57,26 @@ def gk_widths(monkeypatch):
 
     monkeypatch.setattr(measures_module, "adaptive_gk", counting)
     return widths
+
+
+def profile_route(fit, D):
+    """The route measures._profile_fit took for the scales D, from the fit
+    it returned: constant (a one-row fit), interpolated, direct, or one
+    scale (an empty or constant D, integrated once)."""
+    if fit is not None:
+        return "constant" if len(fit[2]) == 1 else "interpolated"
+    return "direct" if D.size and D.min() < D.max() else "one scale"
+
+
+@pytest.fixture
+def profile_routes(monkeypatch):
+    """The route of every measures._profile_fit call made during the test."""
+    routes, real = [], measures_module._profile_fit
+
+    def recording(measure, D, n, powers):
+        fit, direct = real(measure, D, n, powers)
+        routes.append(profile_route(fit, D))
+        return fit, direct
+
+    monkeypatch.setattr(measures_module, "_profile_fit", recording)
+    return routes

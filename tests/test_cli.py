@@ -24,6 +24,8 @@ import bmstab.measures as measures
 import bmstab.sphere as sphere
 from bmstab.sphere import PolynomialSF
 
+from conftest import profile_route
+
 SMALL_CONFIG = {
     "schema_version": 1,
     "checks": [
@@ -649,6 +651,36 @@ def test_battery_kind_seconds_cover_every_kind():
     seconds = battery_kind_seconds()
     assert set(seconds) == {c["kind"] for c in cli.default_battery()}
     assert all(t > 0 for t in seconds.values())
+
+
+def battery_route_counts():
+    """The routes of measures._profile_fit in one default-battery execute,
+    as counts: constant, interpolated, direct and one scale."""
+    counts = Counter(dict.fromkeys(
+        ("constant", "interpolated", "direct", "one scale"), 0))
+    real = measures._profile_fit
+
+    def recording(measure, D, n, powers):
+        fit, direct = real(measure, D, n, powers)
+        counts[profile_route(fit, D)] += 1
+        return fit, direct
+
+    measures._profile_fit = recording
+    try:
+        cli.execute(cli.default_config(), log=lambda *a: None)
+    finally:
+        measures._profile_fit = real
+    return dict(counts)
+
+
+def test_battery_route_counts_cover_the_flat_and_curved_profiles():
+    # Lebesgue rows take the constant route, the curved profiles the
+    # interpolant, and the single-radius moments the one-scale route
+    counts = battery_route_counts()
+    assert list(counts) == ["constant", "interpolated", "direct",
+                            "one scale"]
+    assert counts["constant"] > 0 and counts["interpolated"] > 0
+    assert counts["one scale"] > 0
 
 
 def test_battery_rows_match_checks_run_alone(battery_results):

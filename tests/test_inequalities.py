@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bmstab import measures, oracles
+from bmstab import inequalities, measures, oracles, variation
 from bmstab.bodies import PerturbationFamily
 from bmstab.cli import default_battery
 from bmstab.funcspecs import sf_from_spec
@@ -362,6 +362,16 @@ def test_shift_counterexample_frozen_values(t, closed, margin):
                - res.details["area_geometric_mean"]) < 1e-4
 
 
+@pytest.mark.parametrize("t", [0.3, 0.6])
+def test_shift_counterexample_deficit_matches_closed_form(t):
+    # under Lebesgue measure every scale's moment is bitwise its direct
+    # quadrature (radial_profile's constant route), so the area lost by the
+    # geometric mean meets (pi/4)(1 - sqrt(1 - t^2)) to rounding
+    res = run_check("shift_counterexample", {"t": t, "resolution": 256})
+    want = (math.pi / 4) * (1 - math.sqrt(1 - t * t))
+    assert abs(res.details["deficit"] - want) <= 5e-16
+
+
 def test_shift_counterexample_monte_carlo_oracle():
     res = run_check("shift_counterexample", {"t": 0.3, "resolution": 256,
                                              "mc_samples": 1 << 16})
@@ -473,6 +483,33 @@ def test_divergence_identities_check():
                      "psi": FIRST, "omega": SECOND})
     assert res.passed
     assert res.margin < 1e-11
+
+
+def test_divergence_identities_form_the_base_fields_once(monkeypatch):
+    # one check forms the curvature matrices of each support function once
+    # (base, psi, omega) and the base's second cofactors once, and hands
+    # both to cheng_yau_residual and ibp_residuals
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append((name, id(args[0])))
+            return real(*args)
+        return wrapper
+
+    cm = counting("curvature_matrix", variation.curvature_matrix)
+    monkeypatch.setattr(variation, "curvature_matrix", cm)
+    monkeypatch.setattr(inequalities, "curvature_matrix", cm)
+    monkeypatch.setattr(variation, "second_cofactor_field", counting(
+        "second_cofactor_field", variation.second_cofactor_field))
+    for item in default_battery():
+        if item["kind"] == "divergence_identities":
+            calls.clear()
+            assert run_check(item["kind"], item["params"]).passed
+            names = [name for name, _ in calls]
+            assert names.count("second_cofactor_field") == 1
+            assert names.count("curvature_matrix") == 3
+            assert len(set(calls)) == len(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,69 @@ def test_radial_profile_blocks_match_one_pass(gaussian, size, powers):
     assert np.array_equal(got, want)
 
 
+def _flat_measure():
+    # a custom profile f = 1: Lebesgue measure under another name
+    def one(r):
+        return np.ones_like(np.asarray(r, dtype=float))
+
+    def zero(r):
+        return np.zeros_like(np.asarray(r, dtype=float))
+
+    return make_measure("custom", f=one, fprime=zero, fsecond=zero,
+                        name="flat")
+
+
+@pytest.mark.parametrize("powers", [(0,), (0, 1, 2)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_radial_profile_flat_profile_takes_the_constant_route(
+        profile_routes, lebesgue, n, powers):
+    # f = 1 gives every moment bitwise the same value at every Chebyshev
+    # point: the fit is that one row, and the profile at 1,000 spread scales
+    # is bitwise that of integrating every scale
+    D = np.random.default_rng(38).uniform(0.01, 5.0, 1000)
+    for mu in (lebesgue, _flat_measure()):
+        got = radial_profile(mu, D, n, powers)
+        assert np.array_equal(got, _direct_profile(mu, D, n, powers)), mu.kind
+    assert profile_routes == ["constant"] * 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_radial_profile_curved_profiles_never_take_the_constant_route(
+        profile_routes, gaussian, exp3, n):
+    D = np.linspace(0.5, 1.5, 200)
+    for mu in (gaussian, exp3):
+        for powers in ((0,), (0, 1, 2)):
+            radial_profile(mu, D, n, powers)
+    assert len(profile_routes) == 4 and "constant" not in profile_routes
+
+
+@pytest.mark.parametrize("P", [1, 3])
+@pytest.mark.parametrize("K", [1, *range(3, measures_module._CHEB_POINTS + 1)])
+def test_clenshaw_is_chebval(K, P):
+    # into out and into a view of a wider work buffer, bitwise numpy's
+    # chebval, from a one-row fill (K = 1) up to a full interpolant
+    rng = np.random.default_rng(100 * K + P)
+    coef = rng.normal(size=(K, P))
+    D = rng.uniform(0.5, 1.5, 1000)
+    fit = (1.0, 0.5, coef)
+    want = chebyshev.chebval((D - 1.0) / 0.5, coef)
+    out = np.full((P, D.size), np.nan)
+    work = np.full((3 * P + 2, D.size + 7), np.nan)
+    assert measures_module._clenshaw(D, fit, work, out) is out
+    assert np.array_equal(out, want)
+    work = np.full((3 * P + 2, D.size + 7), np.nan)
+    got = measures_module._clenshaw(D, fit, work)
+    assert got.shape == want.shape and np.shares_memory(got, work)
+    assert np.array_equal(got, want)
+
+
+def test_clenshaw_refuses_two_coefficients():
+    # no route produces K = 2, which the scalar first step cannot start
+    with pytest.raises(ValueError, match="1 or at least 3 coefficients"):
+        measures_module._clenshaw(np.ones(4), (1.0, 0.5, np.ones((2, 1))),
+                                  np.empty((5, 4)))
+
+
 @pytest.mark.parametrize("R", [0.4, 1.0, 1.9])
 def test_ball_measure_closed_forms(R, lebesgue, gaussian, exp1):
     assert ball_measure(lebesgue, R, 2) == pytest.approx(math.pi * R * R,
