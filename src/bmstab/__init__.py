@@ -14,11 +14,10 @@ if _threads:
 __version__ = "0.1.0"
 
 from .sphere import (PolynomialSF, SphereGrid, build_grid, curvature_matrix,
-                     integrate, sf_exp, sf_log, sf_mul, sf_ratio, sf_sum)
+                     sf_exp, sf_ratio, sf_sum)
 from .measures import make_measure, measure_from_spec, moments, ball_measure
 from .bodies import (Body, ball_body, body_from_support, log_combine,
-                     make_family, measure_of_body, minkowski_combine,
-                     quermassintegrals)
+                     make_family, measure_of_body, minkowski_combine, volume)
 from .variation import variation_at_ball
 from .oracles import central_derivative, mc_measure, wulff_polygon
 from .funcspecs import direction_suite, sf_from_spec
@@ -26,11 +25,10 @@ from .inequalities import CHECKS, CheckResult, rerun, run_check
 
 __all__ = [
     "PolynomialSF", "SphereGrid", "build_grid", "curvature_matrix",
-    "integrate", "sf_exp", "sf_log", "sf_mul", "sf_ratio", "sf_sum",
+    "sf_exp", "sf_ratio", "sf_sum",
     "make_measure", "measure_from_spec", "moments", "ball_measure",
     "Body", "ball_body", "body_from_support", "log_combine", "make_family",
-    "measure_of_body", "minkowski_combine", "quermassintegrals",
-    "variation_at_ball",
+    "measure_of_body", "minkowski_combine", "volume", "variation_at_ball",
     "central_derivative", "mc_measure", "wulff_polygon", "direction_suite",
     "sf_from_spec", "CHECKS", "CheckResult", "rerun", "run_check",
     "__version__",

@@ -21,9 +21,9 @@ from numpy.polynomial.polynomial import polyder
 
 from . import measures as _measures
 from .sphere import (CurvatureField, PolynomialSF, SphereGrid,
-                     SphericalFunction, ball_volume, batch_min_eig,
-                     curvature_matrix, det_poly, horner, sf_exp,
-                     sf_product_powers, sf_ratio, sf_sum, sphere_area)
+                     SphericalFunction, batch_min_eig, curvature_matrix,
+                     det_poly, horner, sf_exp, sf_product_powers, sf_ratio,
+                     sf_sum)
 
 
 class NonPositiveSupport(ValueError):
@@ -114,28 +114,10 @@ def measure_of_body(measure, body):
     return float(np.sum(g.weights * vals))
 
 
-def ball_intrinsic_volume(n, j):
-    """Closed-form intrinsic volume V_j of the unit ball in R^n."""
-    return math.comb(n, j) * ball_volume(n) / ball_volume(n - j)
-
-
-def quermassintegrals(body):
-    """Intrinsic volumes [V_0, ..., V_n] from the curvature matrices.
-
-    V_j for j < n integrates the t^j coefficient of det(I + t Q); the
-    normalization constants are calibrated so a Euclidean ball reproduces
-    its closed-form values exactly."""
+def volume(body):
+    """Volume int h det Q(h; u) du / n, from the body's curvature field."""
     g = body.grid
-    n = g.n
-    Q = body.curvature.Q
-    e = det_poly([np.broadcast_to(np.eye(n - 1), Q.shape), Q])
-    out = []
-    for j in range(n):
-        cal = ball_intrinsic_volume(n, j) / (math.comb(n - 1, j) * sphere_area(n))
-        out.append(cal * float(np.sum(g.weights * e[j])))
-    vol = float(np.sum(g.weights * body.hvals * e[n - 1])) / n
-    out.append(vol)
-    return out
+    return float(np.sum(g.weights * body.hvals * body.curvature.det)) / g.n
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from . import measures as _measures
 from . import oracles as _oracles
 from . import variation as _variation
 from .bodies import (PerturbationFamily, body_from_support, log_combine,
-                     make_family, measure_of_body, quermassintegrals)
+                     make_family, measure_of_body, volume)
 from .funcspecs import sf_from_spec
-from .sphere import _KEPT, _scope, build_grid, curvature_matrix, sphere_area
+from .sphere import _KEPT, _scope, build_grid, sphere_area
 from .variation import variation_at_ball
 
 DEFAULT_MARGIN_TOL = 1e-9
@@ -504,8 +504,7 @@ def check_cone_inequality(params):
     h = body.hvals
     Q = body.curvature.Q
     det = body.curvature.det
-    vol = quermassintegrals(body)[n]
-    cone_w = w * h * det / (n * vol)
+    cone_w = w * h * det / (n * volume(body))
     weight_total = float(np.sum(cone_w))
 
     d = psi.d2_ext0(g.nodes)
@@ -568,7 +567,7 @@ def check_polygon_agreement(params):
     n = 2
     g = _grid(n, params["resolution"])
     body = body_from_support(_base_sf(params, n), g)
-    area = quermassintegrals(body)[2]
+    area = volume(body)
     m = params.get("polygon_directions", 720)
     poly = _polygon(body.h, m)
     gap = poly.area - area
@@ -604,10 +603,8 @@ def check_divergence_identities(params):
     g = _grid(n, params["resolution"])
     base = _base_sf(params, n)
     omega = _built(params["omega"], n)
-    fh = curvature_matrix(base, g)             # base's Q and C2, formed once
-    C2 = _variation.second_cofactor_field(fh.Q)
-    cy = _variation.cheng_yau_residual(base, g, C2)
-    r1, r2 = _variation.ibp_residuals(base, _psi(params, n), omega, g, fh, C2)
+    psi = _psi(params, n)
+    cy, r1, r2 = _variation.divergence_residuals(base, psi, omega, g)
     return _result(
         "divergence_identities", params, n, "none", max(cy, r1, r2),
         1e-11, "le", R=params.get("R"),

@@ -21,6 +21,8 @@ both consequences of integrating d/dt [t^n f(tD)] and d/dt [t^{n+1} f'(tD)].
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -162,10 +164,10 @@ def _validate_profile(kind, f, fprime, fsecond):
 def make_measure(kind, p=None, f=None, fprime=None, fsecond=None, name=None):
     """Construct a rotation-invariant log-concave measure.
 
-    kind is one of 'lebesgue', 'gaussian', 'exp_power' (with exponent p >= 1)
-    or 'custom' (with analytic f, fprime, fsecond).  Every profile is
-    validated for nonnegativity, monotonicity and log-concavity on a
-    log-spaced radius sample."""
+    kind is one of 'lebesgue', 'gaussian', 'exp_power' (with a finite real
+    exponent p >= 1, not a bool) or 'custom' (with analytic f, fprime,
+    fsecond).  Every profile is validated for nonnegativity, monotonicity
+    and log-concavity on a log-spaced radius sample."""
     if kind == "lebesgue":
         meas = RadialMeasure(
             kind="lebesgue",
@@ -183,8 +185,11 @@ def make_measure(kind, p=None, f=None, fprime=None, fsecond=None, name=None):
             * np.exp(-0.5 * np.asarray(r, dtype=float) ** 2),
         )
     elif kind == "exp_power":
-        if p is None or p < 1:
-            raise MeasureValidationError("exp_power requires exponent p >= 1")
+        if (isinstance(p, bool) or not isinstance(p, numbers.Real)
+                or not math.isfinite(p) or p < 1):
+            raise MeasureValidationError(
+                f"exp_power requires a finite real exponent p >= 1, "
+                f"got p={p!r}")
         p = float(p)
 
         def f_(r, p=p):
@@ -230,28 +235,19 @@ def measure_from_spec(spec):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentTriple:
-    A: float
-    B: float
-    C: float
-    D: float
-    n: int
-
-
 def moments(measure, D, n):
-    """Radial moment triple (A, B, C) of the measure at scale D."""
+    """Radial moment triple (A, B, C) of the measure at scale D, as floats."""
     a, b, c = radial_profile(measure, [D], n, powers=(0, 1, 2))[:, 0]
-    return MomentTriple(A=float(a), B=float(b), C=float(c), D=float(D), n=n)
+    return float(a), float(b), float(c)
 
 
 def moment_identities(measure, R, n):
     """Residuals of the two moment identities at D = R.
 
     Returns (|f(R) - (nA + RB)|, |f'(R) - ((n+1)B + RC)|)."""
-    t = moments(measure, R, n)
-    res1 = abs(float(measure.f(R)) - (n * t.A + R * t.B))
-    res2 = abs(float(measure.fprime(R)) - ((n + 1) * t.B + R * t.C))
+    A, B, C = moments(measure, R, n)
+    res1 = abs(float(measure.f(R)) - (n * A + R * B))
+    res2 = abs(float(measure.fprime(R)) - ((n + 1) * B + R * C))
     return res1, res2
 
 
@@ -350,8 +346,7 @@ def ball_measure(measure, radius, n):
     """Total measure of a centered ball: |S^{n-1}| * r^n * A(r)."""
     if radius == 0:
         return 0.0
-    t = moments(measure, radius, n)
-    return sphere_area(n) * radius ** n * t.A
+    return sphere_area(n) * radius ** n * moments(measure, radius, n)[0]
 
 
 def ball_growth_derivatives(measure, R, n):

@@ -463,18 +463,6 @@ def sf_exp(inner):
     return ExprSF(inner.n, lambda U: d2_exp(inner.d2_ext0(U)))
 
 
-def sf_mul(f, g):
-    """Pointwise product; either factor may vanish or change sign."""
-    if isinstance(f, PolynomialSF) and isinstance(g, PolynomialSF):
-        return f * g
-    return ExprSF(f.n, lambda U: d2_mul(f.d2_ext0(U), g.d2_ext0(U)))
-
-
-def sf_log(f):
-    """log(f) for strictly positive f."""
-    return ExprSF(f.n, lambda U: d2_log(f.d2_ext0(U)))
-
-
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
@@ -582,19 +570,6 @@ def build_grid(n, resolution):
                       exactness_degree=exactness)
 
 
-def integrate(f, grid):
-    """Quadrature of a spherical function (or a node-value array)."""
-    if isinstance(f, SphericalFunction):
-        if f.n != grid.n:
-            raise ValueError("function dimension does not match the grid")
-        vals = f.values(grid.nodes)
-    else:
-        vals = np.asarray(f, dtype=float)
-        if vals.shape != (grid.count,):
-            raise ValueError("value array does not match the grid size")
-    return float(np.sum(grid.weights * vals))
-
-
 # ---------------------------------------------------------------------------
 # differential operators
 # ---------------------------------------------------------------------------
@@ -688,7 +663,8 @@ def curvature_matrix(h, grid):
 
 def split_mean(psi, grid):
     """Split psi into (mean over the sphere, zero-mean part)."""
-    mean = integrate(psi, grid) / sphere_area(grid.n)
+    total = float(np.sum(grid.weights * psi.values(grid.nodes)))
+    mean = total / sphere_area(grid.n)
     one = PolynomialSF.constant(grid.n, 1.0)
     return mean, sf_sum([(1.0, psi), (-mean, one)])
 

@@ -83,22 +83,15 @@ def _frame_third(h, grid):
     return np.moveaxis(T, -1, 0)
 
 
-def cheng_yau_residual(h, grid, C2=None):
-    """Largest absolute entry, over all nodes and columns, of the pointwise
-    divergence of the cofactor rows of Q(h; u), from C2 =
-    second_cofactor_field(Q(h; u)), formed here unless given.
+def divergence_residuals(h, psi, omega, grid):
+    """(cy, r1, r2) for the curvature matrix field Q_h of h, whose cofactors
+    and second cofactors are formed once.
 
-    A pure rounding/representation residual for any smooth support
-    function; requires exact third derivatives, so h must be polynomial."""
-    if C2 is None:
-        C2 = second_cofactor_field(curvature_matrix(h, grid).Q)
-    div = np.einsum("mijkl,mkli->mj", C2, _frame_third(h, grid))
-    return float(np.max(np.abs(div)))
-
-
-def ibp_residuals(h, psi, omega, grid, fh=None, C2=None):
-    """Relative residuals of the two integration-by-parts symmetries, from
-    fh = curvature_matrix(h, grid) and C2 as in cheng_yau_residual.
+    cy is the largest absolute entry, over all nodes and columns, of the
+    pointwise divergence of the cofactor rows of Q_h: a pure rounding and
+    representation residual for any smooth support function, which needs
+    exact third derivatives, so h must be polynomial.  r1 and r2 are the
+    relative residuals of the two integration-by-parts symmetries:
 
     (1) int psi tr(C[Q_h] Q(omega)) = int omega tr(C[Q_h] Q(psi));
     (2) the trilinear form int f0 c_ij,kl[Q_h] Q(f1)_ij Q(f2)_kl is
@@ -106,10 +99,10 @@ def ibp_residuals(h, psi, omega, grid, fh=None, C2=None):
         (psi, omega, h).
     """
     w = grid.weights
-    fp, fo = (curvature_matrix(f, grid) for f in (psi, omega))
-    fh = curvature_matrix(h, grid) if fh is None else fh
+    fh, fp, fo = (curvature_matrix(f, grid) for f in (h, psi, omega))
     Ch = cofactor_field(fh.Q)
-    C2 = second_cofactor_field(fh.Q) if C2 is None else C2
+    C2 = second_cofactor_field(fh.Q)
+    div = np.einsum("mijkl,mkli->mj", C2, _frame_third(h, grid))
 
     a = np.sum(w * fp.val * np.einsum("mij,mij->m", Ch, fo.Q))
     b = np.sum(w * fo.val * np.einsum("mij,mij->m", Ch, fp.Q))
@@ -123,7 +116,7 @@ def ibp_residuals(h, psi, omega, grid, fh=None, C2=None):
             tri(fp, fh, fo)]
     scale = max(max(abs(v) for v in vals), 1.0)
     r2 = (max(vals) - min(vals)) / scale
-    return float(r1), float(r2)
+    return float(np.max(np.abs(div))), float(r1), float(r2)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +170,7 @@ def variation_at_ball(measure, R, psi, grid):
     I0 = float(np.sum(w * d.val))
     I2 = float(np.sum(w * d.val ** 2))
     J2 = float(np.sum(w * np.sum(d.grad ** 2, axis=1)))
-    mom = _measures.moments(measure, R, n)
-    A, B, C = mom.A, mom.B, mom.C
+    A, B, C = _measures.moments(measure, R, n)
     fR = float(np.asarray(measure.f(np.array([R])))[0])
     fpR = float(np.asarray(measure.fprime(np.array([R])))[0])
     g0 = sphere_area(n) * R ** n * A

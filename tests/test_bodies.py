@@ -1,4 +1,4 @@
-"""Bodies from support functions, set combinations, quermassintegrals, and
+"""Bodies from support functions, set combinations, volumes, and
 perturbation families."""
 
 import copy
@@ -14,16 +14,15 @@ import bmstab.bodies as bodies_module
 import bmstab.measures as measures_module
 from bmstab.bodies import (_S_CHUNK, VALIDITY_EIG_FLOOR, FamilyError,
                            NonPositiveSupport, NotConvex, PerturbationFamily,
-                           ball_body, ball_intrinsic_volume,
-                           body_from_support, log_combine, make_family,
-                           measure_of_body, minkowski_combine,
-                           quermassintegrals)
+                           ball_body, body_from_support, log_combine,
+                           make_family, measure_of_body, minkowski_combine,
+                           volume)
 from bmstab.funcspecs import direction_suite, sf_from_spec
 from bmstab.measures import make_measure
 from bmstab.oracles import central_derivative
-from bmstab.sphere import (PolynomialSF, SphericalFunction, build_grid,
-                           curvature_matrix, horner, integrate, poly_mul,
-                           sf_sum)
+from bmstab.sphere import (PolynomialSF, SphericalFunction, ball_volume,
+                           build_grid, curvature_matrix, det_poly, horner,
+                           poly_mul, sf_sum)
 from bmstab.variation import variation_at_ball
 
 
@@ -84,29 +83,43 @@ def test_quermassintegrals_of_ball(n, R):
     from bmstab.sphere import build_grid
     g = build_grid(n, {2: 160, 3: 16}[n])
     K = ball_body(R, g)
-    V = quermassintegrals(K)
-    assert len(V) == n + 1
-    for j in range(n + 1):
-        assert V[j] == pytest.approx(ball_intrinsic_volume(n, j) * R ** j,
-                                     rel=1e-10, abs=1e-12)
+    # the volume, the quermassintegral V_n
+    V = volume(K)
+    assert V == pytest.approx(ball_volume(n) * R ** n, rel=1e-10, abs=1e-12)
     # sanity against the classical values
     if n == 2:
-        assert V[0] == pytest.approx(1.0, rel=1e-12)
-        assert V[1] == pytest.approx(math.pi * R, rel=1e-10)
-        assert V[2] == pytest.approx(math.pi * R * R, rel=1e-10)
+        assert V == pytest.approx(math.pi * R * R, rel=1e-10)
     if n == 3:
-        assert V[1] == pytest.approx(4.0 * R, rel=1e-10)
-        assert V[2] == pytest.approx(2.0 * math.pi * R * R, rel=1e-10)
-        assert V[3] == pytest.approx(4.0 / 3.0 * math.pi * R ** 3, rel=1e-10)
+        assert V == pytest.approx(4.0 / 3.0 * math.pi * R ** 3, rel=1e-10)
 
 
 def test_quermassintegrals_perturbed_disk(grid2):
     eps = 0.05
     K = body_from_support(perturbed_disk(eps), grid2)
-    V = quermassintegrals(K)
-    # mean width is unchanged by a pure second harmonic
-    assert V[1] == pytest.approx(math.pi, rel=1e-12)
-    assert V[2] == pytest.approx(math.pi * (1.0 - 1.5 * eps * eps), rel=1e-12)
+    V = volume(K)
+    assert V == pytest.approx(math.pi * (1.0 - 1.5 * eps * eps), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_volume_is_the_top_coefficient_of_det_i_plus_tq(n):
+    # volume reads det Q, the t^(n-1) coefficient of det(I + t Q): the one
+    # entry of the intrinsic volumes that cone_inequality and
+    # polygon_agreement read, bitwise
+    g = build_grid(n, {2: 160, 3: 16, 4: 10}[n])
+    one = PolynomialSF.constant(n, 1.0)
+    supports = [PolynomialSF.constant(n, 1.3),
+                sf_sum([(1.0, one), (0.05, sf_from_spec(
+                    {"type": "random_even", "seed": 20240817}, n))]),
+                sf_sum([(1.0, one), (0.03, sf_from_spec(
+                    {"type": "random_even", "seed": 7}, n))])]
+    if n == 2:
+        supports.append(perturbed_disk(0.05))
+    for h in supports:
+        K = body_from_support(h, g)
+        Q = K.curvature.Q
+        e = det_poly([np.broadcast_to(np.eye(n - 1), Q.shape), Q])
+        want = np.sum(g.weights * K.hvals * e[n - 1]) / n
+        assert volume(K) == want
 
 
 def test_minkowski_combine_balls(grid2, lebesgue):

@@ -231,6 +231,11 @@ def _one_check(kind, params):
     pytest.param(_one_check("moment_identities",
                             {"n": 2, "measure": {"kind": "gaussian"}}),
                  "missing parameter 'R'", id="missing-R"),
+    pytest.param(_one_check("moment_identities",
+                            {"n": 2, "R": 1.0, "measure": {
+                                "kind": "exp_power", "p": float("nan")}}),
+                 "finite real exponent p >= 1, got p=nan",
+                 id="exp-power-nan"),
 ] + [pytest.param(_one_check(kind, params), needle, id=case)
      for case, kind, params, needle in PARAM_ERRORS])
 def test_run_config_errors_exit_one(tmp_path, capsys, cfg, needle):
@@ -476,6 +481,14 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == cli.__version__
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from bmstab import *", namespace)
+    missing = [name for name in bmstab.__all__ if name not in namespace]
+    assert not missing
+    assert len(set(bmstab.__all__)) == len(bmstab.__all__)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 
 import bmstab.measures as measures_module
-from bmstab.measures import (MomentTriple, ball_growth_derivatives,
+from bmstab.measures import (MeasureValidationError, ball_growth_derivatives,
                              ball_measure, make_measure, measure_from_spec,
                              moment_identities, moments, radial_profile)
 from bmstab.oracles import central_derivative
@@ -35,11 +35,10 @@ def quad_moment(measure, D, n, power):
 @pytest.mark.parametrize("D", [0.5, 1.0, 2.0])
 def test_moments_match_scipy_quad(spec, n, D):
     mu = make_measure(**spec)
-    t = moments(mu, D, n)
-    assert isinstance(t, MomentTriple)
-    assert t.A == pytest.approx(quad_moment(mu, D, n, 0), rel=1e-9)
-    assert t.B == pytest.approx(quad_moment(mu, D, n, 1), rel=1e-9, abs=1e-12)
-    assert t.C == pytest.approx(quad_moment(mu, D, n, 2), rel=1e-9, abs=1e-12)
+    A, B, C = moments(mu, D, n)
+    assert A == pytest.approx(quad_moment(mu, D, n, 0), rel=1e-9)
+    assert B == pytest.approx(quad_moment(mu, D, n, 1), rel=1e-9, abs=1e-12)
+    assert C == pytest.approx(quad_moment(mu, D, n, 2), rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s["kind"] + str(s.get("p", "")))
@@ -57,10 +56,10 @@ def test_radial_profile_matches_pointwise(gaussian):
     prof = radial_profile(gaussian, D, 3, powers=(0, 1, 2))
     assert prof.shape == (3, 5)
     for j, d in enumerate(D):
-        t = moments(gaussian, float(d), 3)
-        assert prof[0, j] == pytest.approx(t.A, rel=1e-12)
-        assert prof[1, j] == pytest.approx(t.B, rel=1e-12)
-        assert prof[2, j] == pytest.approx(t.C, rel=1e-12)
+        A, B, C = moments(gaussian, float(d), 3)
+        assert prof[0, j] == pytest.approx(A, rel=1e-12)
+        assert prof[1, j] == pytest.approx(B, rel=1e-12)
+        assert prof[2, j] == pytest.approx(C, rel=1e-12)
     # repeated scales share the same value exactly
     assert prof[0, 0] == prof[0, 1]
     assert prof[0, 2] == prof[0, 4]
@@ -322,6 +321,21 @@ def test_custom_measure_profile():
                       fsecond=lambda r: ((r + 0.3) ** 2 - 1.0) * f(r))
     r1, r2 = moment_identities(mu, 1.3, 3)
     assert r1 < 1e-10 and r2 < 1e-10
+
+
+@pytest.mark.parametrize("p", [float("nan"), math.inf, -math.inf, True,
+                               "3", None],
+                         ids=["nan", "inf", "-inf", "true", "string", "none"])
+def test_exp_power_rejects_a_non_finite_or_non_real_exponent(p):
+    with pytest.raises(MeasureValidationError, match=r"p >= 1, got p="):
+        make_measure(kind="exp_power", p=p)
+
+
+@pytest.mark.parametrize("p", [1, 3.0, np.float64(2.5)])
+def test_exp_power_accepts_a_finite_real_exponent(p):
+    mu = make_measure(kind="exp_power", p=p)
+    assert mu.params == {"p": float(p)}
+    assert mu.f(np.array([1.0]))[0] == math.exp(-1.0)
 
 
 def test_make_measure_rejects_bad_profiles():

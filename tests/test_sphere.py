@@ -13,12 +13,17 @@ from scipy.special import roots_jacobi
 
 from bmstab import sphere
 from bmstab.oracles import central_derivative
-from bmstab.sphere import (GridError, PolynomialSF, ball_volume,
+from bmstab.sphere import (ExprSF, GridError, PolynomialSF, ball_volume,
                            batch_min_eig, build_grid, curvature_matrix,
-                           horner, integrate, poincare_ratio, sf_exp, sf_log,
-                           sf_mul, sf_product_powers, sf_ratio, sf_sum,
-                           sphere_area, split_mean)
+                           d2_log, d2_mul, horner, poincare_ratio, sf_exp,
+                           sf_product_powers, sf_ratio, sf_sum, sphere_area,
+                           split_mean)
 from bmstab.funcspecs import direction_suite, sf_from_spec
+
+
+def integrate(sf, grid):
+    """Grid quadrature of a spherical function's node values."""
+    return float(np.sum(grid.weights * sf.values(grid.nodes)))
 
 
 def grad1(sf, U):
@@ -180,13 +185,6 @@ def test_grids_need_no_scipy():
     assert out == ["16", "512", "1024"]
 
 
-def test_integrate_accepts_arrays(grid2):
-    vals = np.ones(grid2.count)
-    assert integrate(vals, grid2) == pytest.approx(2 * math.pi, rel=1e-14)
-    with pytest.raises(ValueError):
-        integrate(np.ones(grid2.count + 1), grid2)
-
-
 def test_circle_harmonic_values(grid2):
     theta = np.arctan2(grid2.nodes[:, 1], grid2.nodes[:, 0])
     c2 = PolynomialSF.cos_harmonic(2)
@@ -293,7 +291,8 @@ def test_composite_values_are_the_bundle_values(grid2, grid3, grid4):
                 "product_powers": sf_product_powers([(base, 0.4),
                                                      (quot, 0.6)]),
                 "exp_ratio": quot,
-                "mul_log": sf_mul(psi, sf_log(quot)),
+                "mul_log": ExprSF(n, lambda U: d2_mul(
+                    psi.d2_ext0(U), d2_log(quot.d2_ext0(U)))),
                 "sum": sf_sum([(0.5, quot), (-1.5, psi)]),
             }
             for label, sf in cases.items():
@@ -421,7 +420,7 @@ def test_poincare_even_zero_mean_bound(n):
         psi = sf_from_spec({"type": "random_even", "seed": 100 + seed,
                             "amplitude": 1.0}, n)
         _, osc = split_mean(psi, g)
-        if integrate(sf_mul(osc, osc), g) < 1e-18:
+        if integrate(osc * osc, g) < 1e-18:
             continue
         ratio = poincare_ratio(osc, g)
         assert ratio >= 2 * n - 1e-8, f"seed {seed}: ratio {ratio}"
@@ -447,23 +446,24 @@ def test_sf_algebra_round_trips(grid2_small):
     h = sf_sum([(1.0, PolynomialSF.constant(2, 2.0)),
                 (0.3, PolynomialSF.cos_harmonic(2))])
     # exp(log h) == h, including first and second derivative data
-    back = sf_exp(sf_log(h))
+    back = sf_exp(ExprSF(2, lambda U: d2_log(h.d2_ext0(U))))
     assert np.max(np.abs(back.values(nodes) - h.values(nodes))) < 1e-12
     assert np.max(np.abs(grad1(back, nodes) - grad1(h, nodes))) < 1e-10
     assert np.max(np.abs(hess1(back, nodes) - hess1(h, nodes))) < 1e-9
     # ratio then multiply recovers the numerator
-    q = sf_ratio(h, PolynomialSF.constant(2, 2.0))
-    twice = sf_mul(q, PolynomialSF.constant(2, 2.0))
+    two = PolynomialSF.constant(2, 2.0)
+    q = sf_ratio(h, two)
+    twice = ExprSF(2, lambda U: d2_mul(q.d2_ext0(U), two.d2_ext0(U)))
     assert np.max(np.abs(twice.values(nodes) - h.values(nodes))) < 1e-12
     # shift
     sh = sf_sum([(1.0, h), (-1.0, PolynomialSF.constant(2, 1.0))])
     assert np.max(np.abs(sh.values(nodes) - (h.values(nodes) - 1.0))) < 1e-13
 
 
-def test_sf_mul_matches_product_values(grid3):
+def test_polynomial_product_matches_product_values(grid3):
     a = PolynomialSF(3, {(1, 0, 0): 1.0, (0, 0, 0): 1.5})
     b = PolynomialSF(3, {(0, 2, 0): 1.0, (0, 0, 0): 0.5})
-    prod = sf_mul(a, b)
+    prod = a * b
     nodes = grid3.nodes
     assert np.max(np.abs(prod.values(nodes)
                          - a.values(nodes) * b.values(nodes))) < 1e-13
